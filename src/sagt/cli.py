@@ -2,7 +2,8 @@
 
 Outputs are deterministic for a fixed command line (seeded randomness,
 repr-formatted floats) and land on disk atomically via a temp-file rename.
-Exit codes: 0 success, 1 usage or input errors, 2 verification failure.
+Exit codes: 0 success, 1 usage or input errors, 2 verification failure
+(a failed self-check, or a run whose convergence ladder did not accept).
 """
 
 import argparse
@@ -140,6 +141,13 @@ def _emit_record(record, config, out):
         f"-> {where}",
         file=sys.stderr,
     )
+    if not record.accepted:
+        print(
+            f"sagt: warning: run not accepted (defect "
+            f"{record.convergence_defect:.2e}, steps {record.step_count})",
+            file=sys.stderr,
+        )
+    return 0 if record.accepted else 2
 
 
 def cmd_state_teleport(args):
@@ -165,8 +173,7 @@ def cmd_state_teleport(args):
         "seed": args.seed if args.random_state else None,
         "amp": args.amp,
     }
-    _emit_record(record, config, args.out)
-    return 0
+    return _emit_record(record, config, args.out)
 
 
 def cmd_gate_teleport(args):
@@ -213,8 +220,7 @@ def cmd_gate_teleport(args):
         "seed": args.seed,
         "amp": args.amp,
     }
-    _emit_record(record, config, args.out)
-    return 0
+    return _emit_record(record, config, args.out)
 
 
 def cmd_cost_sweep(args):

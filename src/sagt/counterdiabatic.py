@@ -1,12 +1,17 @@
 """Velocity compensation: the term that turns the drive into an exact
 transporter of its own eigenframe.
 
-Per parity block the correction is (i hbar / tau) sum_m |d/ds v_m><v_m|.
-With a real orthonormal frame V(s) this is (i/tau) K with K = V' V^T, and
-K is antisymmetric because V V^T is constant -- so the correction is
-Hermitian, traceless, and vanishes whenever the schedule freezes.  Both
-parity blocks share one frame, hence one K; the register-level term is the
-pair embedding, and multi-sector registers sum the same term per sector.
+Per parity block the correction is (i hbar / tau) sum_m |d/ds v_m><v_m| =
+(i/tau) K, with K = theta' [-C/4 + a(theta) (v2 v1^T - v1 v2^T)] the
+closed-form frame velocity of spectral.velocity_grid: exact in the
+schedule's derivatives, and bounded because a(theta) = (cos theta +
+sin theta) / (2 - sin 2 theta) has a denominator of at least 1.  K is real
+antisymmetric, so the correction is Hermitian, traceless, and zero
+whenever the schedule freezes (theta' = 0).  Both parity blocks share one
+K; the sector term is the pair embedding, and multi-sector registers sum
+the same term per sector.  assembled_register_cd rebuilds the register
+term by finite differences of the full product frame, as an independent
+cross-check.
 """
 
 from dataclasses import replace
@@ -14,39 +19,31 @@ from dataclasses import replace
 import numpy as np
 
 from . import spectral
-from .model import HamiltonianFamily
+
+_CHECK_STEP = 1e-6  # finite-difference step of assembled_register_cd
 
 
-def block_cd_grid(schedule, s_values, tau, h=spectral.FD_STEP):
+def block_cd_grid(schedule, s_values, tau):
     """(len(s), 4, 4) complex: the block correction on an array of s."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    s_values = np.asarray(s_values, dtype=float)
-    v = spectral.frame_grid(schedule, s_values)
-    dv = spectral.frame_derivative_grid(schedule, s_values, h)
-    k = np.einsum("...ik,...jk->...ij", dv, v)
-    k = 0.5 * (k - np.swapaxes(k, -1, -2))  # enforce exact antisymmetry
-    return 1j * k / tau
+    return 1j / tau * spectral.velocity_grid(schedule, s_values)
 
 
-def block_cd(schedule, s, tau, h=spectral.FD_STEP):
+def block_cd(schedule, s, tau):
     """4x4 correction at scalar s."""
-    return block_cd_grid(schedule, np.atleast_1d(float(s)), tau, h)[0]
+    return block_cd_grid(schedule, np.atleast_1d(float(s)), tau)[0]
 
 
-def sector_cd_grid(schedule, s_values, tau, h=spectral.FD_STEP):
-    blocks = block_cd_grid(schedule, s_values, tau, h)
-    out = np.zeros(blocks.shape[:-2] + (8, 8), dtype=complex)
-    for basis in (spectral.PLUS_BASIS, spectral.MINUS_BASIS):
-        rows = np.asarray(basis)[:, None]
-        cols = np.asarray(basis)[None, :]
-        out[..., rows, cols] = blocks
-    return out
+def sector_cd_grid(schedule, s_values, tau):
+    """(len(s), 8, 8) complex: the same block correction on both parities."""
+    blocks = block_cd_grid(schedule, s_values, tau)
+    return spectral.embed_blocks(blocks, blocks)
 
 
-def sector_cd(schedule, s, tau, h=spectral.FD_STEP):
+def sector_cd(schedule, s, tau):
     """8x8 correction for one sector: the same block on both parities."""
-    return sector_cd_grid(schedule, np.atleast_1d(float(s)), tau, h)[0]
+    return sector_cd_grid(schedule, np.atleast_1d(float(s)), tau)[0]
 
 
 def embedded_frame(schedule, s):
@@ -61,14 +58,15 @@ def embedded_frame(schedule, s):
     return np.stack(cols, axis=1)
 
 
-def assembled_register_cd(schedule, s, tau, n=1, rotation=None, h=spectral.FD_STEP):
+def assembled_register_cd(schedule, s, tau, n=1, rotation=None):
     """The long way around: (i/tau) sum_m |d/ds w_m><w_m| over the full
     register eigenframe, with w_m the n-fold sector products conjugated by
-    the optional rotation.
+    the optional rotation, differentiated by second-order finite
+    differences.
 
-    Independent of sector_cd's per-block embedding -- kept as the
-    cross-check that the compact construction transforms covariantly and
-    sums correctly over sectors.
+    Independent of sector_cd's closed-form velocity and per-block
+    embedding -- kept as the cross-check that the compact construction is
+    right, transforms covariantly and sums correctly over sectors.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -83,6 +81,7 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None, h=spectral.FD_ST
         return out
 
     s = float(s)
+    h = _CHECK_STEP
     if s < h:
         df = (-3 * register_frame(s) + 4 * register_frame(s + h)
               - register_frame(s + 2 * h)) / (2 * h)
@@ -97,31 +96,17 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None, h=spectral.FD_ST
 def superadiabatic_family(base, tau):
     """Attach the velocity term to an adiabatic family.
 
-    The correction is built once from the schedule; the base family's
-    rotation (if any) conjugates the whole sum at evaluation time, which
-    is the covariant way to rotate the dressed Hamiltonian.
+    The family evaluates the term from its schedule and tau; the base
+    family's rotation (if any) conjugates the whole sum, which is the
+    covariant way to rotate the dressed Hamiltonian.
     """
+    # model imports this module for the velocity term, so import it here
+    from .model import HamiltonianFamily
+
     if not isinstance(base, HamiltonianFamily):
         raise ValueError("base must be a HamiltonianFamily")
     if base.mode != "adiabatic":
         raise ValueError(f"base family must be adiabatic, got mode {base.mode!r}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    tau = float(tau)
-    schedule = base.schedule
-    base_sector = base._sector
-    base_sector_grid = base._sector_grid
-
-    def sector(s):
-        return base_sector(s) + sector_cd(schedule, s, tau)
-
-    def sector_grid(s_values):
-        return base_sector_grid(s_values) + sector_cd_grid(schedule, s_values, tau)
-
-    return replace(
-        base,
-        mode="superadiabatic",
-        tau=tau,
-        _sector=sector,
-        _sector_grid=sector_grid,
-    )
+    return replace(base, mode="superadiabatic", tau=float(tau))

@@ -173,10 +173,10 @@ class RunRecord:
 
     convergence_defect is |F(steps) - F(steps/2)| at the reported step
     count; accepted means the defect met the requested target before the
-    step budget ran out.  parity_drift is the largest excursion of the
-    conserved Z-parity expectation along the trajectory, and
-    ground_overlap_trace samples the overlap with the instantaneous
-    ground manifold of the bare drive.
+    step budget max_steps ran out (no rung ever exceeds it).  parity_drift
+    is the largest excursion of the conserved Z-parity expectation along
+    the trajectory, and ground_overlap_trace samples the overlap with the
+    instantaneous ground manifold of the bare drive.
     """
 
     sectors: int
@@ -210,6 +210,9 @@ def _run_protocol(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if tau_omega <= 0:
         raise ValueError(f"tau_omega must be positive, got {tau_omega}")
+    steps = int(steps)
+    if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
+        raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)
 
     base = multi_sector_family(n, omega, schedule)
@@ -244,7 +247,6 @@ def _run_protocol(
         final = propagate(family, psi0, k, tau=tau, observer=observer)
         return fidelity(final, tgt)
 
-    steps = int(steps)
     f_prev = run(steps)
     count = steps
     while True:

@@ -10,12 +10,14 @@ equivalence down for n = 2.
 """
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from .counterdiabatic import sector_cd_grid
 from .operators import pauli_string, place_on_qubits
 from .schedules import Schedule, grid_eval
+from .spectral import DRIVE_A, DRIVE_B
 
 MAX_QUBITS = 10
 
@@ -40,11 +42,13 @@ def _require_unitary(g, dim, what="rotation"):
 class HamiltonianFamily:
     """A time-parametrized register Hamiltonian H(s), s in [0, 1].
 
-    ``sector_matrix`` evaluates the common unrotated 8x8 sector term;
-    ``matrix`` assembles the full register operator including padding and
-    the optional fixed rotation G (evaluating to G H(s) G^dag).  ``tau``
-    is the total drive time and is required for superadiabatic families,
-    whose velocity term scales like 1/tau.
+    ``sector_matrix`` evaluates the common unrotated 8x8 sector term:
+    the drive -omega (eta_i A + eta_f B), plus the velocity term of
+    counterdiabatic.sector_cd_grid in superadiabatic mode.  ``matrix``
+    assembles the full register operator including padding and the
+    optional fixed rotation G (evaluating to G H(s) G^dag).  ``tau`` is the
+    total drive time and is required for superadiabatic families, whose
+    velocity term scales like 1/tau.
     """
 
     sectors: int
@@ -54,14 +58,21 @@ class HamiltonianFamily:
     mode: str
     tau: Optional[float]
     rotation: Optional[np.ndarray]
-    _sector: Callable
-    _sector_grid: Callable
 
     def sector_matrix(self, s):
-        return self._sector(float(s))
+        s = float(s)
+        if s < 0.0 or s > 1.0:
+            raise ValueError(f"s outside [0, 1]: {s}")
+        return self.sector_matrix_grid(np.array([s]))[0]
 
     def sector_matrix_grid(self, s_values):
-        return self._sector_grid(np.asarray(s_values, dtype=float))
+        s_values = np.asarray(s_values, dtype=float)
+        ei = grid_eval(self.schedule.eta_i, s_values)[..., None, None]
+        ef = grid_eval(self.schedule.eta_f, s_values)[..., None, None]
+        h = -self.omega * (ei * DRIVE_A + ef * DRIVE_B)
+        if self.mode == "superadiabatic":
+            h = h + sector_cd_grid(self.schedule, s_values, self.tau)
+        return h
 
     def matrix(self, s):
         h = self.sector_matrix(s)
@@ -82,32 +93,12 @@ class HamiltonianFamily:
         return 2**self.register_size
 
 
-def _drive_terms():
-    a = pauli_string("1XX") + pauli_string("1ZZ")
-    b = pauli_string("XX1") + pauli_string("ZZ1")
-    return a, b
-
-
 def single_sector_family(omega, schedule):
     """The bare three-qubit drive -omega [eta_i (1XX+1ZZ) + eta_f (XX1+ZZ1)]."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if not isinstance(schedule, Schedule):
         raise ValueError("schedule must be a Schedule record")
-    a, b = _drive_terms()
-
-    def sector(s):
-        if s < 0.0 or s > 1.0:
-            raise ValueError(f"s outside [0, 1]: {s}")
-        ei = float(schedule.eta_i(s))
-        ef = float(schedule.eta_f(s))
-        return -omega * (ei * a + ef * b)
-
-    def sector_grid(s_values):
-        ei = grid_eval(schedule.eta_i, s_values)
-        ef = grid_eval(schedule.eta_f, s_values)
-        return -omega * (ei[..., None, None] * a + ef[..., None, None] * b)
-
     return HamiltonianFamily(
         sectors=1,
         register_size=3,
@@ -116,8 +107,6 @@ def single_sector_family(omega, schedule):
         mode="adiabatic",
         tau=None,
         rotation=None,
-        _sector=sector,
-        _sector_grid=sector_grid,
     )
 
 

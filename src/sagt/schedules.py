@@ -44,7 +44,7 @@ def grid_eval(fn, s):
         out = np.asarray(fn(s), dtype=float)
         if out.shape == s.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(fn(x)) for x in s.ravel()]).reshape(s.shape)
 
@@ -83,10 +83,11 @@ def _check_gap(sched):
         )
 
 
-def _check_derivatives(sched, h=_FD_STEP):
+def _check_derivatives(sched):
     # central differences at interior points, one-sided second order at the
     # edges so custom schedules are never evaluated outside their domain
     s = np.linspace(0.0, 1.0, 101)
+    h = _FD_STEP
     for fn, dfn, label in (
         (sched.eta_i, sched.deta_i, "deta_i"),
         (sched.eta_f, sched.deta_f, "deta_f"),

@@ -51,10 +51,27 @@ Gram-Schmidt degenerates at s = 0 where u1 and u2 become anti-parallel.
 All vectors are real; normalized columns v0, v1, v2, v3 (energy
 ascending) form the transport frame, and the gauge <v_m | d/ds v_m> = 0
 holds automatically because each column keeps unit norm.
+
+Velocity.  Every closed form above is homogeneous in (ei, ef), so the
+normalized frame depends on s only through theta = atan2(ef, ei), and
+d/ds = theta' d/dtheta with theta' = (ei ef' - ef ei') / chi^2 taken
+exactly from the schedule's derivatives.  The frame velocity K = V' V^T is
+real antisymmetric (V V^T is constant) and reads
+
+    K(s) = theta'(s) [ -C/4 + a(theta) (v2 v1^T - v1 v2^T) ],
+
+with C the parity block of [A, B] (A = 1XX+1ZZ, B = XX1+ZZ1).  -C/4 is the
+gauge-minimal term of Berry (J. Phys. A 42, 365303, 2009) and Demirplak &
+Rice (J. Phys. Chem. A 107, 9937, 2003), with no element inside the
+zero-mode pair; the second term turns the fixed zero-mode gauge inside
+that pair at rate a = <v2 | d/dtheta v1> = (cos theta + sin theta) /
+(2 - sin 2 theta), whose denominator is at least 1.  K is therefore
+bounded by |theta'| times a constant and vanishes for a frozen schedule.
 """
 
 import numpy as np
 
+from .operators import pauli_string
 from .schedules import chi as _chi
 from .schedules import grid_eval
 
@@ -63,7 +80,13 @@ from .schedules import grid_eval
 PLUS_BASIS = (0, 3, 5, 6)
 MINUS_BASIS = (7, 4, 2, 1)
 
-FD_STEP = 1e-6
+# The two coupling patterns of the drive, weighed by eta_i and eta_f, their
+# common parity block, and the commutator of the blocks.
+DRIVE_A = pauli_string("1XX") + pauli_string("1ZZ")
+DRIVE_B = pauli_string("XX1") + pauli_string("ZZ1")
+BLOCK_A = DRIVE_A[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
+BLOCK_B = DRIVE_B[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
+BLOCK_C = BLOCK_A @ BLOCK_B - BLOCK_B @ BLOCK_A
 
 
 def _weights(schedule, s):
@@ -74,15 +97,7 @@ def _weights(schedule, s):
 def block_hamiltonian(schedule, s, omega=1.0):
     """The common 4x4 block of the drive in the even-parity basis."""
     ei, ef = (float(x) for x in _weights(schedule, s))
-    return -omega * np.array(
-        [
-            [ei + ef, ei, 0.0, ef],
-            [ei, ei - ef, ef, 0.0],
-            [0.0, ef, -ei - ef, ei],
-            [ef, 0.0, ei, ef - ei],
-        ],
-        dtype=complex,
-    )
+    return (-omega * (ei * BLOCK_A + ef * BLOCK_B)).astype(complex)
 
 
 def block_energies(schedule, s, omega=1.0):
@@ -104,7 +119,7 @@ def frame_grid(schedule, s):
     eigenvector of block_energies[m].  Columns are smooth in s (no
     eigensolver gauge jumps) because they come from fixed closed forms.
     """
-    ei, ef = _weights(schedule, np.asarray(s, dtype=float))
+    ei, ef = _weights(schedule, s)
     c = np.hypot(ei, ef)
     a = c + ei
     b = c + ef  # >= chi > 0, safe denominator
@@ -128,51 +143,50 @@ def block_eigenvectors(schedule, s):
     return frame_grid(schedule, np.atleast_1d(np.asarray(s, dtype=float)))[0]
 
 
-def frame_derivative_grid(schedule, s, h=FD_STEP):
-    """d/ds of the eigenframe by second-order finite differences.
+def velocity_grid(schedule, s):
+    """The real antisymmetric frame velocity K = V' V^T at each s.
 
-    Central differences in the interior, one-sided at the two endpoint
-    bands so the schedule is only ever evaluated inside [0, 1].
+    Returns shape (..., 4, 4), exact in the schedule's derivatives:
+    K = theta' [-C/4 + a(theta) (v2 v1^T - v1 v2^T)] (see module docstring).
     """
-    s = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(s)
-
-    def f(x):
-        return frame_grid(schedule, x)
-
-    out = np.empty(flat.shape + (4, 4))
-    mid = (flat >= h) & (flat <= 1.0 - h)
-    lo = flat < h
-    hi = flat > 1.0 - h
-    if mid.any():
-        out[mid] = (f(flat[mid] + h) - f(flat[mid] - h)) / (2.0 * h)
-    if lo.any():
-        x = flat[lo]
-        out[lo] = (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2 * h)) / (2.0 * h)
-    if hi.any():
-        x = flat[hi]
-        out[hi] = (3.0 * f(x) - 4.0 * f(x - h) + f(x - 2 * h)) / (2.0 * h)
-    return out.reshape(s.shape + (4, 4))
+    ei, ef = _weights(schedule, s)
+    dei = grid_eval(schedule.deta_i, s)
+    def_ = grid_eval(schedule.deta_f, s)
+    chi2 = ei * ei + ef * ef
+    rate = (ei * def_ - ef * dei) / chi2
+    # a = (cos + sin) / (2 - sin 2theta); chi^2 - ei ef >= chi^2 / 2 > 0
+    a = np.sqrt(chi2) * (ei + ef) / (2.0 * (chi2 - ei * ef))
+    v = frame_grid(schedule, s)
+    v1, v2 = v[..., :, 1], v[..., :, 2]
+    turn = v2[..., :, None] * v1[..., None, :] - v1[..., :, None] * v2[..., None, :]
+    return rate[..., None, None] * (a[..., None, None] * turn - 0.25 * BLOCK_C)
 
 
-def block_eigenvector_derivatives(schedule, s, h=FD_STEP):
+def frame_derivative_grid(schedule, s):
+    """d/ds of the eigenframe at each s: V' = K V, shape (..., 4, 4)."""
+    return velocity_grid(schedule, s) @ frame_grid(schedule, s)
+
+
+def block_eigenvector_derivatives(schedule, s):
     """Columnwise d/ds of block_eigenvectors at scalar s."""
-    return frame_derivative_grid(schedule, np.atleast_1d(np.asarray(s, float)), h)[0]
+    return frame_derivative_grid(schedule, np.atleast_1d(np.asarray(s, float)))[0]
 
 
 def embed_blocks(plus_block, minus_block):
-    """Assemble an 8x8 register operator from its two 4x4 parity blocks.
+    """Assemble 8x8 register operators from their two 4x4 parity blocks.
 
+    Blocks may carry leading batch axes (..., 4, 4), equal for both.
     Entries outside the two blocks are exactly zero, which is what makes
     commutation with ZZZ structural rather than approximate.
     """
     plus_block = np.asarray(plus_block, dtype=complex)
     minus_block = np.asarray(minus_block, dtype=complex)
-    if plus_block.shape != (4, 4) or minus_block.shape != (4, 4):
-        raise ValueError("blocks must be 4x4")
-    out = np.zeros((8, 8), dtype=complex)
-    out[np.ix_(PLUS_BASIS, PLUS_BASIS)] = plus_block
-    out[np.ix_(MINUS_BASIS, MINUS_BASIS)] = minus_block
+    if plus_block.shape[-2:] != (4, 4) or minus_block.shape != plus_block.shape:
+        raise ValueError("blocks must be 4x4 with equal batch shapes")
+    out = np.zeros(plus_block.shape[:-2] + (8, 8), dtype=complex)
+    for basis, block in ((PLUS_BASIS, plus_block), (MINUS_BASIS, minus_block)):
+        idx = np.asarray(basis)
+        out[..., idx[:, None], idx[None, :]] = block
     return out
 
 

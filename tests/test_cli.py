@@ -230,3 +230,35 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert out.count("PASS") >= 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state-teleport", "--tau", "1.0"),
+        ("gate-teleport", "--gate", "hadamard", "--tau", "1.0"),
+    ],
+)
+def test_unaccepted_run_warns_and_exits_two(monkeypatch, capsys, argv):
+    def unaccepted(*args, **kwargs):
+        return sagt.RunRecord(
+            sectors=1, schedule="linear", tau_omega=1.0, omega=1.0,
+            mode="superadiabatic", gate=None, fidelity=0.9, step_count=1024,
+            convergence_defect=3e-5, accepted=False, parity_drift=0.0,
+            ground_overlap_trace=[],
+        )
+
+    monkeypatch.setattr(cli, "run_state_teleport", unaccepted)
+    monkeypatch.setattr(cli, "run_gate_teleport", unaccepted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["accepted"] is False
+    assert "sagt: warning: run not accepted (defect 3.00e-05, steps 1024)\n" in err
+
+
+def test_step_budget_overrun_exits_one(capsys):
+    code, _, err = run_cli(
+        capsys, "state-teleport", "--tau", "1.0", "--steps", str(2**20)
+    )
+    assert code == 1
+    assert "max_steps" in err

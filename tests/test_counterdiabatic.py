@@ -8,6 +8,8 @@ construction used by the library.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sagt
 from sagt import counterdiabatic, spectral
@@ -179,3 +181,60 @@ def test_superadiabatic_family_validation():
     sa = sagt.superadiabatic_family(base, tau=1.0)
     with pytest.raises(ValueError):
         sagt.superadiabatic_family(sa, tau=1.0)  # already corrected
+
+
+def _random_path(c, k, r1, r2):
+    # theta = (pi/2) g(s) with g monotone (g' = 1 + c cos 2 pi k s > 0) and
+    # chi = 1 + r1 sin(pi s) + r2 sin(2 pi s) >= 0.2: a valid schedule
+    q = 2.0 * np.pi * k
+
+    def theta(s):
+        return 0.5 * np.pi * (s + c * np.sin(q * s) / q)
+
+    def dtheta(s):
+        return 0.5 * np.pi * (1.0 + c * np.cos(q * s))
+
+    def chi(s):
+        return 1.0 + r1 * np.sin(np.pi * s) + r2 * np.sin(2.0 * np.pi * s)
+
+    def dchi(s):
+        return np.pi * (r1 * np.cos(np.pi * s) + 2.0 * r2 * np.cos(2.0 * np.pi * s))
+
+    return sagt.make_schedule(
+        "random-path",
+        eta_i=lambda s: chi(s) * np.cos(theta(s)),
+        eta_f=lambda s: chi(s) * np.sin(theta(s)),
+        deta_i=lambda s: dchi(s) * np.cos(theta(s))
+        - chi(s) * dtheta(s) * np.sin(theta(s)),
+        deta_f=lambda s: dchi(s) * np.sin(theta(s))
+        + chi(s) * dtheta(s) * np.cos(theta(s)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    c=st.floats(-0.9, 0.9),
+    k=st.integers(1, 2),
+    r1=st.floats(-0.5, 1.5),
+    r2=st.floats(-0.3, 0.3),
+    s=st.floats(0.0, 1.0),
+    tau=st.floats(0.1, 10.0),
+)
+def test_sector_correction_on_random_paths(c, k, r1, r2, s, tau):
+    sch = _random_path(c, k, r1, r2)
+    hcd = counterdiabatic.sector_cd(sch, s, tau)
+    np.testing.assert_allclose(
+        hcd, counterdiabatic.assembled_register_cd(sch, s, tau), atol=1e-7
+    )
+    np.testing.assert_allclose(hcd, hcd.conj().T, atol=1e-12)
+    assert abs(np.trace(hcd)) < 1e-12
+    # the same path frozen at s: nothing moves, so nothing to compensate
+    ei, ef = float(sch.eta_i(s)), float(sch.eta_f(s))
+    frozen = Schedule(
+        name="frozen",
+        eta_i=lambda x: ei + 0.0 * x,
+        eta_f=lambda x: ef + 0.0 * x,
+        deta_i=lambda x: 0.0 * x,
+        deta_f=lambda x: 0.0 * x,
+    )
+    assert np.max(np.abs(counterdiabatic.sector_cd(frozen, s, tau))) == 0.0

@@ -220,6 +220,33 @@ def test_run_state_teleport_validation():
         sagt.run_state_teleport(2, sch, 1.0, "adiabatic", np.array([1.0, 0.0]))
 
 
+def test_run_honours_the_step_budget(monkeypatch):
+    sch = builtin_schedule("linear")
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="max_steps"):
+        sagt.run_state_teleport(
+            1, sch, 1.0, "superadiabatic", psi, steps=64, max_steps=16
+        )
+    with pytest.raises(ValueError, match="max_steps"):
+        sagt.run_state_teleport(
+            1, sch, 1.0, "superadiabatic", psi, steps=16, max_steps=16
+        )
+    rungs = []
+    real = sagt.evolution.propagate
+
+    def counting(family, psi0, steps, **kwargs):
+        rungs.append(steps)
+        return real(family, psi0, steps, **kwargs)
+
+    monkeypatch.setattr(sagt.evolution, "propagate", counting)
+    rec = sagt.run_state_teleport(
+        1, sch, 1.0, "adiabatic", psi, steps=2, max_steps=12
+    )
+    assert rungs == [2, 4, 8]
+    assert rec.step_count == 8
+    assert not rec.accepted
+
+
 def test_run_gate_teleport_named_and_custom():
     rec = sagt.run_gate_teleport(
         "hadamard", builtin_schedule("trigonometric"), 1.0, "superadiabatic",

@@ -127,6 +127,21 @@ def test_grid_eval_handles_scalar_only_callables():
     assert grid_eval(scalar_only, 0.5) == pytest.approx(0.25)
 
 
+def test_grid_eval_surfaces_errors_of_array_callables():
+    # a real bug on the array path is raised, not retried point by point
+    calls = []
+
+    def broken(s):
+        calls.append(np.ndim(s))
+        if np.ndim(s) != 0:
+            raise ZeroDivisionError("bug in a custom schedule")
+        return float(s)
+
+    with pytest.raises(ZeroDivisionError):
+        grid_eval(broken, np.array([0.0, 0.5, 1.0]))
+    assert calls == [1]
+
+
 def test_raw_schedule_constructor_skips_validation():
     # plateau "schedule" used by other tests to freeze the drive in place;
     # it violates the endpoint contract on purpose

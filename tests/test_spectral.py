@@ -2,8 +2,8 @@
 
 The frame carries the whole protocol, so it gets the heaviest independent
 checking: eigen-residuals against the block Hamiltonian, agreement with a
-plain dense diagonalization, continuity along the sweep, and Richardson
-consistency of the finite-difference derivatives.
+plain dense diagonalization, continuity along the sweep, and agreement of
+the closed-form derivatives with a finite difference of the frame.
 """
 
 import numpy as np
@@ -136,13 +136,28 @@ def test_frame_continuity(kind):
     assert np.max(jumps) <= 100 * delta
 
 
+def _central_difference_frame(schedule, s, h=1e-6):
+    # second order: central inside, one-sided at the two endpoint bands
+    f = lambda x: spectral.frame_grid(schedule, x)
+    out = (f(np.clip(s + h, 0, 1)) - f(np.clip(s - h, 0, 1))) / (2 * h)
+    lo, hi = s < h, s > 1.0 - h
+    out[lo] = (-3 * f(s[lo]) + 4 * f(s[lo] + h) - f(s[lo] + 2 * h)) / (2 * h)
+    out[hi] = (3 * f(s[hi]) - 4 * f(s[hi] - h) + f(s[hi] - 2 * h)) / (2 * h)
+    return out
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_derivative_richardson_consistency(kind):
+def test_exact_derivative_matches_central_difference(kind):
     sch = builtin_schedule(kind)
-    s = np.linspace(0.0, 1.0, 21)
-    coarse = spectral.frame_derivative_grid(sch, s, h=1e-5)
-    fine = spectral.frame_derivative_grid(sch, s, h=5e-6)
-    assert np.max(np.abs(coarse - fine)) < 1e-6
+    s = np.linspace(0.0, 1.0, 2001)
+    fd = _central_difference_frame(sch, s)
+    assert np.max(np.abs(spectral.frame_derivative_grid(sch, s) - fd)) < 1e-9
+    # the block correction (i/tau) V' V^T by the same difference route
+    v = spectral.frame_grid(sch, s)
+    k = np.einsum("...ik,...jk->...ij", fd, v)
+    route = 0.5j * (k - np.swapaxes(k, -1, -2))
+    exact = sagt.counterdiabatic.block_cd_grid(sch, s, 1.0)
+    assert np.max(np.abs(exact - route)) < 1e-9
 
 
 def test_derivatives_preserve_normalization():
