@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spectral
 from .counterdiabatic import superadiabatic_family
-from .model import CapacityError, multi_sector_family
+from .model import multi_sector_family
 from .operators import frobenius_norm
 from .schedules import grid_eval
 

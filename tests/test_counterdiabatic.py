@@ -15,6 +15,8 @@ import sagt
 from sagt import counterdiabatic, spectral
 from sagt.schedules import Schedule, builtin_schedule
 
+import strategies
+
 KINDS = ("linear", "trigonometric", "exponential")
 GRID = np.linspace(0.0, 1.0, 21)
 
@@ -183,45 +185,9 @@ def test_superadiabatic_family_validation():
         sagt.superadiabatic_family(sa, tau=1.0)  # already corrected
 
 
-def _random_path(c, k, r1, r2):
-    # theta = (pi/2) g(s) with g monotone (g' = 1 + c cos 2 pi k s > 0) and
-    # chi = 1 + r1 sin(pi s) + r2 sin(2 pi s) >= 0.2: a valid schedule
-    q = 2.0 * np.pi * k
-
-    def theta(s):
-        return 0.5 * np.pi * (s + c * np.sin(q * s) / q)
-
-    def dtheta(s):
-        return 0.5 * np.pi * (1.0 + c * np.cos(q * s))
-
-    def chi(s):
-        return 1.0 + r1 * np.sin(np.pi * s) + r2 * np.sin(2.0 * np.pi * s)
-
-    def dchi(s):
-        return np.pi * (r1 * np.cos(np.pi * s) + 2.0 * r2 * np.cos(2.0 * np.pi * s))
-
-    return sagt.make_schedule(
-        "random-path",
-        eta_i=lambda s: chi(s) * np.cos(theta(s)),
-        eta_f=lambda s: chi(s) * np.sin(theta(s)),
-        deta_i=lambda s: dchi(s) * np.cos(theta(s))
-        - chi(s) * dtheta(s) * np.sin(theta(s)),
-        deta_f=lambda s: dchi(s) * np.sin(theta(s))
-        + chi(s) * dtheta(s) * np.cos(theta(s)),
-    )
-
-
 @settings(max_examples=15, deadline=None)
-@given(
-    c=st.floats(-0.9, 0.9),
-    k=st.integers(1, 2),
-    r1=st.floats(-0.5, 1.5),
-    r2=st.floats(-0.3, 0.3),
-    s=st.floats(0.0, 1.0),
-    tau=st.floats(0.1, 10.0),
-)
-def test_sector_correction_on_random_paths(c, k, r1, r2, s, tau):
-    sch = _random_path(c, k, r1, r2)
+@given(sch=strategies.paths, s=st.floats(0.0, 1.0), tau=st.floats(0.1, 10.0))
+def test_sector_correction_on_random_paths(sch, s, tau):
     hcd = counterdiabatic.sector_cd(sch, s, tau)
     np.testing.assert_allclose(
         hcd, counterdiabatic.assembled_register_cd(sch, s, tau), atol=1e-7

@@ -1,13 +1,19 @@
 """Time propagation and the teleportation protocol runners."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import sagt
-from sagt import evolution
+from sagt import evolution, spectral
 from sagt.schedules import builtin_schedule
 
 import oracles
+import strategies
 
 
 def test_fidelity_phase_invariant():
@@ -58,6 +64,93 @@ def test_propagate_matches_dense_reference_rotated():
     ours = evolution.propagate(fam, psi0, steps=300)
     ref = oracles.reference_propagate(fam.matrix, psi0, 1.0, 300)
     np.testing.assert_allclose(ours, ref, atol=1e-10)
+
+
+def test_checkpoint_states_match_dense_reference_three_sectors():
+    # at 24 steps the 21 checkpoints cut segments of both 1 and 2 steps
+    steps = 24
+    rng = np.random.default_rng(29)
+    gate = sagt.random_unitary(8, rng)
+    gate = gate / np.linalg.det(gate) ** (1 / 8)  # SU(8)
+    sch = builtin_schedule("trigonometric")
+    g = sagt.embed_on_outputs(gate, 3)
+    base = sagt.rotate_family(sagt.multi_sector_family(3, 1.0, sch), g)
+    fam = sagt.superadiabatic_family(base, tau=1.0)
+    psi0 = sagt.initial_state(sagt.random_state(8, rng), 3, rotation=gate)
+    seen = []
+    final = evolution.propagate(
+        fam, psi0, steps, observer=lambda s, psi: seen.append((s, psi))
+    )
+    assert len(seen) == 21
+    # the dense route run from one checkpoint to the next is the dense
+    # route stopped at each checkpoint: same midpoints, same dt
+    psi, done = psi0, 0
+    for s, observed in seen:
+        k = round(s * steps)
+        m = k - done
+        if m:
+            psi = oracles.reference_propagate(
+                lambda x: fam.matrix((done + x * m) / steps), psi, m / steps, m
+            )
+        np.testing.assert_allclose(observed, psi, atol=1e-10)
+        done = k
+    np.testing.assert_allclose(final, psi, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sch=strategies.paths,
+    superadiabatic=st.booleans(),
+    tau=st.floats(0.1, 20.0),
+    steps=st.integers(1, 300),
+    n=st.integers(1, 2),
+)
+def test_segment_products_match_per_step_exponentials(
+    sch, superadiabatic, tau, steps, n
+):
+    fam = sagt.multi_sector_family(n, 1.0, sch)
+    if superadiabatic:
+        fam = sagt.superadiabatic_family(fam, tau)
+    rng = np.random.default_rng(steps)
+    psi0 = sagt.initial_state(sagt.random_state(2**n, rng), n)
+    checkpoints = sorted(
+        {int(round(f * steps)) for f in np.linspace(0.0, 1.0, 21)}
+    )
+    # the loop version: one scipy exponential of the 8x8 sector per step
+    u, expected = np.eye(8), {}
+    for k in range(steps + 1):
+        if k in checkpoints:
+            expected[k] = functools.reduce(np.kron, [u] * n) @ psi0
+        if k < steps:
+            h = fam.sector_matrix((k + 0.5) / steps)
+            u = expm(-1j * (tau / steps) * h) @ u
+    seen = []
+    final = evolution.propagate(
+        fam, psi0, steps, tau=tau, observer=lambda s, psi: seen.append((s, psi))
+    )
+    np.testing.assert_allclose(final, expected[steps], atol=1e-12)
+    assert [s for s, _ in seen] == [k / steps for k in checkpoints]
+    for (_, psi), k in zip(seen, checkpoints):
+        np.testing.assert_allclose(psi, expected[k], atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sch=strategies.paths,
+    tau=st.floats(0.1, 10.0),
+    s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_sector_generator_is_two_equal_parity_blocks(sch, tau, s):
+    even = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)
+    odd = np.ix_(spectral.MINUS_BASIS, spectral.MINUS_BASIS)
+    base = sagt.single_sector_family(1.0, sch)
+    for fam in (base, sagt.superadiabatic_family(base, tau)):
+        h = fam.sector_matrix_grid(np.array(s))
+        assert np.array_equal(h[(slice(None),) + even], h[(slice(None),) + odd])
+        rest = h.copy()
+        rest[(slice(None),) + even] = 0.0
+        rest[(slice(None),) + odd] = 0.0
+        assert not rest.any()
 
 
 def test_propagate_preserves_norm_and_calls_observer():
