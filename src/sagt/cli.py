@@ -37,9 +37,6 @@ SCHEDULE_ALIASES = {
     "exponential": "exponential",
 }
 
-_GATE_QUBITS = {name: int(np.log2(named_gate(name).shape[0])) for name in GATE_NAMES}
-
-
 def _schedule(token):
     try:
         return builtin_schedule(SCHEDULE_ALIASES[token])
@@ -181,19 +178,17 @@ def cmd_gate_teleport(args):
     if args.gate_file:
         gate = load_unitary(args.gate_file)
         gate_label = os.path.basename(args.gate_file)
-        n = int(np.log2(gate.shape[0]))
     elif args.gate == "random-su":
         if args.n is None:
             raise ValueError("--gate random-su needs --n to fix the gate size")
-        n = args.n
-        gate = random_unitary(2**n, np.random.default_rng(args.seed))
+        gate = random_unitary(2**args.n, np.random.default_rng(args.seed))
         gate_label = "random-su"
     else:
         if args.gate is None:
             raise ValueError("pick a gate with --gate or --gate-file")
         gate = named_gate(args.gate)
         gate_label = args.gate
-        n = _GATE_QUBITS[args.gate]
+    n = int(np.log2(gate.shape[0]))
     if args.n is not None and args.n != n:
         raise ValueError(f"gate {gate_label!r} acts on {n} qubits, but --n={args.n}")
     psi_in = _input_state(args, n)

@@ -9,15 +9,24 @@ in units of hbar*omega.  Two independent routes are kept side by side:
   transport gauge.
 
 They agree because the drive/velocity cross trace vanishes for a real
-frame.  For n sectors the traceless sector terms are orthogonal in the
-Frobenius sense, which collapses the register cost to a closed scaling
-g_n = sqrt(2^{3(n-1)} n) times the single-sector cost.
+frame.  Per parity block the levels give E^2 = 4 omega^2 chi^2 twice, and
+the mu sum is ||V'||_F^2 = ||K V||_F^2 = ||K||_F^2 for the orthogonal
+frame V and its velocity K (spectral.velocity_grid).  With both blocks the
+one integrand, in units of hbar*omega, is
+
+    sqrt(16 chi^2 + 2 ||K||_F^2 / (tau omega)^2),
+
+the velocity term dropped for the bare drive.  For n sectors the
+traceless sector terms are orthogonal in the Frobenius sense, which
+collapses the register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n)
+times the single-sector cost.
 
 All quadratures are composite Simpson with interval doubling until the
 relative change drops below QUAD_RTOL.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -84,43 +93,47 @@ def mu(schedule, s, m):
     return float(dv @ dv)
 
 
-def _mu_block_sum(schedule, grid):
-    dv = spectral.frame_derivative_grid(schedule, grid)
-    return np.einsum("...ij,...ij->...", dv, dv)
-
-
-def _chi_squared(schedule, grid):
+def _sector_weights(schedule, n):
+    """(16 chi^2, 2 ||K||_F^2) on the n-interval Simpson grid of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, n + 1)
     ei = grid_eval(schedule.eta_i, grid)
     ef = grid_eval(schedule.eta_f, grid)
-    return ei * ei + ef * ef
+    k = spectral.velocity_grid(schedule, grid)
+    return 16.0 * (ei * ei + ef * ef), 2.0 * np.einsum("...ij,...ij->...", k, k)
+
+
+def _unit_cost(weights, tau_omega, quad_points=64):
+    """The closed-form cost in units of hbar*omega, as (value, intervals,
+    defect).  weights(n) gives the pair of _sector_weights; tau_omega None
+    is the bare drive."""
+
+    def sample(n):
+        energy, velocity = weights(n)
+        if tau_omega is None:
+            return np.sqrt(energy)
+        return np.sqrt(energy + velocity / tau_omega**2)
+
+    return _converge(sample, quad_points)
+
+
+def _require_positive(name, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
-    """Spectral route: both parity blocks contribute E^2 = 4 omega^2 chi^2
-    twice and one shared mu sum, so the integrand is
-    sqrt(16 omega^2 chi^2 + 2 mu_sum / tau^2)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-
-    def sample(n):
-        grid = np.linspace(0.0, 1.0, n + 1)
-        energy = 16.0 * omega**2 * _chi_squared(schedule, grid)
-        velocity = 2.0 * _mu_block_sum(schedule, grid) / tau**2
-        return np.sqrt(energy + velocity)
-
-    value, _, _ = _converge(sample, quad_points)
-    return value
+    """Spectral route: omega times the unit-cost integral at tau*omega."""
+    _require_positive("tau", tau)
+    _require_positive("omega", omega)
+    weights = partial(_sector_weights, schedule)
+    return omega * _unit_cost(weights, tau * omega, quad_points)[0]
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
-
-    def sample(n):
-        grid = np.linspace(0.0, 1.0, n + 1)
-        return 4.0 * omega * np.sqrt(_chi_squared(schedule, grid))
-
-    value, _, _ = _converge(sample, quad_points)
-    return value
+    _require_positive("omega", omega)
+    weights = partial(_sector_weights, schedule)
+    return omega * _unit_cost(weights, None, quad_points)[0]
 
 
 def cost_scaling(n):
@@ -151,42 +164,32 @@ class CostReport:
 def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabatic")):
     """Closed-form cost curves over a tau*omega grid.
 
-    The spectral weights chi^2 and mu_sum are schedule properties, so they
-    are evaluated once per schedule and reused across the whole grid.
-    Costs come out in units of hbar*omega, in which they depend on tau and
-    omega only through the product tau*omega.
+    The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties, so they
+    are evaluated once per schedule and quadrature level and reused across
+    the whole grid.  Costs come out in units of hbar*omega, in which they
+    depend on tau and omega only through the product tau*omega.  Each
+    report carries the interval count and defect of its hardest grid point
+    (the last one with the most intervals).
     """
     if tau_omega_grid is None:
         tau_omega_grid = DEFAULT_TAU_GRID
     taus = [float(t) for t in tau_omega_grid]
-    if any(t <= 0 for t in taus):
-        raise ValueError("tau*omega grid must be positive")
+    if not taus:
+        raise ValueError("tau*omega grid is empty")
+    if not all(np.isfinite(t) and t > 0 for t in taus):
+        raise ValueError("tau*omega grid must be finite and positive")
     reports = []
     for schedule in schedules:
-        cache = {}
-
-        def weights(n, _schedule=schedule, _cache=cache):
-            if n not in _cache:
-                grid = np.linspace(0.0, 1.0, n + 1)
-                _cache[n] = (
-                    16.0 * _chi_squared(_schedule, grid),
-                    2.0 * _mu_block_sum(_schedule, grid),
-                )
-            return _cache[n]
-
+        weights = lru_cache(maxsize=None)(partial(_sector_weights, schedule))
         for mode in modes:
             if mode not in ("adiabatic", "superadiabatic"):
                 raise ValueError(f"unknown mode {mode!r}")
             points = []
             worst = (0, 0.0)
             for tau_omega in taus:
-                def sample(n, _mode=mode, _tw=tau_omega):
-                    energy, velocity = weights(n)
-                    if _mode == "adiabatic":
-                        return np.sqrt(energy)
-                    return np.sqrt(energy + velocity / _tw**2)
-
-                value, n_used, defect = _converge(sample, 64)
+                value, n_used, defect = _unit_cost(
+                    weights, tau_omega if mode == "superadiabatic" else None
+                )
                 points.append((tau_omega, value))
                 if n_used >= worst[0]:
                     worst = (n_used, defect)

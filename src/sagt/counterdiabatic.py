@@ -7,11 +7,12 @@ closed-form frame velocity of spectral.velocity_grid: exact in the
 schedule's derivatives, and bounded because a(theta) = (cos theta +
 sin theta) / (2 - sin 2 theta) has a denominator of at least 1.  K is real
 antisymmetric, so the correction is Hermitian, traceless, and zero
-whenever the schedule freezes (theta' = 0).  Both parity blocks share one
-K; the sector term is the pair embedding, and multi-sector registers sum
-the same term per sector.  assembled_register_cd rebuilds the register
-term by finite differences of the full product frame, as an independent
-cross-check.
+whenever the schedule freezes (theta' = 0).  block_cd_grid is the only
+construction of the term: HamiltonianFamily adds it to the drive block,
+and sector_cd is its embedding on both parity blocks (multi-sector
+registers sum the same term per sector).  assembled_register_cd rebuilds
+the register term by finite differences of the full product frame, as an
+independent cross-check.
 """
 
 from dataclasses import replace
@@ -35,15 +36,10 @@ def block_cd(schedule, s, tau):
     return block_cd_grid(schedule, np.atleast_1d(float(s)), tau)[0]
 
 
-def sector_cd_grid(schedule, s_values, tau):
-    """(len(s), 8, 8) complex: the same block correction on both parities."""
-    blocks = block_cd_grid(schedule, s_values, tau)
-    return spectral.embed_blocks(blocks, blocks)
-
-
 def sector_cd(schedule, s, tau):
     """8x8 correction for one sector: the same block on both parities."""
-    return sector_cd_grid(schedule, np.atleast_1d(float(s)), tau)[0]
+    block = block_cd(schedule, s, tau)
+    return spectral.embed_blocks(block, block)
 
 
 def embedded_frame(schedule, s):
@@ -94,7 +90,7 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None):
 
 
 def superadiabatic_family(base, tau):
-    """Attach the velocity term to an adiabatic family.
+    """Attach the velocity term to an adiabatic family by setting its tau.
 
     The family evaluates the term from its schedule and tau; the base
     family's rotation (if any) conjugates the whole sum, which is the
@@ -107,6 +103,6 @@ def superadiabatic_family(base, tau):
         raise ValueError("base must be a HamiltonianFamily")
     if base.mode != "adiabatic":
         raise ValueError(f"base family must be adiabatic, got mode {base.mode!r}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return replace(base, mode="superadiabatic", tau=float(tau))
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    return replace(base, tau=float(tau))

@@ -11,12 +11,13 @@ Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
 propagator is embed_blocks(u, u)^(x n) for a single 4x4 propagator u.
 Steps are grouped into segments between observation points (at most
-_CHUNK steps long); each segment costs one batched 4x4 eigendecomposition,
-a time-ordered pairwise product of its step exponentials, and one tensor
-contraction per sector on the state.  A fixed register rotation G
-telescopes through the product of step unitaries (G exp(-iH dt) G^dag =
-exp(-i G H G^dag dt)), so rotated families are propagated in the
-unrotated frame and rotated back only at observation points.
+_CHUNK steps long); each segment costs one batched 4x4 eigendecomposition
+of family.block_matrix_grid, a time-ordered pairwise product of its step
+exponentials, and one tensor contraction per sector on the state.  A
+fixed register rotation G telescopes through the product of step
+unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
+families are propagated in the unrotated frame and rotated back only at
+observation points.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ DEFAULT_TARGET_DEFECT = 1e-8
 MAX_STEPS = 2**20
 _CHUNK = 4096
 _TRACE_POINTS = 21
-_EVEN_BLOCK = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)
 
 MODES = ("adiabatic", "superadiabatic")
 
@@ -109,8 +109,7 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     observe(0)
     for start, stop in zip(cuts[:-1], cuts[1:]):
         s_mid = (np.arange(start, stop) + 0.5) / steps
-        h = family.sector_matrix_grid(s_mid)[(slice(None),) + _EVEN_BLOCK]
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(family.block_matrix_grid(s_mid))
         u = np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), v.conj())
         while len(u) > 1:  # m pairs, the later step on the left
             m = len(u) // 2
@@ -127,9 +126,8 @@ def propagate(family, psi0, steps, tau=None, observer=None):
 def _ground_pair_projector(schedule, s):
     """8x8 projector onto the two instantaneous sector ground states."""
     v0 = spectral.block_eigenvectors(schedule, s)[:, 0]
-    gp = spectral.embed_block_vector(v0, +1)
-    gm = spectral.embed_block_vector(v0, -1)
-    return np.outer(gp, gp.conj()) + np.outer(gm, gm.conj())
+    p = np.outer(v0, v0)
+    return spectral.embed_blocks(p, p)
 
 
 def adiabatic_reference(family, s, psi_in=None, tau=None):
@@ -214,8 +212,8 @@ def _run_protocol(
 ):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if tau_omega <= 0:
-        raise ValueError(f"tau_omega must be positive, got {tau_omega}")
+    if not (np.isfinite(tau_omega) and tau_omega > 0):
+        raise ValueError(f"tau_omega must be finite and positive, got {tau_omega}")
     steps = int(steps)
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")

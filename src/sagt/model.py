@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import sector_cd_grid
+from .counterdiabatic import block_cd_grid
 from .operators import pauli_string, place_on_qubits
-from .schedules import Schedule, grid_eval
-from .spectral import DRIVE_A, DRIVE_B
+from .schedules import Schedule
+from .spectral import block_hamiltonian, embed_blocks
 
 MAX_QUBITS = 10
 
@@ -42,37 +42,47 @@ def _require_unitary(g, dim, what="rotation"):
 class HamiltonianFamily:
     """A time-parametrized register Hamiltonian H(s), s in [0, 1].
 
-    ``sector_matrix`` evaluates the common unrotated 8x8 sector term:
-    the drive -omega (eta_i A + eta_f B), plus the velocity term of
-    counterdiabatic.sector_cd_grid in superadiabatic mode.  ``matrix``
-    assembles the full register operator including padding and the
-    optional fixed rotation G (evaluating to G H(s) G^dag).  ``tau`` is the
-    total drive time and is required for superadiabatic families, whose
-    velocity term scales like 1/tau.
+    A plain value object: n sectors, the coupling rate omega, the
+    schedule, the total drive time tau and an optional fixed rotation G.
+    Setting tau makes the family superadiabatic: its generator then
+    carries the velocity term (i/tau) K, which scales like 1/tau.
+
+    ``block_matrix_grid`` is the only place the generator is assembled:
+    the common 4x4 parity block -omega (eta_i A + eta_f B) + (i/tau) K.
+    ``sector_matrix_grid`` and ``sector_matrix`` are its 8x8 embedding on
+    both parities, and ``matrix`` assembles the full register operator
+    including padding and the rotation (evaluating to G H(s) G^dag).
     """
 
     sectors: int
-    register_size: int
     omega: float
     schedule: Schedule
-    mode: str
     tau: Optional[float]
     rotation: Optional[np.ndarray]
+
+    @property
+    def mode(self):
+        return "adiabatic" if self.tau is None else "superadiabatic"
+
+    @property
+    def dim(self):
+        return 8**self.sectors
+
+    def block_matrix_grid(self, s_values):
+        h = block_hamiltonian(self.schedule, s_values, self.omega)
+        if self.tau is not None:
+            h = h + block_cd_grid(self.schedule, s_values, self.tau)
+        return h
+
+    def sector_matrix_grid(self, s_values):
+        h = self.block_matrix_grid(s_values)
+        return embed_blocks(h, h)
 
     def sector_matrix(self, s):
         s = float(s)
         if s < 0.0 or s > 1.0:
             raise ValueError(f"s outside [0, 1]: {s}")
         return self.sector_matrix_grid(np.array([s]))[0]
-
-    def sector_matrix_grid(self, s_values):
-        s_values = np.asarray(s_values, dtype=float)
-        ei = grid_eval(self.schedule.eta_i, s_values)[..., None, None]
-        ef = grid_eval(self.schedule.eta_f, s_values)[..., None, None]
-        h = -self.omega * (ei * DRIVE_A + ef * DRIVE_B)
-        if self.mode == "superadiabatic":
-            h = h + sector_cd_grid(self.schedule, s_values, self.tau)
-        return h
 
     def matrix(self, s):
         h = self.sector_matrix(s)
@@ -88,25 +98,15 @@ class HamiltonianFamily:
             full = self.rotation @ full @ self.rotation.conj().T
         return full
 
-    @property
-    def dim(self):
-        return 2**self.register_size
-
 
 def single_sector_family(omega, schedule):
     """The bare three-qubit drive -omega [eta_i (1XX+1ZZ) + eta_f (XX1+ZZ1)]."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     if not isinstance(schedule, Schedule):
         raise ValueError("schedule must be a Schedule record")
     return HamiltonianFamily(
-        sectors=1,
-        register_size=3,
-        omega=float(omega),
-        schedule=schedule,
-        mode="adiabatic",
-        tau=None,
-        rotation=None,
+        sectors=1, omega=float(omega), schedule=schedule, tau=None, rotation=None
     )
 
 
@@ -121,7 +121,7 @@ def multi_sector_family(n, omega, schedule):
     base = single_sector_family(omega, schedule)
     if n == 1:
         return base
-    return replace(base, sectors=n, register_size=3 * n)
+    return replace(base, sectors=n)
 
 
 def rotate_family(family, g):

@@ -95,8 +95,15 @@ def _weights(schedule, s):
 
 
 def block_hamiltonian(schedule, s, omega=1.0):
-    """The common 4x4 block of the drive in the even-parity basis."""
-    ei, ef = (float(x) for x in _weights(schedule, s))
+    """The common 4x4 block -omega (eta_i A + eta_f B) of the drive in the
+    even-parity basis.
+
+    s may be a scalar, giving one (4, 4) complex matrix, or an array,
+    giving shape (..., 4, 4).  HamiltonianFamily.block_matrix_grid adds
+    the velocity block to it, and every 8x8 sector operator of the package
+    is embed_blocks(b, b) of that sum.
+    """
+    ei, ef = (w[..., None, None] for w in _weights(schedule, s))
     return (-omega * (ei * BLOCK_A + ef * BLOCK_B)).astype(complex)
 
 

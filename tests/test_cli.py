@@ -225,6 +225,23 @@ def test_cost_sweep_rejects_bad_mode(capsys):
     assert "unknown mode" in err
 
 
+def test_cost_sweep_rejects_an_empty_grid(capsys):
+    code, out, err = run_cli(capsys, "cost-sweep", "--points", "0")
+    assert code == 1
+    assert out == ""
+    assert "empty" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--tau", "--omega"])
+def test_non_finite_run_inputs_exit_one(capsys, option, value):
+    argv = ["state-teleport", "--tau", "1.0", "--steps", "4", f"{option}={value}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "11")
     assert code == 0

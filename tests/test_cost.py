@@ -150,12 +150,22 @@ def test_cost_sweep_validation():
         cost.cost_sweep([sch], [0.0, 1.0])
     with pytest.raises(ValueError):
         cost.cost_sweep([sch], [1.0], modes=("thermal",))
+    for grid in ([], np.array([]), [1.0, float("nan")], [float("inf")], [-float("inf")]):
+        with pytest.raises(ValueError):
+            cost.cost_sweep([sch], grid)
 
 
 def test_cost_validation():
     sch = builtin_schedule("linear")
     with pytest.raises(ValueError):
         cost.cost_closed_form(sch, tau=-1.0)
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            cost.cost_closed_form(sch, tau=bad)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            cost.cost_closed_form(sch, tau=1.0, omega=bad)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            cost.adiabatic_cost(sch, omega=bad)
     with pytest.raises(ValueError):
         cost.cost_multi(0, sch, 1.0)
 

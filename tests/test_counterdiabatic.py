@@ -178,8 +178,9 @@ def test_superadiabatic_family_multi_sector():
 
 def test_superadiabatic_family_validation():
     base = sagt.single_sector_family(1.0, builtin_schedule("linear"))
-    with pytest.raises(ValueError):
-        sagt.superadiabatic_family(base, tau=0.0)
+    for tau in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tau"):
+            sagt.superadiabatic_family(base, tau=tau)
     sa = sagt.superadiabatic_family(base, tau=1.0)
     with pytest.raises(ValueError):
         sagt.superadiabatic_family(sa, tau=1.0)  # already corrected

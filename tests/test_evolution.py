@@ -313,6 +313,24 @@ def test_run_state_teleport_validation():
         sagt.run_state_teleport(2, sch, 1.0, "adiabatic", np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("tau_omega", [float("nan"), float("inf"), -float("inf")])
+def test_run_rejects_non_finite_inputs_before_propagating(monkeypatch, tau_omega):
+    def never(*args, **kwargs):
+        raise AssertionError("propagate was called")
+
+    monkeypatch.setattr(sagt.evolution, "propagate", never)
+    with pytest.raises(ValueError, match="tau_omega"):
+        sagt.run_state_teleport(
+            1, builtin_schedule("linear"), tau_omega, "superadiabatic",
+            np.array([1.0, 0.0]),
+        )
+    with pytest.raises(ValueError, match="omega"):
+        sagt.run_state_teleport(
+            1, builtin_schedule("linear"), 1.0, "superadiabatic",
+            np.array([1.0, 0.0]), omega=abs(tau_omega),
+        )
+
+
 def test_run_honours_the_step_budget(monkeypatch):
     sch = builtin_schedule("linear")
     psi = np.array([1.0, 0.0])

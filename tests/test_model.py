@@ -1,10 +1,12 @@
 """Register model: drive Hamiltonians, parity operators, protocol states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sagt
-from sagt import model, operators
+from sagt import model, operators, spectral
 from sagt.schedules import builtin_schedule, chi
 
 import oracles
@@ -12,8 +14,10 @@ import oracles
 KINDS = ("linear", "trigonometric", "exponential")
 
 
-def test_single_sector_matrix_is_the_declared_pauli_sum():
-    sch = builtin_schedule("linear")
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_sector_matrix_is_the_declared_pauli_sum(kind):
+    # built from Pauli strings here, independently of the parity blocks
+    sch = builtin_schedule(kind)
     fam = sagt.single_sector_family(1.5, sch)
     for s in (0.0, 0.3, 1.0):
         expected = -1.5 * (
@@ -23,6 +27,33 @@ def test_single_sector_matrix_is_the_declared_pauli_sum():
             * (operators.pauli_string("XX1") + operators.pauli_string("ZZ1"))
         )
         np.testing.assert_allclose(fam.matrix(s), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_matrix_grid_is_the_even_block_of_the_sector(kind):
+    even = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)
+    s = np.linspace(0.0, 1.0, 9)
+    base = sagt.single_sector_family(1.0, builtin_schedule(kind))
+    for fam in (base, sagt.superadiabatic_family(base, 0.7)):
+        sector = fam.sector_matrix_grid(s)
+        assert np.array_equal(fam.block_matrix_grid(s), sector[(slice(None),) + even])
+
+
+def test_family_is_a_five_field_value_object():
+    sch = builtin_schedule("linear")
+    base = sagt.multi_sector_family(2, 1.0, sch)
+    assert [f.name for f in dataclasses.fields(base)] == [
+        "sectors", "omega", "schedule", "tau", "rotation"
+    ]
+    assert (base.mode, base.tau, base.dim) == ("adiabatic", None, 64)
+    dressed = sagt.superadiabatic_family(base, 2.0)
+    assert (dressed.mode, dressed.tau, dressed.dim) == ("superadiabatic", 2.0, 64)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_family_rejects_a_bad_rate(omega):
+    with pytest.raises(ValueError, match="omega"):
+        sagt.single_sector_family(omega, builtin_schedule("linear"))
 
 
 @pytest.mark.parametrize("kind", KINDS)

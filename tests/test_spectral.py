@@ -46,6 +46,16 @@ def test_blocks_reassemble_the_full_generator(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_block_hamiltonian_on_an_array_stacks_the_scalar_calls(kind):
+    sch = builtin_schedule(kind)
+    stacked = np.stack([spectral.block_hamiltonian(sch, s, 1.5) for s in GRID])
+    batch = spectral.block_hamiltonian(sch, GRID, 1.5)
+    assert batch.shape == (len(GRID), 4, 4) and batch.dtype == complex
+    np.testing.assert_array_equal(batch, stacked)
+    assert spectral.block_hamiltonian(sch, 0.5).shape == (4, 4)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_block_energies_match_dense_diagonalization(kind):
     sch = builtin_schedule(kind)
     for s in GRID:
