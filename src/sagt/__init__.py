@@ -23,7 +23,7 @@ from .cost import (
     cost_sweep,
     mu,
 )
-from .counterdiabatic import block_cd, sector_cd, superadiabatic_family
+from .counterdiabatic import block_cd, sector_cd
 from .evolution import (
     RunRecord,
     adiabatic_reference,
@@ -46,6 +46,7 @@ from .model import (
     parity_set,
     rotate_family,
     single_sector_family,
+    superadiabatic_family,
     target_state,
 )
 from .operators import (

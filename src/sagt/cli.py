@@ -16,18 +16,22 @@ import numpy as np
 
 from . import __version__
 from .cost import cost_multi, cost_scaling, cost_sweep, cost_closed_form
-from .counterdiabatic import assembled_register_cd, superadiabatic_family
+from .counterdiabatic import assembled_register_cd
 from .evolution import run_gate_teleport, run_state_teleport
 from .model import (
     GATE_NAMES,
     embed_on_outputs,
+    gate_width,
     multi_sector_family,
     named_gate,
     parity,
+    require_sectors,
     rotate_family,
+    superadiabatic_family,
 )
 from .operators import commutator, frobenius_norm, random_state, random_unitary
 from .schedules import builtin_schedule
+from .spectral import MINUS_BASIS, PLUS_BASIS, embed_blocks
 
 SCHEDULE_ALIASES = {
     "linear": "linear",
@@ -77,14 +81,10 @@ def load_unitary(path):
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     mat = np.array(rows, dtype=complex)
-    dim = mat.shape[0]
-    if mat.ndim != 2 or mat.shape[1] != dim:
-        raise ValueError(f"matrix in {path} is not square: {mat.shape}")
-    if dim & (dim - 1) or dim < 2:
-        raise ValueError(f"matrix dim {dim} is not a power of two")
-    defect = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
-    if defect > 1e-10:
-        raise ValueError(f"matrix in {path} is not unitary (defect {defect:.2e})")
+    try:
+        gate_width(mat)
+    except ValueError as exc:
+        raise ValueError(f"matrix in {path}: {exc}") from None
     return mat
 
 
@@ -181,6 +181,7 @@ def cmd_gate_teleport(args):
     elif args.gate == "random-su":
         if args.n is None:
             raise ValueError("--gate random-su needs --n to fix the gate size")
+        require_sectors(args.n)
         gate = random_unitary(2**args.n, np.random.default_rng(args.seed))
         gate_label = "random-su"
     else:
@@ -188,7 +189,7 @@ def cmd_gate_teleport(args):
             raise ValueError("pick a gate with --gate or --gate-file")
         gate = named_gate(args.gate)
         gate_label = args.gate
-    n = int(np.log2(gate.shape[0]))
+    n = gate_width(gate)
     if args.n is not None and args.n != n:
         raise ValueError(f"gate {gate_label!r} acts on {n} qubits, but --n={args.n}")
     psi_in = _input_state(args, n)
@@ -261,8 +262,6 @@ def _verify_checks(grid_points, tau_values, tol):
     grid = np.linspace(0.0, 1.0, grid_points)
 
     # block structure of the bare drive: equal diagonal blocks, zero off-blocks
-    from .spectral import MINUS_BASIS, PLUS_BASIS, embed_blocks
-
     worst = 0.0
     for schedule in schedules:
         family = multi_sector_family(1, 1.0, schedule)

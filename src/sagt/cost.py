@@ -31,8 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import spectral
-from .counterdiabatic import superadiabatic_family
-from .model import multi_sector_family
+from .model import multi_sector_family, require_positive, superadiabatic_family
 from .operators import frobenius_norm
 from .schedules import grid_eval
 
@@ -52,21 +51,23 @@ def _simpson(values, width):
 
 
 def _converge(sample, quad_points):
-    """Double the Simpson interval count until the value settles."""
+    """Double the Simpson interval count until the value settles, never
+    sampling more than MAX_QUAD_POINTS intervals."""
     n = max(int(quad_points), MIN_QUAD_POINTS)
     if n % 2:
         n += 1
+    if n > MAX_QUAD_POINTS:
+        raise ValueError(f"quad_points={quad_points} exceeds {MAX_QUAD_POINTS}")
     prev = _simpson(sample(n), 1.0 / n)
     while True:
+        if 2 * n > MAX_QUAD_POINTS:
+            msg = f"quadrature did not settle below {QUAD_RTOL} by {n} intervals"
+            raise RuntimeError(msg)
         n *= 2
         cur = _simpson(sample(n), 1.0 / n)
         defect = abs(cur - prev) / max(abs(cur), 1e-300)
         if defect <= QUAD_RTOL:
             return float(cur), n, float(defect)
-        if n > MAX_QUAD_POINTS:
-            raise RuntimeError(
-                f"quadrature did not settle below {QUAD_RTOL} by {n} intervals"
-            )
         prev = cur
 
 
@@ -93,47 +94,47 @@ def mu(schedule, s, m):
     return float(dv @ dv)
 
 
-def _sector_weights(schedule, n):
-    """(16 chi^2, 2 ||K||_F^2) on the n-interval Simpson grid of [0, 1]."""
+def _energy_weight(schedule, n):
+    """16 chi^2 on the n-interval Simpson grid of [0, 1]."""
     grid = np.linspace(0.0, 1.0, n + 1)
     ei = grid_eval(schedule.eta_i, grid)
     ef = grid_eval(schedule.eta_f, grid)
-    k = spectral.velocity_grid(schedule, grid)
-    return 16.0 * (ei * ei + ef * ef), 2.0 * np.einsum("...ij,...ij->...", k, k)
+    return 16.0 * (ei * ei + ef * ef)
 
 
-def _unit_cost(weights, tau_omega, quad_points=64):
+def _velocity_weight(schedule, n):
+    """2 ||K||_F^2 on the n-interval Simpson grid of [0, 1]."""
+    k = spectral.velocity_grid(schedule, np.linspace(0.0, 1.0, n + 1))
+    return 2.0 * np.einsum("...ij,...ij->...", k, k)
+
+
+def _unit_cost(energy, velocity, tau_omega, quad_points=64):
     """The closed-form cost in units of hbar*omega, as (value, intervals,
-    defect).  weights(n) gives the pair of _sector_weights; tau_omega None
-    is the bare drive."""
+    defect), from the weights energy(n) and velocity(n) on the n-interval
+    grid; tau_omega None is the bare drive, which never calls velocity."""
 
     def sample(n):
-        energy, velocity = weights(n)
         if tau_omega is None:
-            return np.sqrt(energy)
-        return np.sqrt(energy + velocity / tau_omega**2)
+            return np.sqrt(energy(n))
+        return np.sqrt(energy(n) + velocity(n) / tau_omega**2)
 
     return _converge(sample, quad_points)
 
 
-def _require_positive(name, value):
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     """Spectral route: omega times the unit-cost integral at tau*omega."""
-    _require_positive("tau", tau)
-    _require_positive("omega", omega)
-    weights = partial(_sector_weights, schedule)
-    return omega * _unit_cost(weights, tau * omega, quad_points)[0]
+    require_positive("tau", tau)
+    require_positive("omega", omega)
+    energy = partial(_energy_weight, schedule)
+    velocity = partial(_velocity_weight, schedule)
+    return omega * _unit_cost(energy, velocity, tau * omega, quad_points)[0]
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
-    _require_positive("omega", omega)
-    weights = partial(_sector_weights, schedule)
-    return omega * _unit_cost(weights, None, quad_points)[0]
+    require_positive("omega", omega)
+    energy = partial(_energy_weight, schedule)
+    return omega * _unit_cost(energy, None, None, quad_points)[0]
 
 
 def cost_scaling(n):
@@ -164,23 +165,24 @@ class CostReport:
 def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabatic")):
     """Closed-form cost curves over a tau*omega grid.
 
-    The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties, so they
-    are evaluated once per schedule and quadrature level and reused across
-    the whole grid.  Costs come out in units of hbar*omega, in which they
-    depend on tau and omega only through the product tau*omega.  Each
-    report carries the interval count and defect of its hardest grid point
-    (the last one with the most intervals).
+    The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties, so each
+    is evaluated at most once per schedule and quadrature level (the second
+    only if needed) and reused across the whole grid.  Costs come out in
+    units of hbar*omega, in which they depend on tau and omega only through
+    the product tau*omega.  Each report carries the interval count and
+    defect of its hardest grid point (the last one with the most intervals).
     """
     if tau_omega_grid is None:
         tau_omega_grid = DEFAULT_TAU_GRID
     taus = [float(t) for t in tau_omega_grid]
     if not taus:
         raise ValueError("tau*omega grid is empty")
-    if not all(np.isfinite(t) and t > 0 for t in taus):
-        raise ValueError("tau*omega grid must be finite and positive")
+    for t in taus:
+        require_positive("tau*omega", t)
     reports = []
     for schedule in schedules:
-        weights = lru_cache(maxsize=None)(partial(_sector_weights, schedule))
+        energy = lru_cache(maxsize=None)(partial(_energy_weight, schedule))
+        velocity = lru_cache(maxsize=None)(partial(_velocity_weight, schedule))
         for mode in modes:
             if mode not in ("adiabatic", "superadiabatic"):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -188,7 +190,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
             worst = (0, 0.0)
             for tau_omega in taus:
                 value, n_used, defect = _unit_cost(
-                    weights, tau_omega if mode == "superadiabatic" else None
+                    energy, velocity, tau_omega if mode == "superadiabatic" else None
                 )
                 points.append((tau_omega, value))
                 if n_used >= worst[0]:

@@ -12,10 +12,9 @@ construction of the term: HamiltonianFamily adds it to the drive block,
 and sector_cd is its embedding on both parity blocks (multi-sector
 registers sum the same term per sector).  assembled_register_cd rebuilds
 the register term by finite differences of the full product frame, as an
-independent cross-check.
+independent cross-check.  The module builds terms only; the families that
+carry them, superadiabatic_family included, live in model.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -88,21 +87,3 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None):
         df = (register_frame(s + h) - register_frame(s - h)) / (2 * h)
     return 1j / tau * (df @ register_frame(s).conj().T)
 
-
-def superadiabatic_family(base, tau):
-    """Attach the velocity term to an adiabatic family by setting its tau.
-
-    The family evaluates the term from its schedule and tau; the base
-    family's rotation (if any) conjugates the whole sum, which is the
-    covariant way to rotate the dressed Hamiltonian.
-    """
-    # model imports this module for the velocity term, so import it here
-    from .model import HamiltonianFamily
-
-    if not isinstance(base, HamiltonianFamily):
-        raise ValueError("base must be a HamiltonianFamily")
-    if base.mode != "adiabatic":
-        raise ValueError(f"base family must be adiabatic, got mode {base.mode!r}")
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-    return replace(base, tau=float(tau))

@@ -26,13 +26,16 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .counterdiabatic import superadiabatic_family
+from .cost import _simpson
 from .model import (
     embed_on_outputs,
+    gate_width,
     initial_state,
     multi_sector_family,
     named_gate,
+    require_positive,
     rotate_family,
+    superadiabatic_family,
     target_state,
 )
 from .schedules import chi as _chi
@@ -75,7 +78,8 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     tau defaults to family.tau (required one way or the other; it fixes
     the physical duration and hence dt).  If given, `observer(s, psi)` is
     called with the physical state at ~20 evenly spaced checkpoints,
-    including both endpoints.  Returns the final state.
+    including both endpoints; it may keep psi, which is never modified
+    afterwards.  Returns the final state.
     """
     steps = int(steps)
     if steps < 1:
@@ -163,8 +167,7 @@ def adiabatic_reference(family, s, psi_in=None, tau=None):
         # Simpson on [0, s]: E0(u) = -2 omega chi(u)
         grid = np.linspace(0.0, s, 513)
         e0 = -2.0 * family.omega * np.asarray(_chi(family.schedule, grid))
-        h = grid[1] - grid[0]
-        integral = h / 3.0 * (e0[0] + e0[-1] + 4 * e0[1:-1:2].sum() + 2 * e0[2:-2:2].sum())
+        integral = _simpson(e0, grid[1] - grid[0])
         state = np.exp(-1j * float(tau) * integral) * state
     if family.rotation is not None:
         state = family.rotation @ state
@@ -178,9 +181,10 @@ class RunRecord:
     convergence_defect is |F(steps) - F(steps/2)| at the reported step
     count; accepted means the defect met the requested target before the
     step budget max_steps ran out (no rung ever exceeds it).  parity_drift
-    is the largest excursion of the conserved Z-parity expectation along
-    the trajectory, and ground_overlap_trace samples the overlap with the
-    instantaneous ground manifold of the bare drive.
+    and ground_overlap_trace belong to the reported rung (step_count steps):
+    the largest excursion of the conserved Z-parity expectation, and the
+    overlap with the instantaneous ground manifold of the bare drive, at
+    that run's observer checkpoints in the unrotated frame.
     """
 
     sectors: int
@@ -212,58 +216,52 @@ def _run_protocol(
 ):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not (np.isfinite(tau_omega) and tau_omega > 0):
-        raise ValueError(f"tau_omega must be finite and positive, got {tau_omega}")
+    require_positive("tau_omega", tau_omega)
     steps = int(steps)
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)
 
+    # the gate enters once: G on the output qubits rotates the family and
+    # loads the initial state; target_state applies it independently
     base = multi_sector_family(n, omega, schedule)
+    psi0 = initial_state(psi_in, n)
     rotation = None
     if gate is not None:
         rotation = embed_on_outputs(gate, n)
         base = rotate_family(base, rotation)
+        psi0 = rotation @ psi0
     family = superadiabatic_family(base, tau) if mode == "superadiabatic" else base
-
-    psi0 = initial_state(psi_in, n, rotation=gate)
     tgt = target_state(psi_in, n, rotation=gate)
 
-    # observables are evaluated in the unrotated frame, where the conserved
-    # parity is plain Z...Z and the ground projector is the bare one
-    dim = family.dim
-    z_signs = np.array([(-1.0) ** bin(i).count("1") for i in range(dim)])
-    proj_cache = {}
-
-    trace = []
-    unrotate = None if rotation is None else rotation.conj().T
-
-    def observer(s, psi_phys):
-        psi_l = psi_phys if unrotate is None else unrotate @ psi_phys
-        if s not in proj_cache:
-            proj_cache[s] = _ground_pair_projector(schedule, s)
-        p_psi = _apply_sectorwise(proj_cache[s], psi_l, n)
-        overlap = float(np.real(np.vdot(psi_l, p_psi)))
-        par = float(np.real(np.sum(z_signs * np.abs(psi_l) ** 2)))
-        trace.append((float(s), overlap, par))
-
     def run(k):
-        trace.clear()
-        final = propagate(family, psi0, k, tau=tau, observer=observer)
-        return fidelity(final, tgt)
+        states = []
+        final = propagate(
+            family, psi0, k, tau=tau, observer=lambda s, psi: states.append((s, psi))
+        )
+        return fidelity(final, tgt), states
 
-    f_prev = run(steps)
+    f_prev, _ = run(steps)
     count = steps
     while True:
         count *= 2
-        f_next = run(count)
+        f_next, states = run(count)
         defect = abs(f_next - f_prev)
         if defect <= target_defect or count * 2 > max_steps:
             break
         f_prev = f_next
 
-    parities = [p for (_, _, p) in trace]
-    drift = max(abs(p - parities[0]) for p in parities)
+    # observables of the reported rung, in the unrotated frame, where the
+    # conserved parity is plain Z...Z and the ground projector is the bare one
+    z_signs = np.array([(-1.0) ** bin(i).count("1") for i in range(family.dim)])
+    unrotate = None if rotation is None else rotation.conj().T
+    trace, parities = [], []
+    for s, psi in states:
+        if unrotate is not None:
+            psi = unrotate @ psi
+        p_psi = _apply_sectorwise(_ground_pair_projector(schedule, s), psi, n)
+        trace.append((float(s), float(np.real(np.vdot(psi, p_psi)))))
+        parities.append(float(np.real(np.sum(z_signs * np.abs(psi) ** 2))))
     return RunRecord(
         sectors=n,
         schedule=schedule.name,
@@ -275,8 +273,8 @@ def _run_protocol(
         step_count=count,
         convergence_defect=float(defect),
         accepted=bool(defect <= target_defect),
-        parity_drift=drift,
-        ground_overlap_trace=[(s, o) for (s, o, _) in trace],
+        parity_drift=max(abs(p - parities[0]) for p in parities),
+        ground_overlap_trace=trace,
     )
 
 
@@ -316,14 +314,11 @@ def run_gate_teleport(
         gate = named_gate(gate)
     else:
         gate_name = "custom"
-        gate = np.asarray(gate, dtype=complex)
-    inferred = int(np.log2(gate.shape[0]))
-    if 2**inferred != gate.shape[0]:
-        raise ValueError(f"gate dimension {gate.shape[0]} is not a power of two")
+    width = gate_width(gate)
     if n is None:
-        n = inferred
-    elif n != inferred:
-        raise ValueError(f"gate acts on {inferred} qubits but n={n} was requested")
+        n = width
+    elif n != width:
+        raise ValueError(f"gate acts on {width} qubits but n={n} was requested")
     return _run_protocol(
         n,
         schedule,

@@ -28,6 +28,21 @@ class CapacityError(ValueError):
     """Register would exceed the dense-simulation budget."""
 
 
+def require_positive(name, value):
+    """The package's one check that an input is a finite positive number;
+    raises ValueError("<name> must be finite and positive, got ...")."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_sectors(n):
+    """The package's one sector-count check: n >= 1 sectors whose 3n
+    qubits fit the dense limit MAX_QUBITS; raises CapacityError."""
+    if n < 1 or 3 * n > MAX_QUBITS:
+        limit = f"1..{MAX_QUBITS // 3} (3n qubits, dense limit {MAX_QUBITS})"
+        raise CapacityError(f"sector count n={n} outside {limit}")
+
+
 def _require_unitary(g, dim, what="rotation"):
     g = np.asarray(g, dtype=complex)
     if g.shape != (dim, dim):
@@ -101,8 +116,7 @@ class HamiltonianFamily:
 
 def single_sector_family(omega, schedule):
     """The bare three-qubit drive -omega [eta_i (1XX+1ZZ) + eta_f (XX1+ZZ1)]."""
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
+    require_positive("omega", omega)
     if not isinstance(schedule, Schedule):
         raise ValueError("schedule must be a Schedule record")
     return HamiltonianFamily(
@@ -112,16 +126,26 @@ def single_sector_family(omega, schedule):
 
 def multi_sector_family(n, omega, schedule):
     """n independent copies of the drive on 3n qubits (sum of padded sectors)."""
-    if n < 1:
-        raise ValueError(f"need at least one sector, got n={n}")
-    if 3 * n > MAX_QUBITS:
-        raise CapacityError(
-            f"register of {3 * n} qubits exceeds the dense limit of {MAX_QUBITS}"
-        )
+    require_sectors(n)
     base = single_sector_family(omega, schedule)
     if n == 1:
         return base
     return replace(base, sectors=n)
+
+
+def superadiabatic_family(base, tau):
+    """Attach the velocity term to an adiabatic family by setting its tau.
+
+    The family evaluates the term from its schedule and tau; the base
+    family's rotation (if any) conjugates the whole sum, which is the
+    covariant way to rotate the dressed Hamiltonian.
+    """
+    if not isinstance(base, HamiltonianFamily):
+        raise ValueError("base must be a HamiltonianFamily")
+    if base.mode != "adiabatic":
+        raise ValueError(f"base family must be adiabatic, got mode {base.mode!r}")
+    require_positive("tau", tau)
+    return replace(base, tau=float(tau))
 
 
 def rotate_family(family, g):
@@ -157,8 +181,7 @@ def parity(axis, scope, n, rotation=None):
     """
     if axis not in ("z", "x"):
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
-    if n < 1 or 3 * n > MAX_QUBITS:
-        raise CapacityError(f"bad sector count {n}")
+    require_sectors(n)
     letter = axis.upper()
     if scope == "global":
         spec = letter * (3 * n)
@@ -190,69 +213,56 @@ def bell_state():
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def _normalized(psi, what="state"):
-    psi = np.asarray(psi, dtype=complex).ravel()
+def _protocol_input(psi_in, n):
+    """psi_in normalized, checked to be an n-qubit state of n sectors."""
+    psi = np.asarray(psi_in, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
     if norm == 0.0:
-        raise ValueError(f"{what} has zero norm")
-    return psi / norm
+        raise ValueError("psi_in has zero norm")
+    psi = psi / norm
+    if psi.size != 2**n:
+        raise ValueError(f"psi_in has dim {psi.size}, expected {2 ** n}")
+    require_sectors(n)
+    return psi
 
 
-def _permute_qubits(psi, source_of_dest, n_qubits):
-    # dest qubit j of the output takes source qubit source_of_dest[j]
-    return (
-        psi.reshape((2,) * n_qubits).transpose(source_of_dest).reshape(2**n_qubits)
-    )
+def _sector_layout(lone, n, lone_last):
+    """lone (x) n Bell pairs, ordered [q_1..q_n, a_1, b_1, ..., a_n, b_n],
+    permuted so that sector k holds (q_k, a_k, b_k), or (a_k, b_k, q_k)
+    with lone_last: register qubit j takes qubit src[j] of the product."""
+    state = lone
+    for _ in range(n):
+        state = np.kron(state, bell_state())
+    src = []
+    for k in range(n):
+        pair = [n + 2 * k, n + 2 * k + 1]
+        src += pair + [k] if lone_last else [k] + pair
+    return state.reshape((2,) * (3 * n)).transpose(src).reshape(2 ** (3 * n))
 
 
 def initial_state(psi_in, n, rotation=None):
     """Inputs on each sector's first qubit, Bell pairs on the other two.
 
     psi_in is an n-qubit state distributed one qubit per sector (it may be
-    entangled across sectors).  An optional rotation -- a 2^n x 2^n
-    unitary on the n output qubits -- pre-rotates the resource halves,
-    which is how a gate is loaded into the protocol.
+    entangled across sectors; it is normalized).  An optional rotation --
+    a 2^n x 2^n unitary, placed on the n output qubits by embed_on_outputs
+    -- pre-rotates the resource halves, which is how a gate is loaded.
     """
-    psi_in = _normalized(psi_in, "psi_in")
-    if psi_in.size != 2**n:
-        raise ValueError(f"psi_in has dim {psi_in.size}, expected {2 ** n}")
-    if 3 * n > MAX_QUBITS:
-        raise CapacityError(f"register of {3 * n} qubits exceeds {MAX_QUBITS}")
-    state = psi_in
-    for _ in range(n):
-        state = np.kron(state, bell_state())
-    # kron order: [in_1..in_n, a_1, b_1, ..., a_n, b_n] -> sector-contiguous
-    src = []
-    for k in range(n):
-        src += [k, n + 2 * k, n + 2 * k + 1]
-    state = _permute_qubits(state, src, 3 * n)
+    state = _sector_layout(_protocol_input(psi_in, n), n, lone_last=False)
     if rotation is not None:
-        g = _require_unitary(rotation, 2**n, "gate rotation")
-        outputs = [3 * k + 2 for k in range(n)]
-        state = place_on_qubits(g, outputs, 3 * n) @ state
+        state = embed_on_outputs(rotation, n) @ state
     return state
 
 
 def target_state(psi_in, n, rotation=None):
-    """Bell pairs on each sector's first two qubits, (rotated) input on the
-    output qubits: the ideal end point of the protocol."""
-    psi_in = _normalized(psi_in, "psi_in")
-    if psi_in.size != 2**n:
-        raise ValueError(f"psi_in has dim {psi_in.size}, expected {2 ** n}")
-    if 3 * n > MAX_QUBITS:
-        raise CapacityError(f"register of {3 * n} qubits exceeds {MAX_QUBITS}")
-    out = psi_in
+    """Bell pairs on each sector's first two qubits, the (rotated) input on
+    the output qubits: the ideal end point of the protocol.  The 2^n x 2^n
+    rotation acts on the input before the layout, not through
+    embed_on_outputs, so a gate run's fidelity also checks the placement."""
+    out = _protocol_input(psi_in, n)
     if rotation is not None:
-        g = _require_unitary(rotation, 2**n, "gate rotation")
-        out = g @ out
-    state = out
-    for _ in range(n):
-        state = np.kron(state, bell_state())
-    # kron order: [o_1..o_n, a_1, b_1, ...]; sector k wants (a_k, b_k, o_k)
-    src = []
-    for k in range(n):
-        src += [n + 2 * k, n + 2 * k + 1, k]
-    return _permute_qubits(state, src, 3 * n)
+        out = _require_unitary(rotation, 2**n, "gate rotation") @ out
+    return _sector_layout(out, n, lone_last=True)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +299,17 @@ def named_gate(name):
         return table[name].copy()
     except KeyError:
         raise ValueError(f"unknown gate {name!r}; choose from {GATE_NAMES}") from None
+
+
+def gate_width(gate):
+    """The qubit count n of a gate: checks that it is a square 2^n x 2^n
+    unitary with n >= 1 (to UNITARITY_ATOL) and raises ValueError if not."""
+    g = np.asarray(gate)
+    dim = len(g) if g.ndim == 2 else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"gate must be 2^n x 2^n with n >= 1, got shape {g.shape}")
+    _require_unitary(g, dim, "gate")  # also rejects a non-square gate
+    return dim.bit_length() - 1
 
 
 def embed_on_outputs(gate, n):

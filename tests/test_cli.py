@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import sagt
-from sagt import cli
+from sagt import cli, model
+
+LINEAR = sagt.builtin_schedule("linear")
 
 
 def run_cli(capsys, *argv):
@@ -157,28 +159,68 @@ def test_gate_teleport_from_file(tmp_path, capsys):
     assert record["fidelity"] >= 1.0 - 1e-6
 
 
-def test_load_unitary_round_trip(tmp_path):
+BAD_GATES = {
+    "non-square": np.eye(2, 4),
+    "3x3": np.eye(3),
+    "1x1": np.eye(1),
+    "non-unitary-2x2": np.diag([1.0, 2.0]),
+}
+
+
+def test_load_unitary_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(2)
     u = sagt.random_unitary(4, rng)
     path = tmp_path / "u.csv"
     write_unitary(path, u)
     np.testing.assert_allclose(cli.load_unitary(str(path)), u, atol=1e-15)
+    # a good 4x4 passes the rule that rejects every gate of BAD_GATES
+    assert model.gate_width(u) == 2
+    rec = sagt.run_gate_teleport(u, LINEAR, 1.0, "superadiabatic", np.eye(4)[1])
+    assert rec.fidelity >= 1.0 - 1e-6
+    argv = ("gate-teleport", "--gate-file", str(path), "--tau", "1.0")
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_load_unitary_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1 0,0 0\n0 0,2 0\n")  # not unitary
-    with pytest.raises(ValueError):
-        cli.load_unitary(str(path))
-    path.write_text("1 0,0 0,0 0\n0 0,1 0,0 0\n0 0,0 0,1 0\n")  # dim 3
-    with pytest.raises(ValueError):
-        cli.load_unitary(str(path))
+    for gate in BAD_GATES.values():
+        write_unitary(path, gate)
+        with pytest.raises(ValueError, match="bad.csv"):
+            cli.load_unitary(str(path))
     path.write_text("1,0\n0,1\n")  # cells missing the imaginary part
     with pytest.raises(ValueError):
         cli.load_unitary(str(path))
     path.write_text("# only comments\n")
     with pytest.raises(ValueError):
         cli.load_unitary(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GATES))
+def test_bad_gates_are_rejected_by_one_rule(tmp_path, capsys, name):
+    # gate_width, the library runner and the --gate-file CLI path agree
+    gate = BAD_GATES[name]
+    path = tmp_path / "gate.csv"
+    write_unitary(path, gate)
+    argv = ("gate-teleport", "--gate-file", str(path), "--tau", "1.0")
+    with pytest.raises(ValueError):
+        model.gate_width(gate)
+    with pytest.raises(ValueError, match="gate"):
+        sagt.run_gate_teleport(gate, LINEAR, 1.0, "superadiabatic", np.eye(2)[0])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sagt: error: matrix in ")
+
+
+def test_random_su_checks_the_sector_count_before_drawing(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a gate was drawn")
+
+    monkeypatch.setattr(cli, "random_unitary", never)
+    code, out, err = run_cli(
+        capsys, "gate-teleport", "--gate", "random-su", "--n", "4", "--tau", "1.0"
+    )
+    assert (code, out) == (1, "")
+    assert "sector count n=4 outside 1..3" in err
 
 
 def test_cost_sweep_csv(tmp_path, capsys):

@@ -176,3 +176,38 @@ def test_default_grid():
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(1000.0)
     assert np.all(np.diff(np.log(grid)) > 0)
+
+
+def test_quadrature_honours_its_budget():
+    requested = []
+
+    def restless(n):  # the value moves at every level and never settles
+        requested.append(n)
+        return np.full(n + 1, float(len(requested)))
+
+    with pytest.raises(RuntimeError, match="did not settle"):
+        cost._converge(restless, 64)
+    assert requested[0] == 64
+    assert max(requested) == cost.MAX_QUAD_POINTS
+    requested.clear()
+    with pytest.raises(ValueError, match="quad_points"):
+        cost._converge(restless, cost.MAX_QUAD_POINTS + 1)
+    assert requested == []
+    sch = builtin_schedule("linear")
+    with pytest.raises(ValueError, match="quad_points"):
+        cost.cost_closed_form(sch, 1.0, quad_points=2 * cost.MAX_QUAD_POINTS)
+    with pytest.raises(ValueError, match="quad_points"):
+        cost.adiabatic_cost(sch, quad_points=2 * cost.MAX_QUAD_POINTS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adiabatic_costs_never_evaluate_the_velocity_weight(monkeypatch, kind):
+    def never(*args, **kwargs):
+        raise AssertionError("velocity_grid was called")
+
+    monkeypatch.setattr(sagt.spectral, "velocity_grid", never)
+    sch = builtin_schedule(kind)
+    frozen = ADIABATIC_COST[kind]
+    assert cost.adiabatic_cost(sch) == pytest.approx(frozen, rel=1e-8)
+    [report] = cost.cost_sweep([sch], [0.1, 10.0], modes=("adiabatic",))
+    assert [c for _, c in report.grid] == pytest.approx([frozen, frozen], rel=1e-8)

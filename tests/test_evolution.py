@@ -387,3 +387,44 @@ def test_run_gate_teleport_infers_and_checks_width():
             "cnot", builtin_schedule("linear"), 1.0, "superadiabatic",
             np.eye(4)[0], n=1,
         )
+
+
+@pytest.mark.parametrize(
+    "n, mode", [(1, "adiabatic"), (2, "superadiabatic")], ids=["state", "gate"]
+)
+def test_run_record_reports_the_accepted_rung(n, mode):
+    # the trace and the drift belong to the run of rec.step_count steps:
+    # re-run that rung, keeping copies of the observed states, and recompute
+    # both in the unrotated frame
+    rng = np.random.default_rng(43)
+    sch = builtin_schedule("trigonometric")
+    psi_in = sagt.random_state(2**n, rng)
+    fam = sagt.multi_sector_family(n, 1.0, sch)
+    psi0 = sagt.initial_state(psi_in, n)
+    if n == 1:
+        rec = sagt.run_state_teleport(n, sch, 1.0, mode, psi_in)
+        g = np.eye(8)
+    else:
+        gate = sagt.random_unitary(4, rng)
+        rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in)
+        g = sagt.embed_on_outputs(gate, n)
+        fam = sagt.rotate_family(fam, g)
+        psi0 = g @ psi0
+    if mode == "superadiabatic":
+        fam = sagt.superadiabatic_family(fam, 1.0)
+    assert rec.step_count > evolution.DEFAULT_STEPS  # earlier rungs ran too
+    kept = []
+    evolution.propagate(
+        fam, psi0, rec.step_count, tau=1.0,
+        observer=lambda s, psi: kept.append((s, psi.copy())),
+    )
+    z = np.diag(sagt.parity("z", "global", n)).real
+    trace, parities = [], []
+    for s, psi in kept:
+        psi = g.conj().T @ psi
+        proj = evolution._ground_pair_projector(sch, s)
+        p_psi = evolution._apply_sectorwise(proj, psi, n)
+        trace.append((s, float(np.real(np.vdot(psi, p_psi)))))
+        parities.append(float(np.real(np.sum(z * np.abs(psi) ** 2))))
+    assert rec.ground_overlap_trace == trace
+    assert rec.parity_drift == max(abs(p - parities[0]) for p in parities)

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+every import sits at module level, so the module graph reads off the top of
+each file."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sagt"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -32,3 +35,34 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source):
+    """Line numbers of the import statements inside function bodies."""
+    tree = ast.parse(source)
+    functions = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return sorted(
+        {
+            node.lineno
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_the_scan_sees_a_function_level_import():
+    source = (
+        "import os\n\n\ndef f():\n    def g():\n        from math import pi\n"
+        "        return pi\n    import sys\n    return g, sys, os\n"
+    )
+    assert function_level_imports(source) == [6, 8]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []

@@ -90,6 +90,23 @@ def test_sector_count_capacity():
         sagt.multi_sector_family(4, 1.0, builtin_schedule("linear"))
 
 
+SECTOR_COUNT_USERS = {
+    "multi_sector_family": lambda n: sagt.multi_sector_family(
+        n, 1.0, builtin_schedule("linear")
+    ),
+    "parity": lambda n: sagt.parity("z", "global", n),
+    "initial_state": lambda n: sagt.initial_state(np.ones(2**n), n),
+    "target_state": lambda n: sagt.target_state(np.ones(2**n), n),
+}
+
+
+@pytest.mark.parametrize("user", sorted(SECTOR_COUNT_USERS))
+@pytest.mark.parametrize("n", [0, 4])
+def test_bad_sector_counts_raise_capacity_errors(n, user):
+    with pytest.raises(model.CapacityError, match=f"sector count n={n} outside 1..3"):
+        SECTOR_COUNT_USERS[user](n)
+
+
 def test_contiguous_layout_matches_role_grouped_reference():
     # The register keeps each sector's three qubits adjacent.  Rebuild the
     # n = 2 generator in a role-grouped layout (inputs first, then channel
