@@ -22,18 +22,19 @@ collapses the register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n)
 times the single-sector cost.
 
 All quadratures are composite Simpson with interval doubling until the
-relative change drops below QUAD_RTOL.
+relative change drops below QUAD_RTOL.  The closed-form route takes one
+schedules.sample per Simpson level and reads both weights off it.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import spectral
-from .model import multi_sector_family, require_positive, superadiabatic_family
-from .operators import frobenius_norm
-from .schedules import grid_eval
+from .model import multi_sector_family, superadiabatic_family
+from .operators import frobenius_norm, require_positive
+from .schedules import sample
 
 QUAD_RTOL = 1e-8
 MIN_QUAD_POINTS = 16
@@ -94,47 +95,45 @@ def mu(schedule, s, m):
     return float(dv @ dv)
 
 
-def _energy_weight(schedule, n):
-    """16 chi^2 on the n-interval Simpson grid of [0, 1]."""
-    grid = np.linspace(0.0, 1.0, n + 1)
-    ei = grid_eval(schedule.eta_i, grid)
-    ef = grid_eval(schedule.eta_f, grid)
-    return 16.0 * (ei * ei + ef * ef)
+class _Weights:
+    """The cost weights 16 chi^2 and 2 ||K||_F^2 on the n-interval Simpson
+    grid of [0, 1], both read off one sample; K is built on first use."""
+
+    def __init__(self, schedule, n):
+        self.path = ei, ef, _, _ = sample(schedule, np.linspace(0.0, 1.0, n + 1))
+        self.energy = 16.0 * (ei * ei + ef * ef)
+
+    @cached_property
+    def velocity(self):
+        k = spectral.velocity_grid(self.path)
+        return 2.0 * np.einsum("...ij,...ij->...", k, k)
 
 
-def _velocity_weight(schedule, n):
-    """2 ||K||_F^2 on the n-interval Simpson grid of [0, 1]."""
-    k = spectral.velocity_grid(schedule, np.linspace(0.0, 1.0, n + 1))
-    return 2.0 * np.einsum("...ij,...ij->...", k, k)
-
-
-def _unit_cost(energy, velocity, tau_omega, quad_points=64):
+def _unit_cost(weights, tau_omega, quad_points=64):
     """The closed-form cost in units of hbar*omega, as (value, intervals,
-    defect), from the weights energy(n) and velocity(n) on the n-interval
-    grid; tau_omega None is the bare drive, which never calls velocity."""
+    defect), from weights(n), the _Weights of the n-interval grid;
+    tau_omega None is the bare drive, which never builds K."""
 
-    def sample(n):
+    def integrand(n):
+        w = weights(n)
         if tau_omega is None:
-            return np.sqrt(energy(n))
-        return np.sqrt(energy(n) + velocity(n) / tau_omega**2)
+            return np.sqrt(w.energy)
+        return np.sqrt(w.energy + w.velocity / tau_omega**2)
 
-    return _converge(sample, quad_points)
+    return _converge(integrand, quad_points)
 
 
 def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     """Spectral route: omega times the unit-cost integral at tau*omega."""
     require_positive("tau", tau)
     require_positive("omega", omega)
-    energy = partial(_energy_weight, schedule)
-    velocity = partial(_velocity_weight, schedule)
-    return omega * _unit_cost(energy, velocity, tau * omega, quad_points)[0]
+    return omega * _unit_cost(partial(_Weights, schedule), tau * omega, quad_points)[0]
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
     require_positive("omega", omega)
-    energy = partial(_energy_weight, schedule)
-    return omega * _unit_cost(energy, None, None, quad_points)[0]
+    return omega * _unit_cost(partial(_Weights, schedule), None, quad_points)[0]
 
 
 def cost_scaling(n):
@@ -165,11 +164,11 @@ class CostReport:
 def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabatic")):
     """Closed-form cost curves over a tau*omega grid.
 
-    The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties, so each
-    is evaluated at most once per schedule and quadrature level (the second
-    only if needed) and reused across the whole grid.  Costs come out in
-    units of hbar*omega, in which they depend on tau and omega only through
-    the product tau*omega.  Each report carries the interval count and
+    The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties: one sample
+    per schedule and quadrature level feeds both, each is built at most once
+    (the second only if needed) and reused across the whole grid.  Costs
+    come out in units of hbar*omega, in which they depend on tau and omega
+    only through the product tau*omega.  Each report carries the interval count and
     defect of its hardest grid point (the last one with the most intervals).
     """
     if tau_omega_grid is None:
@@ -181,8 +180,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
         require_positive("tau*omega", t)
     reports = []
     for schedule in schedules:
-        energy = lru_cache(maxsize=None)(partial(_energy_weight, schedule))
-        velocity = lru_cache(maxsize=None)(partial(_velocity_weight, schedule))
+        weights = lru_cache(maxsize=None)(partial(_Weights, schedule))
         for mode in modes:
             if mode not in ("adiabatic", "superadiabatic"):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -190,7 +188,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
             worst = (0, 0.0)
             for tau_omega in taus:
                 value, n_used, defect = _unit_cost(
-                    energy, velocity, tau_omega if mode == "superadiabatic" else None
+                    weights, tau_omega if mode == "superadiabatic" else None
                 )
                 points.append((tau_omega, value))
                 if n_used >= worst[0]:

@@ -8,31 +8,33 @@ schedule's derivatives, and bounded because a(theta) = (cos theta +
 sin theta) / (2 - sin 2 theta) has a denominator of at least 1.  K is real
 antisymmetric, so the correction is Hermitian, traceless, and zero
 whenever the schedule freezes (theta' = 0).  block_cd_grid is the only
-construction of the term: HamiltonianFamily adds it to the drive block,
-and sector_cd is its embedding on both parity blocks (multi-sector
-registers sum the same term per sector).  assembled_register_cd rebuilds
-the register term by finite differences of the full product frame, as an
-independent cross-check.  The module builds terms only; the families that
-carry them, superadiabatic_family included, live in model.
+construction of the term, from a schedules.sample: HamiltonianFamily hands
+it the sample of its drive block, and sector_cd is its embedding on both
+parity blocks (multi-sector registers sum the same term per sector).
+assembled_register_cd rebuilds the register term by finite differences of
+the full product frame, as an independent cross-check.  The module builds
+terms only; the families that carry them, superadiabatic_family included,
+live in model.
 """
 
 import numpy as np
 
 from . import spectral
+from .operators import require_positive
+from .schedules import sample
 
 _CHECK_STEP = 1e-6  # finite-difference step of assembled_register_cd
 
 
-def block_cd_grid(schedule, s_values, tau):
-    """(len(s), 4, 4) complex: the block correction on an array of s."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return 1j / tau * spectral.velocity_grid(schedule, s_values)
+def block_cd_grid(path, tau):
+    """(..., 4, 4) complex: the block correction at each sample point."""
+    require_positive("tau", tau)
+    return 1j / tau * spectral.velocity_grid(path)
 
 
 def block_cd(schedule, s, tau):
     """4x4 correction at scalar s."""
-    return block_cd_grid(schedule, np.atleast_1d(float(s)), tau)[0]
+    return block_cd_grid(sample(schedule, np.atleast_1d(float(s))), tau)[0]
 
 
 def sector_cd(schedule, s, tau):
@@ -44,7 +46,7 @@ def sector_cd(schedule, s, tau):
 def embedded_frame(schedule, s):
     """8x8 orthogonal matrix whose columns are the sector eigenvectors
     lifted to the register: even-block levels first, then odd."""
-    v = spectral.frame_grid(schedule, np.atleast_1d(float(s)))[0]
+    v = spectral.frame_grid(sample(schedule, np.atleast_1d(float(s))))[0]
     cols = [
         spectral.embed_block_vector(v[:, m], parity)
         for parity in (+1, -1)
@@ -63,8 +65,7 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None):
     embedding -- kept as the cross-check that the compact construction is
     right, transforms covariantly and sums correctly over sectors.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    require_positive("tau", tau)
 
     def register_frame(x):
         f = embedded_frame(schedule, x)

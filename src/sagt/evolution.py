@@ -28,17 +28,19 @@ import numpy as np
 from . import spectral
 from .cost import _simpson
 from .model import (
+    _protocol_input,
     embed_on_outputs,
     gate_width,
     initial_state,
     multi_sector_family,
     named_gate,
-    require_positive,
     rotate_family,
     superadiabatic_family,
     target_state,
 )
+from .operators import require_positive
 from .schedules import chi as _chi
+from .schedules import sample
 
 NORM_ATOL = 1e-10
 DEFAULT_STEPS = 2000
@@ -128,9 +130,9 @@ def propagate(family, psi0, steps, tau=None, observer=None):
 
 
 def _ground_pair_projector(schedule, s):
-    """8x8 projector onto the two instantaneous sector ground states."""
-    v0 = spectral.block_eigenvectors(schedule, s)[:, 0]
-    p = np.outer(v0, v0)
+    """8x8 projectors onto the two sector ground states, at each s given."""
+    v0 = spectral.frame_grid(sample(schedule, s))[..., 0]
+    p = v0[..., :, None] * v0[..., None, :]
     return spectral.embed_blocks(p, p)
 
 
@@ -148,15 +150,8 @@ def adiabatic_reference(family, s, psi_in=None, tau=None):
     s = float(s)
     if s < 0.0 or s > 1.0:
         raise ValueError(f"s outside [0, 1]: {s}")
-    if psi_in is None:
-        psi_in = np.array([1.0, 0.0], dtype=complex)
-    psi_in = np.asarray(psi_in, dtype=complex).ravel()
-    if psi_in.size != 2:
-        raise ValueError("psi_in must be a single-qubit state")
-    psi_in = psi_in / np.linalg.norm(psi_in)
-    if tau is None:
-        tau = family.tau
-    if tau is None:
+    psi_in = _protocol_input([1.0, 0.0] if psi_in is None else psi_in, 1)
+    if tau is None:  # an adiabatic family carries no duration
         raise ValueError("tau is required to evaluate the dynamical phase")
 
     v0 = spectral.block_eigenvectors(family.schedule, s)[:, 0]
@@ -255,11 +250,12 @@ def _run_protocol(
     # conserved parity is plain Z...Z and the ground projector is the bare one
     z_signs = np.array([(-1.0) ** bin(i).count("1") for i in range(family.dim)])
     unrotate = None if rotation is None else rotation.conj().T
+    projectors = _ground_pair_projector(schedule, [s for s, _ in states])
     trace, parities = [], []
-    for s, psi in states:
+    for (s, psi), projector in zip(states, projectors):
         if unrotate is not None:
             psi = unrotate @ psi
-        p_psi = _apply_sectorwise(_ground_pair_projector(schedule, s), psi, n)
+        p_psi = _apply_sectorwise(projector, psi, n)
         trace.append((float(s), float(np.real(np.vdot(psi, p_psi)))))
         parities.append(float(np.real(np.sum(z_signs * np.abs(psi) ** 2))))
     return RunRecord(

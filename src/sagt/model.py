@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .counterdiabatic import block_cd_grid
-from .operators import pauli_string, place_on_qubits
-from .schedules import Schedule
-from .spectral import block_hamiltonian, embed_blocks
+from .operators import pauli_string, place_on_qubits, require_positive
+from .schedules import Schedule, sample
+from .spectral import drive_grid, embed_blocks
 
 MAX_QUBITS = 10
 
@@ -26,13 +26,6 @@ UNITARITY_ATOL = 1e-10
 
 class CapacityError(ValueError):
     """Register would exceed the dense-simulation budget."""
-
-
-def require_positive(name, value):
-    """The package's one check that an input is a finite positive number;
-    raises ValueError("<name> must be finite and positive, got ...")."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def require_sectors(n):
@@ -62,8 +55,8 @@ class HamiltonianFamily:
     Setting tau makes the family superadiabatic: its generator then
     carries the velocity term (i/tau) K, which scales like 1/tau.
 
-    ``block_matrix_grid`` is the only place the generator is assembled:
-    the common 4x4 parity block -omega (eta_i A + eta_f B) + (i/tau) K.
+    ``block_matrix_grid`` is the only place the generator is assembled, from
+    one schedules.sample: the 4x4 parity block -omega (eta_i A + eta_f B) + (i/tau) K.
     ``sector_matrix_grid`` and ``sector_matrix`` are its 8x8 embedding on
     both parities, and ``matrix`` assembles the full register operator
     including padding and the rotation (evaluating to G H(s) G^dag).
@@ -84,9 +77,10 @@ class HamiltonianFamily:
         return 8**self.sectors
 
     def block_matrix_grid(self, s_values):
-        h = block_hamiltonian(self.schedule, s_values, self.omega)
+        path = sample(self.schedule, s_values)
+        h = drive_grid(path, self.omega)
         if self.tau is not None:
-            h = h + block_cd_grid(self.schedule, s_values, self.tau)
+            h = h + block_cd_grid(path, self.tau)
         return h
 
     def sector_matrix_grid(self, s_values):

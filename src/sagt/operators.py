@@ -21,6 +21,13 @@ PAULI = {
 HERMITICITY_ATOL = 1e-8
 
 
+def require_positive(name, value):
+    """The package's one check that an input is a finite positive number;
+    raises ValueError("<name> must be finite and positive, got ...")."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _as_square(a, name="operator"):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -6,6 +6,10 @@ analytic derivatives.  The radial coordinate chi = sqrt(eta_i^2 + eta_f^2)
 sets the instantaneous spectral gap and must stay strictly positive along
 the whole path.
 
+`sample` is the one evaluation of a schedule on a grid, each function
+called once.  The drive, the frame, the velocity term and the cost weights
+are functions of that sample: a consumer samples its grid once.
+
 Schedule is a plain record; the factories (`builtin_schedule`,
 `make_schedule`) are the validated entry points.  Tests may build raw
 Schedule instances directly to probe degenerate configurations.
@@ -49,12 +53,19 @@ def grid_eval(fn, s):
     return np.array([float(fn(x)) for x in s.ravel()]).reshape(s.shape)
 
 
+def sample(schedule, s):
+    """The schedule at every s of an array: (eta_i, eta_f, eta_i', eta_f'),
+    four arrays of the shape of s, each function evaluated once."""
+    fns = (schedule.eta_i, schedule.eta_f, schedule.deta_i, schedule.deta_f)
+    return tuple(grid_eval(fn, s) for fn in fns)
+
+
 def chi(schedule, s):
     """Radial coordinate sqrt(eta_i^2 + eta_f^2); accepts scalars or arrays."""
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError(f"schedule parameter outside [0, 1]: {s}")
-    out = np.hypot(grid_eval(schedule.eta_i, arr), grid_eval(schedule.eta_f, arr))
+    out = np.hypot(*sample(schedule, arr)[:2])
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 

@@ -67,13 +67,17 @@ zero-mode pair; the second term turns the fixed zero-mode gauge inside
 that pair at rate a = <v2 | d/dtheta v1> = (cos theta + sin theta) /
 (2 - sin 2 theta), whose denominator is at least 1.  K is therefore
 bounded by |theta'| times a constant and vanishes for a frozen schedule.
+
+Sampling.  A block depends on the path only through chi, theta and
+theta', so every *_grid function takes one schedules.sample, never a
+schedule and a grid; the scalar entry points sample once each.
 """
 
 import numpy as np
 
 from .operators import pauli_string
 from .schedules import chi as _chi
-from .schedules import grid_eval
+from .schedules import sample
 
 # Computational-basis indices of the even block and, pairwise complemented,
 # of the odd block.  Order matters: it is what makes the two blocks equal.
@@ -89,9 +93,11 @@ BLOCK_B = DRIVE_B[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
 BLOCK_C = BLOCK_A @ BLOCK_B - BLOCK_B @ BLOCK_A
 
 
-def _weights(schedule, s):
-    s = np.asarray(s, dtype=float)
-    return grid_eval(schedule.eta_i, s), grid_eval(schedule.eta_f, s)
+def drive_grid(path, omega):
+    """The block -omega (eta_i A + eta_f B) at each point of a
+    schedules.sample, shape (..., 4, 4) complex."""
+    ei, ef = (w[..., None, None] for w in path[:2])
+    return (-omega * (ei * BLOCK_A + ef * BLOCK_B)).astype(complex)
 
 
 def block_hamiltonian(schedule, s, omega=1.0):
@@ -103,8 +109,7 @@ def block_hamiltonian(schedule, s, omega=1.0):
     the velocity block to it, and every 8x8 sector operator of the package
     is embed_blocks(b, b) of that sum.
     """
-    ei, ef = (w[..., None, None] for w in _weights(schedule, s))
-    return (-omega * (ei * BLOCK_A + ef * BLOCK_B)).astype(complex)
+    return drive_grid(sample(schedule, s), omega)
 
 
 def block_energies(schedule, s, omega=1.0):
@@ -119,14 +124,14 @@ def gap(schedule, s, omega=1.0):
     return 2.0 * omega * _chi(schedule, s)
 
 
-def frame_grid(schedule, s):
-    """Orthonormal real eigenframe at each s in an array.
+def frame_grid(path):
+    """Orthonormal real eigenframe at each sample point.
 
     Returns shape (..., 4, 4); column m of each 4x4 slice is the
     eigenvector of block_energies[m].  Columns are smooth in s (no
     eigensolver gauge jumps) because they come from fixed closed forms.
     """
-    ei, ef = _weights(schedule, s)
+    ei, ef = path[:2]
     c = np.hypot(ei, ef)
     a = c + ei
     b = c + ef  # >= chi > 0, safe denominator
@@ -138,45 +143,40 @@ def frame_grid(schedule, s):
     r2 = np.stack([-ei * ef, ef * ef, d, ei * ei], axis=-1)
     # spectral flip of w0: (w0_3, -w0_4, w0_1, -w0_2)
     w3 = np.stack([ei * ef / b, -ef, a, -ei * a / b], axis=-1)
-
-    def unit(v):
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    return np.stack([unit(w0), unit(u1), unit(r2), unit(w3)], axis=-1)
+    v = np.stack([w0, u1, r2, w3], axis=-1)
+    return v / np.linalg.norm(v, axis=-2, keepdims=True)
 
 
 def block_eigenvectors(schedule, s):
     """4x4 orthonormal frame at scalar s; columns ordered by energy."""
-    return frame_grid(schedule, np.atleast_1d(np.asarray(s, dtype=float)))[0]
+    return frame_grid(sample(schedule, np.atleast_1d(float(s))))[0]
 
 
-def velocity_grid(schedule, s):
-    """The real antisymmetric frame velocity K = V' V^T at each s.
+def velocity_grid(path):
+    """The real antisymmetric frame velocity K = V' V^T at each sample point.
 
     Returns shape (..., 4, 4), exact in the schedule's derivatives:
     K = theta' [-C/4 + a(theta) (v2 v1^T - v1 v2^T)] (see module docstring).
     """
-    ei, ef = _weights(schedule, s)
-    dei = grid_eval(schedule.deta_i, s)
-    def_ = grid_eval(schedule.deta_f, s)
+    ei, ef, dei, def_ = path
     chi2 = ei * ei + ef * ef
     rate = (ei * def_ - ef * dei) / chi2
     # a = (cos + sin) / (2 - sin 2theta); chi^2 - ei ef >= chi^2 / 2 > 0
     a = np.sqrt(chi2) * (ei + ef) / (2.0 * (chi2 - ei * ef))
-    v = frame_grid(schedule, s)
+    v = frame_grid(path)
     v1, v2 = v[..., :, 1], v[..., :, 2]
     turn = v2[..., :, None] * v1[..., None, :] - v1[..., :, None] * v2[..., None, :]
     return rate[..., None, None] * (a[..., None, None] * turn - 0.25 * BLOCK_C)
 
 
-def frame_derivative_grid(schedule, s):
-    """d/ds of the eigenframe at each s: V' = K V, shape (..., 4, 4)."""
-    return velocity_grid(schedule, s) @ frame_grid(schedule, s)
+def frame_derivative_grid(path):
+    """d/ds of the eigenframe at each sample point: V' = K V, (..., 4, 4)."""
+    return velocity_grid(path) @ frame_grid(path)
 
 
 def block_eigenvector_derivatives(schedule, s):
     """Columnwise d/ds of block_eigenvectors at scalar s."""
-    return frame_derivative_grid(schedule, np.atleast_1d(np.asarray(s, float)))[0]
+    return frame_derivative_grid(sample(schedule, np.atleast_1d(float(s))))[0]
 
 
 def embed_blocks(plus_block, minus_block):

@@ -284,6 +284,18 @@ def test_non_finite_run_inputs_exit_one(capsys, option, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("amp", ["1,0,0", "0,0"])
+@pytest.mark.parametrize(
+    "command", [["state-teleport"], ["gate-teleport", "--gate", "x"]], ids=["state", "gate"]
+)
+def test_bad_amp_inputs_exit_one(capsys, command, amp):
+    # a wrong amplitude count and a zero-norm state are refused by the run
+    code, out, err = run_cli(capsys, *command, "--tau", "1.0", "--steps", "4", "--amp", amp)
+    assert code == 1
+    assert out == ""
+    assert "sagt: error:" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "11")
     assert code == 0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import sagt
 from sagt import counterdiabatic, spectral
-from sagt.schedules import Schedule, builtin_schedule
+from sagt.schedules import Schedule, builtin_schedule, sample
 
 import strategies
 
@@ -34,7 +34,7 @@ def _plateau():
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_correction_hermitian_traceless(kind):
     sch = builtin_schedule(kind)
-    blocks = counterdiabatic.block_cd_grid(sch, GRID, tau=1.0)
+    blocks = counterdiabatic.block_cd_grid(sample(sch, GRID), tau=1.0)
     for hcd in blocks:
         np.testing.assert_allclose(hcd, hcd.conj().T, atol=1e-10)
         assert abs(np.trace(hcd)) < 1e-10
@@ -49,8 +49,19 @@ def test_block_correction_scales_inversely_with_duration():
     np.testing.assert_allclose(10.0 * slow, fast, atol=1e-12)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build",
+    [counterdiabatic.block_cd, counterdiabatic.sector_cd, counterdiabatic.assembled_register_cd],
+    ids=["block_cd", "sector_cd", "assembled_register_cd"],
+)
+def test_velocity_term_rejects_a_duration_that_is_not_finite_and_positive(build, tau):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        build(builtin_schedule("linear"), 0.4, tau)
+
+
 def test_plateau_drive_needs_no_correction():
-    blocks = counterdiabatic.block_cd_grid(_plateau(), GRID, tau=1.0)
+    blocks = counterdiabatic.block_cd_grid(sample(_plateau(), GRID), tau=1.0)
     assert np.max(np.abs(blocks)) < 1e-9
 
 

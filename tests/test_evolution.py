@@ -260,6 +260,10 @@ def test_adiabatic_reference_validation():
     multi = sagt.multi_sector_family(2, 1.0, sch)
     with pytest.raises(ValueError):
         sagt.adiabatic_reference(multi, 0.5, tau=1.0)
+    with pytest.raises(ValueError, match="zero norm"):
+        sagt.adiabatic_reference(fam, 0.5, psi_in=np.zeros(2), tau=1.0)
+    with pytest.raises(ValueError, match="dim 3"):
+        sagt.adiabatic_reference(fam, 0.5, psi_in=[1.0, 0.0, 0.0], tau=1.0)
 
 
 def test_run_state_teleport_record():

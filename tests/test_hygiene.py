@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
+"""Source hygiene: every name a module of the package imports is used,
 every import sits at module level, so the module graph reads off the top of
-each file."""
+each file, and no module but schedules evaluates a schedule on a grid."""
 
 import ast
 from pathlib import Path
@@ -66,3 +66,39 @@ def test_the_scan_sees_a_function_level_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def grid_eval_references(source):
+    """Line numbers that name grid_eval: a bare name, an attribute or an
+    imported alias."""
+    tree = ast.parse(source)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "grid_eval":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "grid_eval":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "grid_eval" for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_grid_eval():
+    source = (
+        "from .schedules import grid_eval as g\n"
+        "from . import schedules\n"
+        "x = schedules.grid_eval(f, s)\n"
+        "y = grid_eval\n"
+        "z = sample(schedule, s)\n"
+    )
+    assert grid_eval_references(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "schedules.py"], ids=lambda p: p.name
+)
+def test_schedules_are_evaluated_only_through_their_sample(path):
+    # schedules.sample is the one evaluation of a schedule on a grid;
+    # every other module reads the schedule through it
+    assert grid_eval_references(path.read_text(encoding="utf-8")) == []

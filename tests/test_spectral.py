@@ -11,7 +11,7 @@ import pytest
 
 import sagt
 from sagt import spectral
-from sagt.schedules import Schedule, builtin_schedule, chi
+from sagt.schedules import Schedule, builtin_schedule, chi, sample
 
 import oracles
 
@@ -89,7 +89,7 @@ def test_gap_frozen_value():
 @pytest.mark.parametrize("kind", KINDS)
 def test_eigen_residuals(kind):
     sch = builtin_schedule(kind)
-    frames = spectral.frame_grid(sch, GRID)
+    frames = spectral.frame_grid(sample(sch, GRID))
     for s, v in zip(GRID, frames):
         block = spectral.block_hamiltonian(sch, s)
         energies = spectral.block_energies(sch, s)
@@ -99,7 +99,7 @@ def test_eigen_residuals(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_frame_orthonormal(kind):
-    frames = spectral.frame_grid(builtin_schedule(kind), GRID)
+    frames = spectral.frame_grid(sample(builtin_schedule(kind), GRID))
     gram = np.einsum("sik,sil->skl", frames.conj(), frames)
     defect = np.max(np.abs(gram - np.eye(4)[None]))
     assert defect < 1e-10
@@ -140,15 +140,15 @@ def test_frame_continuity(kind):
     sch = builtin_schedule(kind)
     delta = 1e-4
     s = np.linspace(0.0, 1.0 - delta, 101)
-    ahead = spectral.frame_grid(sch, s + delta)
-    here = spectral.frame_grid(sch, s)
+    ahead = spectral.frame_grid(sample(sch, s + delta))
+    here = spectral.frame_grid(sample(sch, s))
     jumps = np.linalg.norm(ahead - here, axis=(1, 2))
     assert np.max(jumps) <= 100 * delta
 
 
 def _central_difference_frame(schedule, s, h=1e-6):
     # second order: central inside, one-sided at the two endpoint bands
-    f = lambda x: spectral.frame_grid(schedule, x)
+    f = lambda x: spectral.frame_grid(sample(schedule, x))
     out = (f(np.clip(s + h, 0, 1)) - f(np.clip(s - h, 0, 1))) / (2 * h)
     lo, hi = s < h, s > 1.0 - h
     out[lo] = (-3 * f(s[lo]) + 4 * f(s[lo] + h) - f(s[lo] + 2 * h)) / (2 * h)
@@ -161,20 +161,20 @@ def test_exact_derivative_matches_central_difference(kind):
     sch = builtin_schedule(kind)
     s = np.linspace(0.0, 1.0, 2001)
     fd = _central_difference_frame(sch, s)
-    assert np.max(np.abs(spectral.frame_derivative_grid(sch, s) - fd)) < 1e-9
+    assert np.max(np.abs(spectral.frame_derivative_grid(sample(sch, s)) - fd)) < 1e-9
     # the block correction (i/tau) V' V^T by the same difference route
-    v = spectral.frame_grid(sch, s)
+    v = spectral.frame_grid(sample(sch, s))
     k = np.einsum("...ik,...jk->...ij", fd, v)
     route = 0.5j * (k - np.swapaxes(k, -1, -2))
-    exact = sagt.counterdiabatic.block_cd_grid(sch, s, 1.0)
+    exact = sagt.counterdiabatic.block_cd_grid(sample(sch, s), 1.0)
     assert np.max(np.abs(exact - route)) < 1e-9
 
 
 def test_derivatives_preserve_normalization():
     sch = builtin_schedule("trigonometric")
     s = np.linspace(0.0, 1.0, 21)
-    v = spectral.frame_grid(sch, s)
-    dv = spectral.frame_derivative_grid(sch, s)
+    v = spectral.frame_grid(sample(sch, s))
+    dv = spectral.frame_derivative_grid(sample(sch, s))
     radial = np.einsum("sim,sim->sm", v.conj(), dv)
     assert np.max(np.abs(radial)) < 1e-8
 
@@ -187,7 +187,7 @@ def test_plateau_drive_has_static_frame():
         deta_i=lambda s: 0.0 * s,
         deta_f=lambda s: 0.0 * s,
     )
-    dv = spectral.frame_derivative_grid(frozen, np.linspace(0.0, 1.0, 11))
+    dv = spectral.frame_derivative_grid(sample(frozen, np.linspace(0.0, 1.0, 11)))
     assert np.max(np.abs(dv)) < 1e-9
 
 
