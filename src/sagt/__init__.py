@@ -3,7 +3,7 @@
 Submodules:
     operators        dense register linear algebra
     schedules        drive interpolation paths and their derivatives
-    spectral         analytic parity-block eigensystem
+    spectral         analytic parity-block eigensystem, step exponential
     model            Hamiltonian families, parities, canonical states
     counterdiabatic  velocity compensation terms
     evolution        propagation and teleportation drivers

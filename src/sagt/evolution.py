@@ -11,9 +11,11 @@ Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
 propagator is embed_blocks(u, u)^(x n) for a single 4x4 propagator u.
 Steps are grouped into segments between observation points (at most
-_CHUNK steps long); each segment costs one batched 4x4 eigendecomposition
-of family.block_matrix_grid, a time-ordered pairwise product of its step
-exponentials, and one tensor contraction per sector on the state.  A
+_CHUNK steps long); each segment costs one call of
+family.block_matrix_grid, the closed-form step exponentials of
+spectral.block_exponential_grid (the block's spectrum is +-lambda_1,
++-lambda_2, so no eigensolver runs), a time-ordered pairwise product of
+them, and one tensor contraction per sector on the state.  A
 fixed register rotation G telescopes through the product of step
 unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
 families are propagated in the unrotated frame and rotated back only at
@@ -64,6 +66,13 @@ def fidelity(psi, phi):
     return float(min(val, 1.0))
 
 
+def _whole(steps):
+    """steps as an int; ValueError unless it is a whole number."""
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be a whole number, got {steps}")
+    return int(steps)
+
+
 def _apply_sectorwise(u, psi, n):
     """Apply the same 8x8 matrix to every sector axis of a 8**n state."""
     if n == 1:
@@ -83,13 +92,14 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     including both endpoints; it may keep psi, which is never modified
     afterwards.  Returns the final state.
     """
-    steps = int(steps)
+    steps = _whole(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if tau is None:
         tau = family.tau
-    if tau is None or tau <= 0:
+    if tau is None:
         raise ValueError("a positive total time tau is required to propagate")
+    require_positive("tau", tau)
     psi = np.asarray(psi0, dtype=complex).ravel().copy()
     if psi.size != family.dim:
         raise ValueError(f"state dim {psi.size} != register dim {family.dim}")
@@ -115,8 +125,7 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     observe(0)
     for start, stop in zip(cuts[:-1], cuts[1:]):
         s_mid = (np.arange(start, stop) + 0.5) / steps
-        w, v = np.linalg.eigh(family.block_matrix_grid(s_mid))
-        u = np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), v.conj())
+        u = spectral.block_exponential_grid(family.block_matrix_grid(s_mid), dt)
         while len(u) > 1:  # m pairs, the later step on the left
             m = len(u) // 2
             u = np.concatenate((u[1 : 2 * m : 2] @ u[0 : 2 * m : 2], u[2 * m :]))
@@ -124,7 +133,7 @@ def propagate(family, psi0, steps, tau=None, observer=None):
         observe(stop)
 
     norm_defect = abs(np.linalg.norm(psi) - 1.0)
-    if norm_defect > NORM_ATOL:
+    if not norm_defect <= NORM_ATOL:  # NaN fails too
         raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
     return psi if g is None else g @ psi
 
@@ -212,7 +221,7 @@ def _run_protocol(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     require_positive("tau_omega", tau_omega)
-    steps = int(steps)
+    steps = _whole(steps)
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)

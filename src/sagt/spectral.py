@@ -68,6 +68,46 @@ that pair at rate a = <v2 | d/dtheta v1> = (cos theta + sin theta) /
 (2 - sin 2 theta), whose denominator is at least 1.  K is therefore
 bounded by |theta'| times a constant and vanishes for a frozen schedule.
 
+Dressed spectrum.  With X = A/2, Y = B/2 and Z = C/(4i) the even block
+carries su(2) as spin 1 (+) spin 0: the drive is -E n.J with E = 2 omega
+chi and n = (cos theta, sin theta, 0), so the frame levels v0 and v3 are
+the spin-1 states n.J = +1 and -1, and the zero-mode pair holds the spin-1
+state |0> (n.J |0> = 0) and the singlet.  In the frame the dressed block
+H = drive + (i/tau) K is a star with |0> at its hub: the velocity term
+couples |0> to v0 and v3 with strength g/sqrt 2, g = theta'/tau, and to the
+singlet with strength h = a(theta) theta'/tau, the fixed-gauge turn;
+nothing else couples.  Hence
+
+    det(H - x) = x^4 - (E^2 + g^2 + h^2) x^2 + E^2 h^2,
+
+so the spectrum is +-lambda_1, +-lambda_2 in both modes, and the bare
+drive (g = h = 0) has +-E, 0, 0.  With S = E^2 + g^2 + h^2,
+lambda_1^2 - lambda_2^2 = sqrt(S^2 - 4 E^2 h^2), a quadratic in g^2 with
+negative discriminant; since |a| <= sqrt 2 it is at least (2 sqrt 2 / 3)
+E^2, so the two levels never meet.
+
+Step exponential.  A Hermitian block with spectrum +-lambda_1, +-lambda_2
+satisfies H^4 = S H^2 - lambda_1^2 lambda_2^2, so
+
+    exp(-i H t) = alpha + beta H^2 - i H (gamma + delta H^2),
+
+where alpha + beta l^2 = cos(l t) and gamma + delta l^2 = sin(l t) / l at
+l = lambda_1 and lambda_2.  With x = lambda_1 t, y = lambda_2 t,
+p = (x + y)/2, q = (x - y)/2 and sinc z = sin z / z these divided
+differences read
+
+    beta  = -(t^2/2) sinc p sinc q,        alpha = cos y - beta lambda_2^2,
+    delta = t^3 (cos p sinc q - sinc y) / (2 p x),
+    gamma = t sinc y - delta lambda_2^2,
+
+finite for every nonzero block, a degenerate one (q = 0) included.  The
+levels come from the block's own moments: S = ||H||_F^2 / 2 and
+lambda_1^4 + lambda_2^4 = ||H^2||_F^2 / 2.  lambda_2^2 then carries a
+roundoff error of about eps lambda_1^2, but it enters only through even
+functions of y, which costs about eps (lambda_1 t)^2.
+block_exponential_grid needs no eigensolver; it checks the precondition
+through the odd moments tr H and tr H^3.
+
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
 schedule and a grid; the scalar entry points sample once each.
@@ -91,6 +131,10 @@ DRIVE_B = pauli_string("XX1") + pauli_string("ZZ1")
 BLOCK_A = DRIVE_A[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
 BLOCK_B = DRIVE_B[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
 BLOCK_C = BLOCK_A @ BLOCK_B - BLOCK_B @ BLOCK_A
+
+# Odd moments |tr H| / S^(1/2) and |tr H^3| / S^(3/2) of a sector block are
+# a few eps; anything above this is a spectrum that is not symmetric.
+ODD_MOMENT_RTOL = 1e-12
 
 
 def drive_grid(path, omega):
@@ -177,6 +221,53 @@ def frame_derivative_grid(path):
 def block_eigenvector_derivatives(schedule, s):
     """Columnwise d/ds of block_eigenvectors at scalar s."""
     return frame_derivative_grid(sample(schedule, np.atleast_1d(float(s))))[0]
+
+
+def _sinc(z):
+    return np.sinc(z / np.pi)
+
+
+def _half_square_norm(a):
+    """||a||_F^2 / 2 of each 4x4 slice of a complex (..., 4, 4) array."""
+    flat = a.view(float).reshape(a.shape[:-2] + (32,))
+    return 0.5 * np.einsum("...i,...i->...", flat, flat)
+
+
+def block_exponential_grid(h, dt):
+    """exp(-i h dt) of each Hermitian 4x4 block of h, shape (..., 4, 4).
+
+    Closed form for a spectrum +-lambda_1, +-lambda_2, which every sector
+    block has in both modes (see "Step exponential" in the module
+    docstring).  A block whose odd moments tr h or tr h^3 exceed roundoff
+    has no such spectrum and raises ValueError.
+    """
+    lead = np.shape(h)[:-2]
+    h = np.ascontiguousarray(h, dtype=complex).reshape(-1, 4, 4)
+    h2 = h @ h
+    h3 = h @ h2
+    s = _half_square_norm(h)  # lambda_1^2 + lambda_2^2
+    odd1 = np.abs(np.einsum("...ii->...", h))
+    odd3 = np.abs(np.einsum("...ii->...", h3).real)
+    if np.any(odd1 > ODD_MOMENT_RTOL * np.sqrt(s)) or np.any(
+        odd3 > ODD_MOMENT_RTOL * s**1.5
+    ):
+        raise ValueError("block spectrum is not symmetric about zero")
+    # lambda_1^2 - lambda_2^2 from lambda_1^4 + lambda_2^4 = ||h^2||_F^2 / 2
+    d = np.sqrt(np.maximum(2.0 * _half_square_norm(h2) - s * s, 0.0))
+    x = dt * np.sqrt(0.5 * (s + d))
+    y = dt * np.sqrt(np.maximum(0.5 * (s - d), 0.0))
+    p, q = 0.5 * (x + y), 0.5 * (x - y)
+    # the docstring's alpha, beta, gamma, delta in units of dt^0, dt^2, dt, dt^3
+    beta = -0.5 * _sinc(p) * _sinc(q)
+    delta = (np.cos(p) * _sinc(q) - _sinc(y)) / (2.0 * p * x)
+    alpha = np.cos(y) - beta * y * y
+    gamma = _sinc(y) - delta * y * y
+    u = (dt * dt * beta)[..., None, None] * h2
+    u += (-1j * dt * gamma)[..., None, None] * h
+    u += (-1j * dt**3 * delta)[..., None, None] * h3
+    diag = np.arange(4)
+    u[..., diag, diag] += alpha[..., None]
+    return u.reshape(lead + (4, 4))
 
 
 def embed_blocks(plus_block, minus_block):

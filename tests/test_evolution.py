@@ -187,6 +187,43 @@ def test_propagate_validation():
     np.testing.assert_allclose(out_stored, out_explicit, atol=1e-14)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+def test_propagate_rejects_a_duration_that_is_not_finite_and_positive(tau):
+    fam = sagt.single_sector_family(1.0, builtin_schedule("linear"))
+    psi0 = sagt.initial_state(np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        evolution.propagate(fam, psi0, 100, tau=tau)
+
+
+@pytest.mark.parametrize("steps", [2.7, float("nan"), float("inf")])
+def test_a_step_count_that_is_not_whole_is_rejected(steps):
+    sch = builtin_schedule("linear")
+    fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), tau=1.0)
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="whole number"):
+        evolution.propagate(fam, sagt.initial_state(psi, 1), steps)
+    with pytest.raises(ValueError, match="whole number"):
+        sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", psi, steps=steps)
+    with pytest.raises(ValueError, match="whole number"):
+        sagt.run_gate_teleport("x", sch, 1.0, "superadiabatic", psi, steps=steps)
+
+
+@pytest.mark.parametrize("mode", evolution.MODES)
+def test_runs_need_no_eigensolver(monkeypatch, mode):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    sch = builtin_schedule("trigonometric")
+    rng = np.random.default_rng(47)
+    state = sagt.run_state_teleport(1, sch, 1.0, mode, np.array([0.6, 0.8]))
+    gate = sagt.run_gate_teleport("cnot", sch, 1.0, mode, sagt.random_state(4, rng))
+    for rec in (state, gate):
+        assert rec.accepted
+        if mode == "superadiabatic":
+            assert rec.fidelity >= 1.0 - 1e-6
+
+
 @pytest.mark.parametrize("tau_omega", [0.05, 1.0])
 def test_corrected_drive_transports_the_ground_manifold(tau_omega):
     # with the velocity term included the instantaneous ground pair is an

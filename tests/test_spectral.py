@@ -8,12 +8,16 @@ the closed-form derivatives with a finite difference of the frame.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import sagt
 from sagt import spectral
 from sagt.schedules import Schedule, builtin_schedule, chi, sample
 
 import oracles
+import strategies
 
 KINDS = ("linear", "trigonometric", "exponential")
 GRID = np.linspace(0.0, 1.0, 41)
@@ -179,16 +183,93 @@ def test_derivatives_preserve_normalization():
     assert np.max(np.abs(radial)) < 1e-8
 
 
-def test_plateau_drive_has_static_frame():
-    frozen = Schedule(
+def _plateau():
+    return Schedule(
         name="plateau",
         eta_i=lambda s: 0.6 + 0.0 * s,
         eta_f=lambda s: 0.8 + 0.0 * s,
         deta_i=lambda s: 0.0 * s,
         deta_f=lambda s: 0.0 * s,
     )
-    dv = spectral.frame_derivative_grid(sample(frozen, np.linspace(0.0, 1.0, 11)))
+
+
+def test_plateau_drive_has_static_frame():
+    dv = spectral.frame_derivative_grid(sample(_plateau(), np.linspace(0.0, 1.0, 11)))
     assert np.max(np.abs(dv)) < 1e-9
+
+
+def _families(sch, omega, tau):
+    base = sagt.single_sector_family(omega, sch)
+    return base, sagt.superadiabatic_family(base, tau)
+
+
+def _dressed_levels(path, omega, tau):
+    """lambda_1^2, lambda_2^2 of the star det(H - x) = x^4 - (E^2 + g^2 +
+    h^2) x^2 + E^2 h^2, with theta and a(theta) taken from atan2 and trig."""
+    ei, ef, dei, def_ = path
+    chi2 = ei * ei + ef * ef
+    e2 = 4.0 * omega**2 * chi2
+    g = (ei * def_ - ef * dei) / chi2 / tau if tau is not None else 0.0 * ei
+    theta = np.arctan2(ef, ei)
+    h = (np.cos(theta) + np.sin(theta)) / (2.0 - np.sin(2.0 * theta)) * g
+    total = e2 + g * g + h * h
+    top = 0.5 * (total + np.sqrt(total * total - 4.0 * e2 * h * h))
+    return top, e2 * h * h / top
+
+
+TAUS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+OMEGAS = st.sampled_from([0.5, 1.0, 3.0])
+DRIVES = st.one_of(strategies.paths, st.builds(_plateau))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=DRIVES, tau=TAUS, omega=OMEGAS)
+def test_dressed_block_spectrum_is_plus_minus_lambda(sch, tau, omega):
+    s = np.linspace(0.0, 1.0, 33)
+    path = sample(sch, s)
+    for fam, t in zip(_families(sch, omega, tau), (None, tau)):
+        top, low = _dressed_levels(path, omega, t)
+        l1, l2 = np.sqrt(top), np.sqrt(low)
+        expected = np.stack([-l1, -l2, l2, l1], axis=-1)
+        got = np.linalg.eigvalsh(fam.block_matrix_grid(s))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * l1.max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=DRIVES, tau=TAUS, omega=OMEGAS, reach=st.floats(1e-3, 10.0))
+def test_block_exponential_matches_expm(sch, tau, omega, reach):
+    # reach = the largest lambda_1 dt on the grid, up to about 3 pi
+    s = np.linspace(0.0, 1.0, 33)
+    for fam in _families(sch, omega, tau):
+        h = fam.block_matrix_grid(s)
+        dt = reach / np.abs(np.linalg.eigvalsh(h)).max()
+        u = spectral.block_exponential_grid(h, dt)
+        ref = np.stack([expm(-1j * dt * b) for b in h])
+        assert np.abs(u - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(-2.0, -0.5, 0.5, 2.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, -1.0, 1.0, 1.0)],
+    ids=["distinct", "zero-pair", "degenerate"],
+)
+def test_block_exponential_of_a_symmetric_spectrum(levels):
+    rng = np.random.default_rng(5)
+    v = sagt.random_unitary(4, rng)
+    h = (v * np.array(levels)) @ v.conj().T
+    for dt in (0.1, 2.0, 7.0):
+        u = spectral.block_exponential_grid(h, dt)
+        np.testing.assert_allclose(u, expm(-1j * dt * h), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "levels", [(1.0, 2.0, 3.0, -6.0), (1.0, -1.0, 2.0, -1.0)], ids=["cubic", "trace"]
+)
+def test_block_exponential_rejects_an_asymmetric_spectrum(levels):
+    good = np.diag([1.0, -1.0, 2.0, -2.0]).astype(complex)
+    blocks = np.stack([good, np.diag(levels).astype(complex)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectral.block_exponential_grid(blocks, 0.1)
 
 
 def test_embed_blocks_structure():
