@@ -11,12 +11,15 @@ in units of hbar*omega.  Two independent routes are kept side by side:
 They agree because the drive/velocity cross trace vanishes for a real
 frame.  Per parity block the levels give E^2 = 4 omega^2 chi^2 twice, and
 the mu sum is ||V'||_F^2 = ||K V||_F^2 = ||K||_F^2 for the orthogonal
-frame V and its velocity K (spectral.velocity_grid).  With both blocks the
-one integrand, in units of hbar*omega, is
+frame V and its velocity K, which is 2 theta'^2 (1 + a(theta)^2) (see
+spectral).  With both blocks the one integrand, in units of hbar*omega, is
 
-    sqrt(16 chi^2 + 2 ||K||_F^2 / (tau omega)^2),
+    sqrt(16 chi^2 + 4 theta'^2 (1 + a^2) / (tau omega)^2),
 
-the velocity term dropped for the bare drive.  For n sectors the
+the velocity term dropped for the bare drive: two scalar weights read off
+spectral.chart, no matrix built.  As tau omega -> 0, tau omega Sigma tends
+to 2 Int sqrt(1 + a^2) |d theta|, which is 4.493861 for any path on which
+theta runs monotonically from 0 to pi/2.  For n sectors the
 traceless sector terms are orthogonal in the Frobenius sense, which
 collapses the register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n)
 times the single-sector cost.
@@ -27,7 +30,7 @@ schedules.sample per Simpson level and reads both weights off it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,30 +98,23 @@ def mu(schedule, s, m):
     return float(dv @ dv)
 
 
-class _Weights:
-    """The cost weights 16 chi^2 and 2 ||K||_F^2 on the n-interval Simpson
-    grid of [0, 1], both read off one sample; K is built on first use."""
-
-    def __init__(self, schedule, n):
-        self.path = ei, ef, _, _ = sample(schedule, np.linspace(0.0, 1.0, n + 1))
-        self.energy = 16.0 * (ei * ei + ef * ef)
-
-    @cached_property
-    def velocity(self):
-        k = spectral.velocity_grid(self.path)
-        return 2.0 * np.einsum("...ij,...ij->...", k, k)
+def _weights(schedule, n):
+    """The cost weights 16 chi^2 and 2 ||K||_F^2 = 4 theta'^2 (1 + a^2) on
+    the n-interval Simpson grid of [0, 1], both read off one sample."""
+    chi2, _, rate, a = spectral.chart(sample(schedule, np.linspace(0.0, 1.0, n + 1)))
+    return 16.0 * chi2, 4.0 * rate * rate * (1.0 + a * a)
 
 
 def _unit_cost(weights, tau_omega, quad_points=64):
     """The closed-form cost in units of hbar*omega, as (value, intervals,
-    defect), from weights(n), the _Weights of the n-interval grid;
-    tau_omega None is the bare drive, which never builds K."""
+    defect), from weights(n), the _weights of the n-interval grid;
+    tau_omega None is the bare drive."""
 
     def integrand(n):
-        w = weights(n)
+        energy, velocity = weights(n)
         if tau_omega is None:
-            return np.sqrt(w.energy)
-        return np.sqrt(w.energy + w.velocity / tau_omega**2)
+            return np.sqrt(energy)
+        return np.sqrt(energy + velocity / tau_omega**2)
 
     return _converge(integrand, quad_points)
 
@@ -127,13 +123,13 @@ def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     """Spectral route: omega times the unit-cost integral at tau*omega."""
     require_positive("tau", tau)
     require_positive("omega", omega)
-    return omega * _unit_cost(partial(_Weights, schedule), tau * omega, quad_points)[0]
+    return omega * _unit_cost(partial(_weights, schedule), tau * omega, quad_points)[0]
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
     require_positive("omega", omega)
-    return omega * _unit_cost(partial(_Weights, schedule), None, quad_points)[0]
+    return omega * _unit_cost(partial(_weights, schedule), None, quad_points)[0]
 
 
 def cost_scaling(n):
@@ -165,11 +161,11 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
     """Closed-form cost curves over a tau*omega grid.
 
     The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties: one sample
-    per schedule and quadrature level feeds both, each is built at most once
-    (the second only if needed) and reused across the whole grid.  Costs
-    come out in units of hbar*omega, in which they depend on tau and omega
-    only through the product tau*omega.  Each report carries the interval count and
-    defect of its hardest grid point (the last one with the most intervals).
+    per schedule and quadrature level feeds both, built once and reused
+    across the whole grid.  Costs come out in units of hbar*omega, in which
+    they depend on tau and omega only through the product tau*omega.  Each
+    report carries the interval count and defect of its hardest grid point
+    (the last one with the most intervals).
     """
     if tau_omega_grid is None:
         tau_omega_grid = DEFAULT_TAU_GRID
@@ -180,7 +176,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
         require_positive("tau*omega", t)
     reports = []
     for schedule in schedules:
-        weights = lru_cache(maxsize=None)(partial(_Weights, schedule))
+        weights = lru_cache(maxsize=None)(partial(_weights, schedule))
         for mode in modes:
             if mode not in ("adiabatic", "superadiabatic"):
                 raise ValueError(f"unknown mode {mode!r}")

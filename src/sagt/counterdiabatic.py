@@ -2,10 +2,9 @@
 transporter of its own eigenframe.
 
 Per parity block the correction is (i hbar / tau) sum_m |d/ds v_m><v_m| =
-(i/tau) K, with K = theta' [-C/4 + a(theta) (v2 v1^T - v1 v2^T)] the
-closed-form frame velocity of spectral.velocity_grid: exact in the
-schedule's derivatives, and bounded because a(theta) = (cos theta +
-sin theta) / (2 - sin 2 theta) has a denominator of at least 1.  K is real
+(i/tau) K, with K = theta' R (a T0 - C/4) R^T the closed-form frame
+velocity of spectral.velocity_grid: exact in the schedule's derivatives,
+and bounded, ||K||_F^2 = 2 theta'^2 (1 + a^2) with |a| <= sqrt 2.  K is real
 antisymmetric, so the correction is Hermitian, traceless, and zero
 whenever the schedule freezes (theta' = 0).  block_cd_grid is the only
 construction of the term, from a schedules.sample: HamiltonianFamily hands
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import spectral
 from .operators import require_positive
-from .schedules import sample
+from .schedules import sample_at
 
 _CHECK_STEP = 1e-6  # finite-difference step of assembled_register_cd
 
@@ -34,7 +33,7 @@ def block_cd_grid(path, tau):
 
 def block_cd(schedule, s, tau):
     """4x4 correction at scalar s."""
-    return block_cd_grid(sample(schedule, np.atleast_1d(float(s))), tau)[0]
+    return block_cd_grid(sample_at(schedule, s), tau)[0]
 
 
 def sector_cd(schedule, s, tau):
@@ -46,7 +45,7 @@ def sector_cd(schedule, s, tau):
 def embedded_frame(schedule, s):
     """8x8 orthogonal matrix whose columns are the sector eigenvectors
     lifted to the register: even-block levels first, then odd."""
-    v = spectral.frame_grid(sample(schedule, np.atleast_1d(float(s))))[0]
+    v = spectral.frame_grid(sample_at(schedule, s))[0]
     cols = [
         spectral.embed_block_vector(v[:, m], parity)
         for parity in (+1, -1)

@@ -42,7 +42,7 @@ from .model import (
 )
 from .operators import require_positive
 from .schedules import chi as _chi
-from .schedules import sample
+from .schedules import in_domain, sample
 
 NORM_ATOL = 1e-10
 DEFAULT_STEPS = 2000
@@ -66,11 +66,11 @@ def fidelity(psi, phi):
     return float(min(val, 1.0))
 
 
-def _whole(steps):
-    """steps as an int; ValueError unless it is a whole number."""
-    if not float(steps).is_integer():
-        raise ValueError(f"steps must be a whole number, got {steps}")
-    return int(steps)
+def _whole(count, name="steps"):
+    """count as an int; ValueError unless it is a whole number."""
+    if not float(count).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {count}")
+    return int(count)
 
 
 def _apply_sectorwise(u, psi, n):
@@ -156,9 +156,7 @@ def adiabatic_reference(family, s, psi_in=None, tau=None):
         raise ValueError("reference trajectories are defined for adiabatic families")
     if family.sectors != 1:
         raise ValueError("adiabatic_reference handles single-sector registers")
-    s = float(s)
-    if s < 0.0 or s > 1.0:
-        raise ValueError(f"s outside [0, 1]: {s}")
+    s = in_domain(float(s))
     psi_in = _protocol_input([1.0, 0.0] if psi_in is None else psi_in, 1)
     if tau is None:  # an adiabatic family carries no duration
         raise ValueError("tau is required to evaluate the dynamical phase")
@@ -221,7 +219,9 @@ def _run_protocol(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     require_positive("tau_omega", tau_omega)
-    steps = _whole(steps)
+    steps, max_steps = _whole(steps), _whole(max_steps, "max_steps")
+    if not target_defect >= 0.0:  # NaN fails too
+        raise ValueError(f"target_defect must be >= 0, got {target_defect}")
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)

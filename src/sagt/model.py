@@ -16,7 +16,7 @@ import numpy as np
 
 from .counterdiabatic import block_cd_grid
 from .operators import pauli_string, place_on_qubits, require_positive
-from .schedules import Schedule, sample
+from .schedules import Schedule, in_domain, sample
 from .spectral import drive_grid, embed_blocks
 
 MAX_QUBITS = 10
@@ -88,10 +88,7 @@ class HamiltonianFamily:
         return embed_blocks(h, h)
 
     def sector_matrix(self, s):
-        s = float(s)
-        if s < 0.0 or s > 1.0:
-            raise ValueError(f"s outside [0, 1]: {s}")
-        return self.sector_matrix_grid(np.array([s]))[0]
+        return self.sector_matrix_grid(np.array([in_domain(float(s))]))[0]
 
     def matrix(self, s):
         h = self.sector_matrix(s)

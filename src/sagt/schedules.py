@@ -8,7 +8,8 @@ the whole path.
 
 `sample` is the one evaluation of a schedule on a grid, each function
 called once.  The drive, the frame, the velocity term and the cost weights
-are functions of that sample: a consumer samples its grid once.
+are functions of that sample: a consumer samples its grid once.  Scalar
+entry points check s with in_domain (0 <= s <= 1) and sample it with sample_at.
 
 Schedule is a plain record; the factories (`builtin_schedule`,
 `make_schedule`) are the validated entry points.  Tests may build raw
@@ -60,13 +61,25 @@ def sample(schedule, s):
     return tuple(grid_eval(fn, s) for fn in fns)
 
 
+def in_domain(s):
+    """s as a float (an array for array input); ValueError unless every
+    entry has 0 <= s <= 1, which a NaN has not."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"schedule parameter outside [0, 1]: {s}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def sample_at(schedule, s):
+    """sample at the one point s, checked by in_domain; shape (1,) each."""
+    return sample(schedule, np.atleast_1d(in_domain(float(s))))
+
+
 def chi(schedule, s):
     """Radial coordinate sqrt(eta_i^2 + eta_f^2); accepts scalars or arrays."""
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"schedule parameter outside [0, 1]: {s}")
-    out = np.hypot(*sample(schedule, arr)[:2])
-    return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+    s = in_domain(s)
+    out = np.hypot(*sample(schedule, s)[:2])
+    return float(out) if np.ndim(s) == 0 else out
 
 
 def _check_boundaries(sched):

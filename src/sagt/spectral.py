@@ -22,51 +22,41 @@ even basis the block reads
 
 with eigenvalues -2 omega chi, 0, 0, +2 omega chi, chi = sqrt(ei^2+ef^2).
 
-Eigenvectors are written in closed forms chosen to stay finite and smooth
-on all of [0, 1].  The raw textbook expressions contain differences like
-chi - ef that cancel catastrophically near the endpoints; we remove them
-with the identity chi - ef = ei^2 / (chi + ef), after which the ground
-vector is ei times
+Frame.  With C the parity block of [A, B] (A = 1XX+1ZZ, B = XX1+ZZ1),
+[A, C] = 4B and [B, C] = -4A, so R(theta) = exp(-theta C/4) turns A into
+cos theta A + sin theta B; as (C/4)^3 = -C/4,
 
-    w0 = (chi+ei,  ei (chi+ei)/(chi+ef),  ei ef/(chi+ef),  ef),
+    R(theta) = 1 - sin theta C/4 + (1 - cos theta) (C/4)^2.
 
-which never vanishes.  The top vector comes for free: conjugating the
-block by diag(1,-1,1,-1) followed by the swap (1<->3, 2<->4) flips the
-sign of the block Hamiltonian, so applying that involution to w0 yields
-the +2 omega chi eigenvector with the same regularity.
+The block at (ei, ef) = chi (cos theta, sin theta) is thus chi R H_0 R^T,
+H_0 the block at (1, 0), whose frame FRAME_0 has the columns (1,1,0,0),
+(1,-1,0,0), (0,0,1,1) and (0,0,1,-1) over sqrt 2, energy ascending.  The
+zero-mode pair v1, v2 is turned in a fixed gauge by exp(phi T0), with
+T0 = v2 v1^T - v1 v2^T (T0^3 = -T0 too), phi = atan(sin theta - cos theta)
++ pi/4:
 
-The two zero modes are taken in a fixed gauge: the first is
+    V(theta) = R(theta) exp(phi T0) FRAME_0,
 
-    u1 = (ei-ef, -ei, 0, ef),
+real orthogonal, so <v_m | d/ds v_m> = 0.  Nothing divides by chi + ei or
+chi + ef: V is exact to roundoff at every theta, around the circle too.
+chart(path) is the one place theta = atan2(ef, ei) is read off a sample,
+with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below.
 
-and the second is u2 = (-ei, ei+ef, ef, 0) orthogonalized against u1.
-Carrying out the orthogonalization symbolically (the cross term telescopes
-through ei^3 + ef^3 = (ei+ef)(ei^2 - ei ef + ef^2)) gives the stable form
+Velocity.  d phi / d theta = a(theta) = (cos theta + sin theta) /
+(2 - sin 2 theta), whose denominator is at least 1, so the real
+antisymmetric frame velocity is K = V' V^T = theta' R (a T0 - C/4) R^T.
+R leaves C and the singlet v1 - v2 fixed and turns the spin-1 zero mode
+v1 + v2 in a plane, so R T0 R^T = cos theta T0 + sin theta T1 with
+T1 = [T0, C/4], and
 
-    r2 = (-ei ef,  ef^2,  ei^2 - ei ef + ef^2,  ei^2),
+    K(s) = theta'(s) [a (cos theta T0 + sin theta T1) - C/4].
 
-whose third component is bounded below, whereas the naive two-step
-Gram-Schmidt degenerates at s = 0 where u1 and u2 become anti-parallel.
-
-All vectors are real; normalized columns v0, v1, v2, v3 (energy
-ascending) form the transport frame, and the gauge <v_m | d/ds v_m> = 0
-holds automatically because each column keeps unit norm.
-
-Velocity.  Every closed form above is homogeneous in (ei, ef), so the
-normalized frame depends on s only through theta = atan2(ef, ei), and
-d/ds = theta' d/dtheta with theta' = (ei ef' - ef ei') / chi^2 taken
-exactly from the schedule's derivatives.  The frame velocity K = V' V^T is
-real antisymmetric (V V^T is constant) and reads
-
-    K(s) = theta'(s) [ -C/4 + a(theta) (v2 v1^T - v1 v2^T) ],
-
-with C the parity block of [A, B] (A = 1XX+1ZZ, B = XX1+ZZ1).  -C/4 is the
-gauge-minimal term of Berry (J. Phys. A 42, 365303, 2009) and Demirplak &
-Rice (J. Phys. Chem. A 107, 9937, 2003), with no element inside the
-zero-mode pair; the second term turns the fixed zero-mode gauge inside
-that pair at rate a = <v2 | d/dtheta v1> = (cos theta + sin theta) /
-(2 - sin 2 theta), whose denominator is at least 1.  K is therefore
-bounded by |theta'| times a constant and vanishes for a frozen schedule.
+-C/4 is the gauge-minimal term of Berry (J. Phys. A 42, 365303, 2009) and
+Demirplak & Rice (J. Phys. Chem. A 107, 9937, 2003); the a term turns the
+fixed gauge inside the zero-mode pair.  T0, T1 and C/4 are orthogonal,
+each of squared Frobenius norm 2, so ||K||_F^2 = 2 theta'^2 (1 + a^2):
+K is bounded by |theta'| times a constant and vanishes for a frozen
+schedule.
 
 Dressed spectrum.  With X = A/2, Y = B/2 and Z = C/(4i) the even block
 carries su(2) as spin 1 (+) spin 0: the drive is -E n.J with E = 2 omega
@@ -110,14 +100,15 @@ through the odd moments tr H and tr H^3.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
-schedule and a grid; the scalar entry points sample once each.
+schedule and a grid, and reads those off it through chart; the scalar
+entry points sample their one point through schedules.sample_at.
 """
 
 import numpy as np
 
 from .operators import pauli_string
 from .schedules import chi as _chi
-from .schedules import sample
+from .schedules import in_domain, sample, sample_at
 
 # Computational-basis indices of the even block and, pairwise complemented,
 # of the odd block.  Order matters: it is what makes the two blocks equal.
@@ -131,6 +122,14 @@ DRIVE_B = pauli_string("XX1") + pauli_string("ZZ1")
 BLOCK_A = DRIVE_A[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
 BLOCK_B = DRIVE_B[np.ix_(PLUS_BASIS, PLUS_BASIS)].real
 BLOCK_C = BLOCK_A @ BLOCK_B - BLOCK_B @ BLOCK_A
+
+# The theta = 0 frame, energy ascending, its zero-mode turn T0, and the
+# basis (T0, T1, C/4) on which K / theta' is (a cos, a sin, -1), flattened.
+FRAME_0 = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]).T / 2**0.5
+TURN_0 = np.outer(FRAME_0[:, 2], FRAME_0[:, 1])
+TURN_0 = TURN_0 - TURN_0.T
+TURN_1 = 0.25 * (TURN_0 @ BLOCK_C - BLOCK_C @ TURN_0)
+_VELOCITY_BASIS = np.stack([TURN_0, TURN_1, 0.25 * BLOCK_C]).reshape(3, 16)
 
 # Odd moments |tr H| / S^(1/2) and |tr H^3| / S^(3/2) of a sector block are
 # a few eps; anything above this is a spectrum that is not symmetric.
@@ -153,7 +152,7 @@ def block_hamiltonian(schedule, s, omega=1.0):
     the velocity block to it, and every 8x8 sector operator of the package
     is embed_blocks(b, b) of that sum.
     """
-    return drive_grid(sample(schedule, s), omega)
+    return drive_grid(sample(schedule, in_domain(s)), omega)
 
 
 def block_energies(schedule, s, omega=1.0):
@@ -168,49 +167,44 @@ def gap(schedule, s, omega=1.0):
     return 2.0 * omega * _chi(schedule, s)
 
 
+def chart(path):
+    """(chi^2, theta, theta', a(theta)) at each point of a schedules.sample:
+    theta = atan2(ef, ei), theta' = (ei ef' - ef ei') / chi^2 and the
+    zero-mode turn rate a = (cos theta + sin theta) / (2 - sin 2 theta)."""
+    ei, ef, dei, def_ = path
+    chi2 = ei * ei + ef * ef
+    theta = np.arctan2(ef, ei)
+    a = (np.cos(theta) + np.sin(theta)) / (2.0 - np.sin(2.0 * theta))
+    return chi2, theta, (ei * def_ - ef * dei) / chi2, a
+
+
+def _exp_turn(m, angle):
+    """exp(angle m) = 1 + sin(angle) m + (1 - cos(angle)) m^2 at each angle,
+    for a constant real m with m^3 = -m; shape (..., 4, 4)."""
+    angle = angle[..., None, None]
+    return np.eye(4) + np.sin(angle) * m + (1.0 - np.cos(angle)) * (m @ m)
+
+
 def frame_grid(path):
-    """Orthonormal real eigenframe at each sample point.
-
-    Returns shape (..., 4, 4); column m of each 4x4 slice is the
-    eigenvector of block_energies[m].  Columns are smooth in s (no
-    eigensolver gauge jumps) because they come from fixed closed forms.
-    """
-    ei, ef = path[:2]
-    c = np.hypot(ei, ef)
-    a = c + ei
-    b = c + ef  # >= chi > 0, safe denominator
-    d = ei * ei - ei * ef + ef * ef
-    zero = np.zeros_like(ei)
-
-    w0 = np.stack([a, ei * a / b, ei * ef / b, ef], axis=-1)
-    u1 = np.stack([ei - ef, -ei, zero, ef], axis=-1)
-    r2 = np.stack([-ei * ef, ef * ef, d, ei * ei], axis=-1)
-    # spectral flip of w0: (w0_3, -w0_4, w0_1, -w0_2)
-    w3 = np.stack([ei * ef / b, -ef, a, -ei * a / b], axis=-1)
-    v = np.stack([w0, u1, r2, w3], axis=-1)
-    return v / np.linalg.norm(v, axis=-2, keepdims=True)
+    """The eigenframe V = R(theta) exp(phi T0) FRAME_0 at each sample point,
+    (..., 4, 4); column m is the eigenvector of block_energies[m]."""
+    _, theta, _, _ = chart(path)
+    phi = np.arctan(np.sin(theta) - np.cos(theta)) + 0.25 * np.pi
+    return _exp_turn(-0.25 * BLOCK_C, theta) @ _exp_turn(TURN_0, phi) @ FRAME_0
 
 
 def block_eigenvectors(schedule, s):
     """4x4 orthonormal frame at scalar s; columns ordered by energy."""
-    return frame_grid(sample(schedule, np.atleast_1d(float(s))))[0]
+    return frame_grid(sample_at(schedule, s))[0]
 
 
 def velocity_grid(path):
-    """The real antisymmetric frame velocity K = V' V^T at each sample point.
-
-    Returns shape (..., 4, 4), exact in the schedule's derivatives:
-    K = theta' [-C/4 + a(theta) (v2 v1^T - v1 v2^T)] (see module docstring).
-    """
-    ei, ef, dei, def_ = path
-    chi2 = ei * ei + ef * ef
-    rate = (ei * def_ - ef * dei) / chi2
-    # a = (cos + sin) / (2 - sin 2theta); chi^2 - ei ef >= chi^2 / 2 > 0
-    a = np.sqrt(chi2) * (ei + ef) / (2.0 * (chi2 - ei * ef))
-    v = frame_grid(path)
-    v1, v2 = v[..., :, 1], v[..., :, 2]
-    turn = v2[..., :, None] * v1[..., None, :] - v1[..., :, None] * v2[..., None, :]
-    return rate[..., None, None] * (a[..., None, None] * turn - 0.25 * BLOCK_C)
+    """K = V' V^T = theta' [a (cos theta T0 + sin theta T1) - C/4] at each
+    sample point, (..., 4, 4), exact in the schedule's derivatives."""
+    _, theta, rate, a = chart(path)
+    weights = np.stack([a * np.cos(theta), a * np.sin(theta), -np.ones_like(a)], axis=-1)
+    k = (rate[..., None] * weights) @ _VELOCITY_BASIS
+    return k.reshape(np.shape(theta) + (4, 4))
 
 
 def frame_derivative_grid(path):
@@ -220,7 +214,7 @@ def frame_derivative_grid(path):
 
 def block_eigenvector_derivatives(schedule, s):
     """Columnwise d/ds of block_eigenvectors at scalar s."""
-    return frame_derivative_grid(sample(schedule, np.atleast_1d(float(s))))[0]
+    return frame_derivative_grid(sample_at(schedule, s))[0]
 
 
 def _sinc(z):

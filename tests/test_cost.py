@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import sagt
 from sagt import cost
 from sagt.schedules import builtin_schedule, chi
 
 import oracles
+import strategies
 
 KINDS = ("linear", "trigonometric", "exponential")
 
@@ -18,6 +20,42 @@ ADIABATIC_COST = {
     "trigonometric": 4.0,
     "exponential": 2.80950263766697,
 }
+
+
+# Frozen via scipy.integrate.quad of 2 sqrt(1 + a(theta)^2) over [0, pi/2],
+# a = (cos + sin) / (2 - sin 2 theta): the fixed-gauge limit of tau omega
+# times the cost as tau omega -> 0, the same for every path on which theta
+# runs monotonically from 0 to pi/2.
+ENERGY_TIME_LIMIT = 4.493860769350516
+
+
+def _turn_rate(theta):
+    return (np.cos(theta) + np.sin(theta)) / (2.0 - np.sin(2.0 * theta))
+
+
+def test_energy_time_limit_matches_quadrature_oracle():
+    fresh = oracles.reference_quad(
+        lambda t: 2.0 * np.sqrt(1.0 + _turn_rate(t) ** 2), 0.0, np.pi / 2
+    )
+    assert fresh == pytest.approx(ENERGY_TIME_LIMIT, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fast_builtin_drives_reach_the_energy_time_limit(kind):
+    sch = builtin_schedule(kind)
+    near = [t * cost.cost_closed_form(sch, t) for t in (1e-3, 1e-4)]
+    assert near[1] == pytest.approx(ENERGY_TIME_LIMIT, rel=1e-8)
+    assert abs(near[1] - ENERGY_TIME_LIMIT) < abs(near[0] - ENERGY_TIME_LIMIT)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sch=strategies.paths)
+def test_fast_random_drives_reach_the_energy_time_limit(sch):
+    # the excess over the limit is at most 4 (tau omega)^2 Int chi^2 / |theta'|,
+    # under 2e-6 on these paths (chi <= 2.8, theta' >= 0.05 pi)
+    assert 1e-4 * cost.cost_closed_form(sch, 1e-4) == pytest.approx(
+        ENERGY_TIME_LIMIT, rel=1e-6
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)

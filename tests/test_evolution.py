@@ -208,6 +208,44 @@ def test_a_step_count_that_is_not_whole_is_rejected(steps):
         sagt.run_gate_teleport("x", sch, 1.0, "superadiabatic", psi, steps=steps)
 
 
+def _unpropagated_runs(monkeypatch, **options):
+    """A state run and a gate run with these options, under a propagate
+    that fails if the run gets that far."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("propagate was called")
+
+    monkeypatch.setattr(evolution, "propagate", never)
+    sch, psi = builtin_schedule("linear"), [1.0, 0.0]
+    return (
+        lambda: sagt.run_state_teleport(1, sch, 1.0, "adiabatic", psi, **options),
+        lambda: sagt.run_gate_teleport("x", sch, 1.0, "adiabatic", psi, **options),
+    )
+
+
+@pytest.mark.parametrize("max_steps", [6.5, float("nan"), float("inf")])
+def test_a_step_budget_that_is_not_whole_is_rejected(monkeypatch, max_steps):
+    # a NaN budget used to switch the budget off, and 6.5 was taken as it stood
+    for run in _unpropagated_runs(monkeypatch, steps=2, max_steps=max_steps):
+        with pytest.raises(ValueError, match="max_steps must be a whole number"):
+            run()
+
+
+@pytest.mark.parametrize("target", [float("nan"), -1.0, -1e-300])
+def test_a_target_defect_that_no_run_can_meet_is_rejected(monkeypatch, target):
+    for run in _unpropagated_runs(monkeypatch, target_defect=target):
+        with pytest.raises(ValueError, match="target_defect must be >= 0"):
+            run()
+
+
+def test_a_zero_target_defect_runs_to_the_budget():
+    sch = builtin_schedule("linear")
+    rec = sagt.run_state_teleport(
+        1, sch, 1.0, "adiabatic", [1.0, 0.0], steps=2, max_steps=12, target_defect=0.0
+    )
+    assert rec.step_count == 8
+
+
 @pytest.mark.parametrize("mode", evolution.MODES)
 def test_runs_need_no_eigensolver(monkeypatch, mode):
     def no_eigh(*args, **kwargs):

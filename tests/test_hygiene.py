@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used,
 every import sits at module level, so the module graph reads off the top of
-each file, and no module but schedules evaluates a schedule on a grid."""
+each file, no module but schedules evaluates a schedule on a grid, and
+no module but spectral reads an angle off (eta_i, eta_f) with arctan2."""
 
 import ast
 from pathlib import Path
@@ -68,20 +69,24 @@ def test_no_function_level_imports(path):
     assert function_level_imports(path.read_text(encoding="utf-8")) == []
 
 
-def grid_eval_references(source):
-    """Line numbers that name grid_eval: a bare name, an attribute or an
-    imported alias."""
+def name_references(source, names):
+    """Line numbers that name one of `names`: a bare name, an attribute or
+    an imported alias."""
     tree = ast.parse(source)
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "grid_eval":
+        if isinstance(node, ast.Name) and node.id in names:
             lines.add(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "grid_eval":
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom):
-            if any(alias.name == "grid_eval" for alias in node.names):
+            if any(alias.name in names for alias in node.names):
                 lines.add(node.lineno)
     return sorted(lines)
+
+
+def grid_eval_references(source):
+    return name_references(source, {"grid_eval"})
 
 
 def test_the_scan_sees_grid_eval():
@@ -102,3 +107,27 @@ def test_schedules_are_evaluated_only_through_their_sample(path):
     # schedules.sample is the one evaluation of a schedule on a grid;
     # every other module reads the schedule through it
     assert grid_eval_references(path.read_text(encoding="utf-8")) == []
+
+
+def arctan2_references(source):
+    return name_references(source, {"arctan2", "atan2"})
+
+
+def test_the_scan_sees_arctan2():
+    source = (
+        "import math\n"
+        "from numpy import arctan2 as angle\n"
+        "x = np.arctan2(ef, ei)\n"
+        "y = math.atan2(1.0, 2.0)\n"
+        "z = np.arctan(ef / ei)\n"
+    )
+    assert arctan2_references(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "spectral.py"], ids=lambda p: p.name
+)
+def test_the_chart_has_one_home(path):
+    # spectral.chart is where theta = atan2(eta_f, eta_i) is read off a
+    # sample; every other module takes theta from it
+    assert arctan2_references(path.read_text(encoding="utf-8")) == []

@@ -61,6 +61,41 @@ def test_chi_rejects_out_of_domain():
         chi(sch, -0.01)
     with pytest.raises(ValueError):
         chi(sch, np.array([0.0, 1.0001]))
+    with pytest.raises(ValueError):
+        chi(sch, np.array([0.0, np.nan]))
+
+
+def _scalar_entry_points(sch, s):
+    fam = sagt.single_sector_family(1.0, sch)
+    dressed = sagt.superadiabatic_family(fam, 1.0)
+    return {
+        "sector_matrix": lambda: dressed.sector_matrix(s),
+        "matrix": lambda: fam.matrix(s),
+        "adiabatic_reference": lambda: sagt.adiabatic_reference(fam, s, tau=1.0),
+        "chi": lambda: chi(sch, s),
+        "block_hamiltonian": lambda: sagt.block_hamiltonian(sch, s),
+        "block_eigenvectors": lambda: sagt.block_eigenvectors(sch, s),
+        "block_eigenvector_derivatives": lambda: sagt.block_eigenvector_derivatives(sch, s),
+        "block_cd": lambda: sagt.block_cd(sch, s, 1.0),
+        "sector_cd": lambda: sagt.sector_cd(sch, s, 1.0),
+        "mu": lambda: sagt.cost.mu(sch, s, 0),
+    }
+
+
+@pytest.mark.parametrize("s", [float("nan"), -0.01, 1.0001, 2.0])
+def test_every_scalar_entry_point_keeps_to_the_unit_interval(s):
+    sch = builtin_schedule("exponential")
+    for name, call in _scalar_entry_points(sch, s).items():
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            call()
+            raise AssertionError(f"{name} accepted s={s}")
+
+
+def test_scalar_entry_points_take_both_endpoints():
+    sch = builtin_schedule("exponential")
+    for s in (0.0, 1.0):
+        for call in _scalar_entry_points(sch, s).values():
+            assert np.all(np.isfinite(call()))
 
 
 def test_builtin_schedule_cached_and_validated():

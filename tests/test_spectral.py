@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import sagt
-from sagt import spectral
-from sagt.schedules import Schedule, builtin_schedule, chi, sample
+from sagt import cost, spectral
+from sagt.schedules import Schedule, builtin_schedule, chi, make_schedule, sample
 
 import oracles
 import strategies
@@ -120,22 +120,64 @@ def test_endpoint_frames_are_bell_like():
     )
 
 
+def _assert_frame_matches_dense(block, ours, tol=1e-9):
+    _, dense = oracles.dense_frame(block)
+    # extreme levels are non-degenerate: same ray
+    for col in (0, 3):
+        assert abs(np.vdot(dense[:, col], ours[:, col])) == pytest.approx(1.0, abs=tol)
+    # middle pair is degenerate: compare the spanned subspace
+    p_dense = oracles.subspace_projector(dense[:, 1:3])
+    p_ours = oracles.subspace_projector(ours[:, 1:3])
+    assert np.max(np.abs(p_dense - p_ours)) < tol
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_frame_matches_dense_diagonalization(kind):
     sch = builtin_schedule(kind)
     for s in (0.05, 0.35, 0.65, 0.95):
         block = spectral.block_hamiltonian(sch, s)
-        _, dense = oracles.dense_frame(block)
-        ours = spectral.block_eigenvectors(sch, s)
-        # extreme levels are non-degenerate: same ray
-        for col in (0, 3):
-            assert abs(np.vdot(dense[:, col], ours[:, col])) == pytest.approx(
-                1.0, abs=1e-9
-            )
-        # middle pair is degenerate: compare the spanned subspace
-        p_dense = oracles.subspace_projector(dense[:, 1:3])
-        p_ours = oracles.subspace_projector(ours[:, 1:3])
-        assert np.max(np.abs(p_dense - p_ours)) < 1e-9
+        _assert_frame_matches_dense(block, spectral.block_eigenvectors(sch, s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=strategies.paths)
+def test_frame_and_velocity_weight_on_random_paths(sch):
+    s = np.linspace(0.0, 1.0, 17)
+    path = sample(sch, s)
+    frames = spectral.frame_grid(path)
+    for block, v in zip(spectral.drive_grid(path, 1.0), frames):
+        _assert_frame_matches_dense(block, v, tol=1e-12)
+    # the scalar cost weight 4 theta'^2 (1 + a^2) on the same 16-interval grid
+    _, scalar = cost._weights(sch, 16)
+    k = spectral.velocity_grid(path)
+    np.testing.assert_allclose(2.0 * np.einsum("sij,sij->s", k, k), scalar, rtol=1e-13)
+
+
+def _long_way():
+    """theta = -(3 pi / 2) s: from eta_i = 1 to eta_f = 1 clockwise, through
+    theta = -pi/2, where chi + eta_f = 0, and theta = -pi."""
+    w = 1.5 * np.pi
+    return make_schedule(
+        "long-way",
+        eta_i=lambda s: np.cos(w * np.asarray(s, dtype=float)),
+        eta_f=lambda s: -np.sin(w * np.asarray(s, dtype=float)),
+        deta_i=lambda s: -w * np.sin(w * np.asarray(s, dtype=float)),
+        deta_f=lambda s: -w * np.cos(w * np.asarray(s, dtype=float)),
+    )
+
+
+@pytest.mark.parametrize(
+    "s", [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0 + 1e-9], ids=["half-pi", "pi", "past-pi"]
+)
+def test_long_way_frame_is_an_eigenframe(s):
+    sch = _long_way()
+    v = spectral.block_eigenvectors(sch, s)
+    assert np.all(np.isfinite(v))
+    assert np.abs(v.T @ v - np.eye(4)).max() < 1e-14
+    block = spectral.block_hamiltonian(sch, s)
+    residual = block @ v - v * spectral.block_energies(sch, s)[None, :]
+    assert np.abs(residual).max() < 1e-14
+    _assert_frame_matches_dense(block, v, tol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
