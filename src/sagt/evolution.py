@@ -12,14 +12,15 @@ Sector structure is exploited hard: all sectors of a register share one
 propagator is embed_blocks(u, u)^(x n) for a single 4x4 propagator u.
 Steps are grouped into segments between observation points (at most
 _CHUNK steps long); each segment costs one call of
-family.block_matrix_grid, the closed-form step exponentials of
-spectral.block_exponential_grid (the block's spectrum is +-lambda_1,
-+-lambda_2, so no eigensolver runs), a time-ordered pairwise product of
-them, and one tensor contraction per sector on the state.  A
-fixed register rotation G telescopes through the product of step
-unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
-families are propagated in the unrotated frame and rotated back only at
-observation points.
+family.block_matrix_grid, one spectral.segment_propagator -- in the real
+frame W every step is a rotation L(p) R(q) of so(4) = su(2) (+) su(2), two
+unit quaternions, and the time-ordered pairwise product runs in real 4x4
+arithmetic, with no eigensolver -- and one tensor contraction per sector
+on the state.  A fixed register rotation G telescopes through the product
+of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so
+rotated families are propagated in the unrotated frame and rotated back
+only at observation points.  A gate run goes further: it propagates the
+unrotated protocol state and applies G once to each rung's end state.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .model import (
     initial_state,
     multi_sector_family,
     named_gate,
-    rotate_family,
     superadiabatic_family,
     target_state,
 )
@@ -125,11 +125,8 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     observe(0)
     for start, stop in zip(cuts[:-1], cuts[1:]):
         s_mid = (np.arange(start, stop) + 0.5) / steps
-        u = spectral.block_exponential_grid(family.block_matrix_grid(s_mid), dt)
-        while len(u) > 1:  # m pairs, the later step on the left
-            m = len(u) // 2
-            u = np.concatenate((u[1 : 2 * m : 2] @ u[0 : 2 * m : 2], u[2 * m :]))
-        psi = _apply_sectorwise(spectral.embed_blocks(u[0], u[0]), psi, n)
+        u = spectral.segment_propagator(family.block_matrix_grid(s_mid), dt)
+        psi = _apply_sectorwise(spectral.embed_blocks(u, u), psi, n)
         observe(stop)
 
     norm_defect = abs(np.linalg.norm(psi) - 1.0)
@@ -226,16 +223,15 @@ def _run_protocol(
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)
 
-    # the gate enters once: G on the output qubits rotates the family and
-    # loads the initial state; target_state applies it independently
-    base = multi_sector_family(n, omega, schedule)
+    # the gate enters once: the unrotated family carries the protocol state,
+    # G on the output qubits acts on each rung's end state, and target_state
+    # applies it independently; embed_on_outputs checks G, and its embedding
+    # P (G (x) 1) P^T is then unitary to the same defect
+    family = multi_sector_family(n, omega, schedule)
+    if mode == "superadiabatic":
+        family = superadiabatic_family(family, tau)
     psi0 = initial_state(psi_in, n)
-    rotation = None
-    if gate is not None:
-        rotation = embed_on_outputs(gate, n)
-        base = rotate_family(base, rotation)
-        psi0 = rotation @ psi0
-    family = superadiabatic_family(base, tau) if mode == "superadiabatic" else base
+    rotation = None if gate is None else embed_on_outputs(gate, n)
     tgt = target_state(psi_in, n, rotation=gate)
 
     def run(k):
@@ -243,6 +239,8 @@ def _run_protocol(
         final = propagate(
             family, psi0, k, tau=tau, observer=lambda s, psi: states.append((s, psi))
         )
+        if rotation is not None:
+            final = rotation @ final
         return fidelity(final, tgt), states
 
     f_prev, _ = run(steps)
@@ -255,15 +253,12 @@ def _run_protocol(
             break
         f_prev = f_next
 
-    # observables of the reported rung, in the unrotated frame, where the
-    # conserved parity is plain Z...Z and the ground projector is the bare one
+    # observables of the reported rung, read off the unrotated states, where
+    # the conserved parity is plain Z...Z and the ground projector the bare one
     z_signs = np.array([(-1.0) ** bin(i).count("1") for i in range(family.dim)])
-    unrotate = None if rotation is None else rotation.conj().T
     projectors = _ground_pair_projector(schedule, [s for s, _ in states])
     trace, parities = [], []
     for (s, psi), projector in zip(states, projectors):
-        if unrotate is not None:
-            psi = unrotate @ psi
         p_psi = _apply_sectorwise(projector, psi, n)
         trace.append((float(s), float(np.real(np.vdot(psi, p_psi)))))
         parities.append(float(np.real(np.sum(z_signs * np.abs(psi) ** 2))))

@@ -62,41 +62,32 @@ Dressed spectrum.  With X = A/2, Y = B/2 and Z = C/(4i) the even block
 carries su(2) as spin 1 (+) spin 0: the drive is -E n.J with E = 2 omega
 chi and n = (cos theta, sin theta, 0), so the frame levels v0 and v3 are
 the spin-1 states n.J = +1 and -1, and the zero-mode pair holds the spin-1
-state |0> (n.J |0> = 0) and the singlet.  In the frame the dressed block
-H = drive + (i/tau) K is a star with |0> at its hub: the velocity term
-couples |0> to v0 and v3 with strength g/sqrt 2, g = theta'/tau, and to the
-singlet with strength h = a(theta) theta'/tau, the fixed-gauge turn;
-nothing else couples.  Hence
+state |0> and the singlet.  In the frame the dressed block
+H = drive + (i/tau) K is a star with |0> at its hub, coupled to v0 and v3
+with strength g/sqrt 2, g = theta'/tau, and to the singlet with strength
+h = a(theta) theta'/tau, the fixed-gauge turn.  Hence
+det(H - x) = x^4 - (E^2 + g^2 + h^2) x^2 + E^2 h^2: the spectrum is
++-lambda_1, +-lambda_2 in both modes, and the bare drive has +-E, 0, 0.
 
-    det(H - x) = x^4 - (E^2 + g^2 + h^2) x^2 + E^2 h^2,
+Real frame.  Spin 1 is a real representation: in its Cartesian basis
+-i J is real antisymmetric.  So with W = FRAME_0 Q, where Q has the columns
+i(e0 - e3)/sqrt 2, (e0 + e3)/sqrt 2, e1 and e2, the five constant
+generators -iA, -iB, C, T0 and T1 are real antisymmetric in W, and so is
+G = W^dag (-i h) W for every sector block h, in both gauges.  Read R^4 as
+the quaternions x0 + x1 i + x2 j + x3 k.  The left multiplications
+L_m: x -> e_m x and the right ones R_m: x -> x e_m by e = (i, j, k) span
+so(4) = su(2) (+) su(2); all six are orthogonal with squared Frobenius
+norm 4, and every L_m commutes with every R_n.  Hence
 
-so the spectrum is +-lambda_1, +-lambda_2 in both modes, and the bare
-drive (g = h = 0) has +-E, 0, 0.  With S = E^2 + g^2 + h^2,
-lambda_1^2 - lambda_2^2 = sqrt(S^2 - 4 E^2 h^2), a quadratic in g^2 with
-negative discriminant; since |a| <= sqrt 2 it is at least (2 sqrt 2 / 3)
-E^2, so the two levels never meet.
+    G = a.L + b.R,    a_m = <G, L_m> / 4,    b_m = <G, R_m> / 4,
+    exp(G t) = L(e^{t a}) R(e^{t b}),    e^v = cos|v| + sinc|v| v,
 
-Step exponential.  A Hermitian block with spectrum +-lambda_1, +-lambda_2
-satisfies H^4 = S H^2 - lambda_1^2 lambda_2^2, so
-
-    exp(-i H t) = alpha + beta H^2 - i H (gamma + delta H^2),
-
-where alpha + beta l^2 = cos(l t) and gamma + delta l^2 = sin(l t) / l at
-l = lambda_1 and lambda_2.  With x = lambda_1 t, y = lambda_2 t,
-p = (x + y)/2, q = (x - y)/2 and sinc z = sin z / z these divided
-differences read
-
-    beta  = -(t^2/2) sinc p sinc q,        alpha = cos y - beta lambda_2^2,
-    delta = t^3 (cos p sinc q - sinc y) / (2 p x),
-    gamma = t sinc y - delta lambda_2^2,
-
-finite for every nonzero block, a degenerate one (q = 0) included.  The
-levels come from the block's own moments: S = ||H||_F^2 / 2 and
-lambda_1^4 + lambda_2^4 = ||H^2||_F^2 / 2.  lambda_2^2 then carries a
-roundoff error of about eps lambda_1^2, but it enters only through even
-functions of y, which costs about eps (lambda_1 t)^2.
-block_exponential_grid needs no eigensolver; it checks the precondition
-through the odd moments tr H and tr H^3.
+with e^v a unit quaternion, so a step is the real orthogonal
+O = L(p) R(q), bilinear in p and q, and a time-ordered product of steps is
+W O_{N-1} ... O_0 W^dag.  segment_propagator reads (a, b) off the
+flattened blocks with one real matrix product, checks that nothing is left
+outside the six-dimensional span, and multiplies the steps pairwise in
+real 4x4 arithmetic; no eigensolver runs.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -131,9 +122,41 @@ TURN_0 = TURN_0 - TURN_0.T
 TURN_1 = 0.25 * (TURN_0 @ BLOCK_C - BLOCK_C @ TURN_0)
 _VELOCITY_BASIS = np.stack([TURN_0, TURN_1, 0.25 * BLOCK_C]).reshape(3, 16)
 
-# Odd moments |tr H| / S^(1/2) and |tr H^3| / S^(3/2) of a sector block are
-# a few eps; anything above this is a spectrum that is not symmetric.
-ODD_MOMENT_RTOL = 1e-12
+# Q = CARTESIAN takes the spin-1 levels v0, v3 to their real combinations,
+# W = REAL_FRAME = FRAME_0 Q, and QUAT_LEFT, QUAT_RIGHT multiply by the
+# quaternion units i, j, k on x0 + x1 i + x2 j + x3 k from the left, right.
+CARTESIAN = np.array(
+    [[1j, 1, 0, 0], [0, 0, 2**0.5, 0], [0, 0, 0, 2**0.5], [-1j, 1, 0, 0]]
+) / 2**0.5
+REAL_FRAME = FRAME_0 @ CARTESIAN
+QUAT_LEFT = np.array(
+    [
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    ],
+    dtype=float,
+)
+QUAT_RIGHT = np.array(
+    [
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+    ],
+    dtype=float,
+)
+# i W L_m W^dag and i W R_m W^dag in their float view: a block h, viewed as
+# 32 floats, has (a, b) = h @ _SPLIT and its part in the span (a, b) @ _UNSPLIT.
+_UNSPLIT = 1j * REAL_FRAME @ np.vstack((QUAT_LEFT, QUAT_RIGHT)) @ REAL_FRAME.T.conj()
+_UNSPLIT = _UNSPLIT.view(float).reshape(6, 32)
+_SPLIT = 0.25 * _UNSPLIT.T
+# L(p) R(q), flattened, is (p (x) q) @ _QUAT_PRODUCT, with e_0 = 1.
+_LEFT_1, _RIGHT_1 = (np.concatenate(([np.eye(4)], m)) for m in (QUAT_LEFT, QUAT_RIGHT))
+_QUAT_PRODUCT = np.einsum("jab,kbc->jkac", _LEFT_1, _RIGHT_1).reshape(16, 16)
+
+# A sector block's relative residual off the span is a few eps; anything
+# above this is not a generator of the sector.
+SPAN_RTOL = 1e-12
 
 
 def drive_grid(path, omega):
@@ -217,51 +240,33 @@ def block_eigenvector_derivatives(schedule, s):
     return frame_derivative_grid(sample_at(schedule, s))[0]
 
 
-def _sinc(z):
-    return np.sinc(z / np.pi)
+def segment_propagator(h, dt):
+    """exp(-i h_{N-1} dt) ... exp(-i h_0 dt) for a stack of sector blocks h,
+    shape (..., 4, 4) taken in flattened order; returns one (4, 4) matrix,
+    the identity for an empty stack.
 
-
-def _half_square_norm(a):
-    """||a||_F^2 / 2 of each 4x4 slice of a complex (..., 4, 4) array."""
-    flat = a.view(float).reshape(a.shape[:-2] + (32,))
-    return 0.5 * np.einsum("...i,...i->...", flat, flat)
-
-
-def block_exponential_grid(h, dt):
-    """exp(-i h dt) of each Hermitian 4x4 block of h, shape (..., 4, 4).
-
-    Closed form for a spectrum +-lambda_1, +-lambda_2, which every sector
-    block has in both modes (see "Step exponential" in the module
-    docstring).  A block whose odd moments tr h or tr h^3 exceed roundoff
-    has no such spectrum and raises ValueError.
+    Each step is the real orthogonal L(p) R(q) of "Real frame" in the
+    module docstring, so the product runs in real 4x4 arithmetic.  A block
+    that is not finite, or whose Frobenius residual off the six generators
+    exceeds SPAN_RTOL times its norm, raises ValueError.
     """
-    lead = np.shape(h)[:-2]
-    h = np.ascontiguousarray(h, dtype=complex).reshape(-1, 4, 4)
-    h2 = h @ h
-    h3 = h @ h2
-    s = _half_square_norm(h)  # lambda_1^2 + lambda_2^2
-    odd1 = np.abs(np.einsum("...ii->...", h))
-    odd3 = np.abs(np.einsum("...ii->...", h3).real)
-    if np.any(odd1 > ODD_MOMENT_RTOL * np.sqrt(s)) or np.any(
-        odd3 > ODD_MOMENT_RTOL * s**1.5
-    ):
-        raise ValueError("block spectrum is not symmetric about zero")
-    # lambda_1^2 - lambda_2^2 from lambda_1^4 + lambda_2^4 = ||h^2||_F^2 / 2
-    d = np.sqrt(np.maximum(2.0 * _half_square_norm(h2) - s * s, 0.0))
-    x = dt * np.sqrt(0.5 * (s + d))
-    y = dt * np.sqrt(np.maximum(0.5 * (s - d), 0.0))
-    p, q = 0.5 * (x + y), 0.5 * (x - y)
-    # the docstring's alpha, beta, gamma, delta in units of dt^0, dt^2, dt, dt^3
-    beta = -0.5 * _sinc(p) * _sinc(q)
-    delta = (np.cos(p) * _sinc(q) - _sinc(y)) / (2.0 * p * x)
-    alpha = np.cos(y) - beta * y * y
-    gamma = _sinc(y) - delta * y * y
-    u = (dt * dt * beta)[..., None, None] * h2
-    u += (-1j * dt * gamma)[..., None, None] * h
-    u += (-1j * dt**3 * delta)[..., None, None] * h3
-    diag = np.arange(4)
-    u[..., diag, diag] += alpha[..., None]
-    return u.reshape(lead + (4, 4))
+    h = np.ascontiguousarray(h, dtype=complex).reshape(-1, 16).view(float)
+    ab = h @ _SPLIT
+    off = h - ab @ _UNSPLIT
+    off2, h2 = (np.einsum("ij,ij->i", x, x) for x in (off, h))
+    if not np.all(off2 <= SPAN_RTOL**2 * h2):  # NaN fails too
+        raise ValueError("block is not finite or lies outside the sector algebra")
+    v = dt * ab.reshape(-1, 2, 3)
+    angle = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    pq = np.concatenate((np.cos(angle), np.sinc(angle / np.pi) * v), axis=-1)
+    o = np.einsum("ni,nj->nij", pq[:, 0], pq[:, 1]).reshape(-1, 16) @ _QUAT_PRODUCT
+    o = o.reshape(-1, 4, 4)
+    if len(o) == 0:  # no steps: the empty product
+        return np.eye(4, dtype=complex)
+    while len(o) > 1:  # m pairs, the later step on the left
+        m = len(o) // 2
+        o = np.concatenate((o[1 : 2 * m : 2] @ o[0 : 2 * m : 2], o[2 * m :]))
+    return REAL_FRAME @ o[0] @ REAL_FRAME.conj().T
 
 
 def embed_blocks(plus_block, minus_block):

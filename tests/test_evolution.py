@@ -468,42 +468,78 @@ def test_run_gate_teleport_infers_and_checks_width():
         )
 
 
+def _observables(kept, sch, n):
+    """The ground-overlap trace and the Z parities at the kept states."""
+    z = np.diag(sagt.parity("z", "global", n)).real
+    trace, parities = [], []
+    for s, psi in kept:
+        proj = evolution._ground_pair_projector(sch, s)
+        p_psi = evolution._apply_sectorwise(proj, psi, n)
+        trace.append((s, float(np.real(np.vdot(psi, p_psi)))))
+        parities.append(float(np.real(np.sum(z * np.abs(psi) ** 2))))
+    return trace, parities
+
+
 @pytest.mark.parametrize(
     "n, mode", [(1, "adiabatic"), (2, "superadiabatic")], ids=["state", "gate"]
 )
 def test_run_record_reports_the_accepted_rung(n, mode):
     # the trace and the drift belong to the run of rec.step_count steps:
-    # re-run that rung, keeping copies of the observed states, and recompute
-    # both in the unrotated frame
+    # re-run that rung on the unrotated family, keeping copies of the
+    # observed states, and recompute both; a gate acts on the end state only
     rng = np.random.default_rng(43)
     sch = builtin_schedule("trigonometric")
     psi_in = sagt.random_state(2**n, rng)
     fam = sagt.multi_sector_family(n, 1.0, sch)
+    if mode == "superadiabatic":
+        fam = sagt.superadiabatic_family(fam, 1.0)
     psi0 = sagt.initial_state(psi_in, n)
+    gate = None
     if n == 1:
         rec = sagt.run_state_teleport(n, sch, 1.0, mode, psi_in)
-        g = np.eye(8)
     else:
         gate = sagt.random_unitary(4, rng)
         rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in)
-        g = sagt.embed_on_outputs(gate, n)
-        fam = sagt.rotate_family(fam, g)
-        psi0 = g @ psi0
-    if mode == "superadiabatic":
-        fam = sagt.superadiabatic_family(fam, 1.0)
     assert rec.step_count > evolution.DEFAULT_STEPS  # earlier rungs ran too
     kept = []
-    evolution.propagate(
+    final = evolution.propagate(
         fam, psi0, rec.step_count, tau=1.0,
         observer=lambda s, psi: kept.append((s, psi.copy())),
     )
-    z = np.diag(sagt.parity("z", "global", n)).real
-    trace, parities = [], []
-    for s, psi in kept:
-        psi = g.conj().T @ psi
-        proj = evolution._ground_pair_projector(sch, s)
-        p_psi = evolution._apply_sectorwise(proj, psi, n)
-        trace.append((s, float(np.real(np.vdot(psi, p_psi)))))
-        parities.append(float(np.real(np.sum(z * np.abs(psi) ** 2))))
+    g = np.eye(8**n) if gate is None else sagt.embed_on_outputs(gate, n)
+    target = sagt.target_state(psi_in, n, rotation=gate)
+    trace, parities = _observables(kept, sch, n)
+    assert rec.fidelity == evolution.fidelity(g @ final, target)
     assert rec.ground_overlap_trace == trace
     assert rec.parity_drift == max(abs(p - parities[0]) for p in parities)
+    if gate is None:
+        return
+    # the rotated family, started from the rotated state and unrotated at
+    # every checkpoint, tells the same story to roundoff
+    rotated = sagt.rotate_family(sagt.multi_sector_family(n, 1.0, sch), g)
+    rotated = sagt.superadiabatic_family(rotated, 1.0)
+    kept = []
+    final = evolution.propagate(
+        rotated, g @ psi0, rec.step_count,
+        observer=lambda s, psi: kept.append((s, g.conj().T @ psi)),
+    )
+    assert abs(evolution.fidelity(final, target) - rec.fidelity) < 1e-12
+    trace_rotated, _ = _observables(kept, sch, n)
+    np.testing.assert_allclose(trace_rotated, trace, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sch=strategies.paths,
+    tau_omega=st.floats(0.1, 20.0),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_superadiabatic_runs_on_random_paths(sch, tau_omega, n, seed):
+    # exact transport on any valid path: the run is accepted, faithful and
+    # keeps its Z parity
+    psi_in = sagt.random_state(2**n, np.random.default_rng(seed))
+    rec = sagt.run_state_teleport(n, sch, tau_omega, "superadiabatic", psi_in)
+    assert rec.accepted
+    assert rec.fidelity >= 1.0 - 1e-6
+    assert rec.parity_drift <= 1e-10

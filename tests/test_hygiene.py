@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used,
 every import sits at module level, so the module graph reads off the top of
-each file, no module but schedules evaluates a schedule on a grid, and
-no module but spectral reads an angle off (eta_i, eta_f) with arctan2."""
+each file, no module but schedules evaluates a schedule on a grid, no
+module but spectral reads an angle off (eta_i, eta_f) with arctan2, and no
+module but operators names an eigensolver or a matrix exponential."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,33 @@ def test_the_chart_has_one_home(path):
     # spectral.chart is where theta = atan2(eta_f, eta_i) is read off a
     # sample; every other module takes theta from it
     assert arctan2_references(path.read_text(encoding="utf-8")) == []
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "expm"}
+
+
+def eigensolver_references(source):
+    return name_references(source, EIGENSOLVERS)
+
+
+def test_the_scan_sees_an_eigensolver():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import expm as exp_m\n"
+        "w, v = np.linalg.eigh(h)\n"
+        "x = eigvalsh(h)\n"
+        "y = la.eig(h)\n"
+        "z = np.linalg.eigvals(h)\n"
+        "f = block_eigenvectors(schedule, s)\n"
+        "g = np.linalg.eigh\n"
+    )
+    assert eigensolver_references(source) == [2, 3, 4, 5, 6, 8]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "operators.py"], ids=lambda p: p.name
+)
+def test_eigensolvers_stay_in_operators(path):
+    # the sector has closed forms for its frame and its step propagators;
+    # only the generic helpers in operators diagonalize
+    assert eigensolver_references(path.read_text(encoding="utf-8")) == []

@@ -277,41 +277,99 @@ def test_dressed_block_spectrum_is_plus_minus_lambda(sch, tau, omega):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * l1.max())
 
 
+def _ordered_expm(h, dt):
+    """exp(-i h_{N-1} dt) ... exp(-i h_0 dt), one scipy expm per block."""
+    u = np.eye(4)
+    for b in h:
+        u = expm(-1j * dt * b) @ u
+    return u
+
+
 @settings(max_examples=25, deadline=None)
 @given(sch=DRIVES, tau=TAUS, omega=OMEGAS, reach=st.floats(1e-3, 10.0))
-def test_block_exponential_matches_expm(sch, tau, omega, reach):
+def test_segment_propagator_matches_ordered_expm(sch, tau, omega, reach):
     # reach = the largest lambda_1 dt on the grid, up to about 3 pi
     s = np.linspace(0.0, 1.0, 33)
     for fam in _families(sch, omega, tau):
         h = fam.block_matrix_grid(s)
         dt = reach / np.abs(np.linalg.eigvalsh(h)).max()
-        u = spectral.block_exponential_grid(h, dt)
-        ref = np.stack([expm(-1j * dt * b) for b in h])
-        assert np.abs(u - ref).max() < 1e-13
+        for stack in (h[:1], h[:7], h):  # roundoff grows with the factors
+            u = spectral.segment_propagator(stack, dt)
+            assert np.abs(u - _ordered_expm(stack, dt)).max() < 1e-13 * len(stack)
 
 
-@pytest.mark.parametrize(
-    "levels",
-    [(-2.0, -0.5, 0.5, 2.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, -1.0, 1.0, 1.0)],
-    ids=["distinct", "zero-pair", "degenerate"],
-)
-def test_block_exponential_of_a_symmetric_spectrum(levels):
+def _span_blocks(ab):
+    """Blocks i W (a.L + b.R) W^dag for rows (a, b) of ab."""
+    gen = np.concatenate((spectral.QUAT_LEFT, spectral.QUAT_RIGHT))
+    g = np.tensordot(ab, gen, axes=1)
+    w = spectral.REAL_FRAME
+    return 1j * w @ g @ w.conj().T
+
+
+@pytest.mark.parametrize("kind", ["generic", "isoclinic", "zero"])
+def test_segment_propagator_on_random_span_vectors(kind):
+    # a = 0 leaves only the right factor: the isoclinic rotations, whose
+    # spectrum is degenerate; the zero vector is the identity step
     rng = np.random.default_rng(5)
-    v = sagt.random_unitary(4, rng)
-    h = (v * np.array(levels)) @ v.conj().T
+    ab = rng.normal(size=(9, 6))
+    if kind == "isoclinic":
+        ab[:, :3] = 0.0
+    elif kind == "zero":
+        ab[4] = 0.0
+    h = _span_blocks(ab)
     for dt in (0.1, 2.0, 7.0):
-        u = spectral.block_exponential_grid(h, dt)
-        np.testing.assert_allclose(u, expm(-1j * dt * h), atol=1e-13)
+        u = spectral.segment_propagator(h, dt)
+        np.testing.assert_allclose(u, _ordered_expm(h, dt), atol=1e-13 * len(h))
+    if kind == "zero":
+        u = spectral.segment_propagator(h[4], 1.0)
+        np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-15)
+        assert np.array_equal(spectral.segment_propagator(h[:0], 1.0), np.eye(4))
 
 
-@pytest.mark.parametrize(
-    "levels", [(1.0, 2.0, 3.0, -6.0), (1.0, -1.0, 2.0, -1.0)], ids=["cubic", "trace"]
-)
-def test_block_exponential_rejects_an_asymmetric_spectrum(levels):
-    good = np.diag([1.0, -1.0, 2.0, -2.0]).astype(complex)
-    blocks = np.stack([good, np.diag(levels).astype(complex)])
-    with pytest.raises(ValueError, match="not symmetric"):
-        spectral.block_exponential_grid(blocks, 0.1)
+def _outside_blocks():
+    v = sagt.random_unitary(4, np.random.default_rng(5))
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    return {
+        "cubic": np.diag([1.0, 2.0, 3.0, -6.0]).astype(complex),
+        "trace": np.diag([1.0, -1.0, 2.0, -1.0]).astype(complex),
+        "nan": nan,
+        "distinct": (v * np.array([-2.0, -0.5, 0.5, 2.0])) @ v.conj().T,
+    }
+
+
+@pytest.mark.parametrize("kind", ["cubic", "trace", "nan", "distinct"])
+def test_segment_propagator_rejects_a_block_off_the_algebra(kind):
+    fam = sagt.superadiabatic_family(
+        sagt.single_sector_family(1.0, builtin_schedule("linear")), 1.0
+    )
+    good = fam.block_matrix_grid(np.array([0.3]))
+    blocks = np.concatenate((good, [_outside_blocks()[kind]]))
+    with pytest.raises(ValueError, match="outside the sector algebra"):
+        spectral.segment_propagator(blocks, 0.1)
+
+
+def test_the_sector_generators_are_real_in_the_real_frame():
+    w = spectral.REAL_FRAME
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-15)
+    np.testing.assert_array_equal(w, spectral.FRAME_0 @ spectral.CARTESIAN)
+    generators = {
+        "-iA": -1j * spectral.BLOCK_A,
+        "-iB": -1j * spectral.BLOCK_B,
+        "C": spectral.BLOCK_C,
+        "T0": spectral.TURN_0,
+        "T1": spectral.TURN_1,
+    }
+    for name, x in generators.items():
+        g = w.conj().T @ x @ w
+        assert np.abs(g.imag).max() < 1e-15, name
+        assert np.abs(g + g.T).max() < 1e-15, name
+    left, right = spectral.QUAT_LEFT, spectral.QUAT_RIGHT
+    for m in left:
+        for n in right:
+            assert np.array_equal(m @ n, n @ m)
+    # x -> i x, j x, k x is the quaternion algebra: i j = k, i^2 = -1
+    assert np.array_equal(left[0] @ left[1], left[2])
+    assert np.array_equal(left[0] @ left[0], -np.eye(4))
 
 
 def test_embed_blocks_structure():
