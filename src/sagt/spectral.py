@@ -242,8 +242,7 @@ def block_eigenvector_derivatives(schedule, s):
 
 def segment_propagator(h, dt):
     """exp(-i h_{N-1} dt) ... exp(-i h_0 dt) for a stack of sector blocks h,
-    shape (..., 4, 4) taken in flattened order; returns one (4, 4) matrix,
-    the identity for an empty stack.
+    shape (..., 4, 4) taken in flattened order; returns one (4, 4) matrix.
 
     Each step is the real orthogonal L(p) R(q) of "Real frame" in the
     module docstring, so the product runs in real 4x4 arithmetic.  A block
@@ -261,8 +260,6 @@ def segment_propagator(h, dt):
     pq = np.concatenate((np.cos(angle), np.sinc(angle / np.pi) * v), axis=-1)
     o = np.einsum("ni,nj->nij", pq[:, 0], pq[:, 1]).reshape(-1, 16) @ _QUAT_PRODUCT
     o = o.reshape(-1, 4, 4)
-    if len(o) == 0:  # no steps: the empty product
-        return np.eye(4, dtype=complex)
     while len(o) > 1:  # m pairs, the later step on the left
         m = len(o) // 2
         o = np.concatenate((o[1 : 2 * m : 2] @ o[0 : 2 * m : 2], o[2 * m :]))

@@ -293,7 +293,10 @@ def test_segment_propagator_matches_ordered_expm(sch, tau, omega, reach):
     for fam in _families(sch, omega, tau):
         h = fam.block_matrix_grid(s)
         dt = reach / np.abs(np.linalg.eigvalsh(h)).max()
-        for stack in (h[:1], h[:7], h):  # roundoff grows with the factors
+        for b in h:  # each step exponential on its own
+            u = spectral.segment_propagator(b, dt)
+            assert np.abs(u - expm(-1j * dt * b)).max() < 1e-13
+        for stack in (h[:7], h):  # roundoff grows with the factors
             u = spectral.segment_propagator(stack, dt)
             assert np.abs(u - _ordered_expm(stack, dt)).max() < 1e-13 * len(stack)
 
@@ -318,12 +321,14 @@ def test_segment_propagator_on_random_span_vectors(kind):
         ab[4] = 0.0
     h = _span_blocks(ab)
     for dt in (0.1, 2.0, 7.0):
+        for b in h:
+            u = spectral.segment_propagator(b, dt)
+            np.testing.assert_allclose(u, expm(-1j * dt * b), atol=1e-13)
         u = spectral.segment_propagator(h, dt)
         np.testing.assert_allclose(u, _ordered_expm(h, dt), atol=1e-13 * len(h))
     if kind == "zero":
         u = spectral.segment_propagator(h[4], 1.0)
         np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-15)
-        assert np.array_equal(spectral.segment_propagator(h[:0], 1.0), np.eye(4))
 
 
 def _outside_blocks():
