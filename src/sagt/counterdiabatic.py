@@ -6,14 +6,13 @@ Per parity block the correction is (i hbar / tau) sum_m |d/ds v_m><v_m| =
 velocity of spectral.velocity_grid: exact in the schedule's derivatives,
 and bounded, ||K||_F^2 = 2 theta'^2 (1 + a^2) with |a| <= sqrt 2.  K is real
 antisymmetric, so the correction is Hermitian, traceless, and zero
-whenever the schedule freezes (theta' = 0).  block_cd_grid is the only
-construction of the term, from a schedules.sample: HamiltonianFamily hands
-it the sample of its drive block, and sector_cd is its embedding on both
-parity blocks (multi-sector registers sum the same term per sector).
+whenever the schedule freezes (theta' = 0).  block_cd_grid builds the
+term as a matrix from a schedules.sample, and sector_cd embeds it on both
+parity blocks; the families form it as so(4) coordinates
+(spectral.coordinate_grid), which tests check against block_cd_grid.
 assembled_register_cd rebuilds the register term by finite differences of
-the full product frame, as an independent cross-check.  The module builds
-terms only; the families that carry them, superadiabatic_family included,
-live in model.
+the full product frame, as an independent cross-check.  The families that
+carry the term, superadiabatic_family included, live in model.
 """
 
 import numpy as np

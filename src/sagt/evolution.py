@@ -11,16 +11,17 @@ Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
 propagator is embed_blocks(u, u)^(x n) for a single 4x4 propagator u.
 Steps are grouped into segments between observation points (at most
-_CHUNK steps long); each segment costs one call of
-family.block_matrix_grid, one spectral.segment_propagator -- in the real
-frame W every step is a rotation L(p) R(q) of so(4) = su(2) (+) su(2), two
-unit quaternions, and the time-ordered pairwise product runs in real 4x4
-arithmetic, with no eigensolver -- and one tensor contraction per sector
-on the state.  A fixed register rotation G telescopes through the product
-of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so
-rotated families are propagated in the unrotated frame and rotated back
-only at observation points.  A gate run goes further: it propagates the
-unrotated protocol state and applies G once to each rung's end state.
+_CHUNK steps long), and consecutive segments into passes of at most
+_CHUNK padded steps.  A pass costs one family.coordinate_grid, the so(4)
+coordinates of its steps off one sample, and one spectral.step_products,
+one pairwise tree of real 4x4 steps (two unit quaternions each, no
+eigensolver) for all its segments; a segment costs one tensor
+contraction per sector on the state.  A fixed register rotation G
+telescopes through the product of step unitaries (G exp(-iH dt) G^dag =
+exp(-i G H G^dag dt)), so rotated families are propagated in the
+unrotated frame and rotated back only at observation points.  A gate run
+goes further: it propagates the unrotated protocol state and applies G
+once to each rung's end state.
 """
 
 from dataclasses import dataclass
@@ -83,6 +84,18 @@ def _apply_sectorwise(u, psi, n):
     return t.reshape(-1)
 
 
+def _passes(cuts):
+    """The sorted cuts in runs of consecutive segments, each run holding at
+    most _CHUNK steps once its segments are padded to the longest."""
+    bounds = cuts[:1]
+    for stop in cuts[1:]:
+        if len(bounds) * max(np.diff(bounds + [stop])) > _CHUNK:
+            yield bounds
+            bounds = bounds[-1:]
+        bounds.append(stop)
+    yield bounds
+
+
 def propagate(family, psi0, steps, tau=None, observer=None):
     """Drive psi0 through s: 0 -> 1 under the family's Hamiltonian.
 
@@ -108,26 +121,23 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     if g is not None:
         psi = g.conj().T @ psi  # work in the unrotated frame throughout
 
-    checkpoints = set()
-    if observer is not None:
-        checkpoints = {
-            int(round(f * steps)) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)
-        }
+    marks = [] if observer is None else np.linspace(0.0, 1.0, _TRACE_POINTS)
+    checkpoints = {int(round(f * steps)) for f in marks}
 
     def observe(k):
-        if observer is not None and k in checkpoints:
-            phys = psi if g is None else g @ psi
-            observer(k / steps, phys)
+        if k in checkpoints:
+            observer(k / steps, psi if g is None else g @ psi)
 
     dt = float(tau) / steps
     n = family.sectors
     cuts = sorted(checkpoints | set(range(0, steps, _CHUNK)) | {steps})
     observe(0)
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        s_mid = (np.arange(start, stop) + 0.5) / steps
-        u = spectral.segment_propagator(family.block_matrix_grid(s_mid), dt)
-        psi = _apply_sectorwise(spectral.embed_blocks(u, u), psi, n)
-        observe(stop)
+    for bounds in _passes(cuts):
+        s_mid = (np.arange(bounds[0], bounds[-1]) + 0.5) / steps
+        us = spectral.step_products(family.coordinate_grid(s_mid), dt, np.diff(bounds))
+        for u, stop in zip(spectral.embed_blocks(us, us), bounds[1:]):
+            psi = _apply_sectorwise(u, psi, n)
+            observe(stop)
 
     norm_defect = abs(np.linalg.norm(psi) - 1.0)
     if not norm_defect <= NORM_ATOL:  # NaN fails too

@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import block_cd_grid
 from .operators import pauli_string, place_on_qubits, require_positive
 from .schedules import Schedule, in_domain, sample
-from .spectral import drive_grid, embed_blocks
+from .spectral import coordinate_block, coordinate_grid, embed_blocks
 
 MAX_QUBITS = 10
 
@@ -55,11 +54,11 @@ class HamiltonianFamily:
     Setting tau makes the family superadiabatic: its generator then
     carries the velocity term (i/tau) K, which scales like 1/tau.
 
-    ``block_matrix_grid`` is the only place the generator is assembled, from
-    one schedules.sample: the 4x4 parity block -omega (eta_i A + eta_f B) + (i/tau) K.
-    ``sector_matrix_grid`` and ``sector_matrix`` are its 8x8 embedding on
-    both parities, and ``matrix`` assembles the full register operator
-    including padding and the rotation (evaluating to G H(s) G^dag).
+    ``coordinate_grid`` alone forms the generator, off one sample of an
+    in_domain s-array: the so(4) coordinates of the parity block -omega
+    (eta_i A + eta_f B) + (i/tau) K, ``block_matrix_grid``, which
+    ``sector_matrix_grid`` embeds on both parities and ``matrix`` pads over
+    the sectors and rotates (evaluating to G H(s) G^dag).
     """
 
     sectors: int
@@ -76,19 +75,19 @@ class HamiltonianFamily:
     def dim(self):
         return 8**self.sectors
 
+    def coordinate_grid(self, s_values):
+        path = sample(self.schedule, in_domain(s_values))
+        return coordinate_grid(path, self.omega, self.tau)
+
     def block_matrix_grid(self, s_values):
-        path = sample(self.schedule, s_values)
-        h = drive_grid(path, self.omega)
-        if self.tau is not None:
-            h = h + block_cd_grid(path, self.tau)
-        return h
+        return coordinate_block(self.coordinate_grid(s_values))
 
     def sector_matrix_grid(self, s_values):
         h = self.block_matrix_grid(s_values)
         return embed_blocks(h, h)
 
     def sector_matrix(self, s):
-        return self.sector_matrix_grid(np.array([in_domain(float(s))]))[0]
+        return self.sector_matrix_grid(np.array([float(s)]))[0]
 
     def matrix(self, s):
         h = self.sector_matrix(s)

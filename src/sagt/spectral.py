@@ -84,10 +84,11 @@ norm 4, and every L_m commutes with every R_n.  Hence
 
 with e^v a unit quaternion, so a step is the real orthogonal
 O = L(p) R(q), bilinear in p and q, and a time-ordered product of steps is
-W O_{N-1} ... O_0 W^dag.  segment_propagator reads (a, b) off the
-flattened blocks with one real matrix product, checks that nothing is left
-outside the six-dimensional span, and multiplies the steps pairwise in
-real 4x4 arithmetic; no eigensolver runs.
+W O_{N-1} ... O_0 W^dag.  The coordinates come off the chart: h weighs
+A, B, iT0, iT1, iC/4 by (-omega eta_i, -omega eta_f, r a cos theta,
+r a sin theta, -r), r = theta'/tau, so coordinate_grid is linear in those
+and the block is their image, coordinate_block.  step_products multiplies
+runs of steps in one tree of real 4x4 products, with no eigensolver.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -97,7 +98,7 @@ entry points sample their one point through schedules.sample_at.
 
 import numpy as np
 
-from .operators import pauli_string
+from .operators import pauli_string, require_positive
 from .schedules import chi as _chi
 from .schedules import in_domain, sample, sample_at
 
@@ -150,6 +151,9 @@ QUAT_RIGHT = np.array(
 _UNSPLIT = 1j * REAL_FRAME @ np.vstack((QUAT_LEFT, QUAT_RIGHT)) @ REAL_FRAME.T.conj()
 _UNSPLIT = _UNSPLIT.view(float).reshape(6, 32)
 _SPLIT = 0.25 * _UNSPLIT.T
+# The (a, b) of A, B, iT0, iT1 and iC/4, the generators a sample weighs.
+_SAMPLE_SPLIT = np.stack([BLOCK_A, BLOCK_B, 1j * TURN_0, 1j * TURN_1, 0.25j * BLOCK_C])
+_SAMPLE_SPLIT = _SAMPLE_SPLIT.astype(complex).reshape(5, 16).view(float) @ _SPLIT
 # L(p) R(q), flattened, is (p (x) q) @ _QUAT_PRODUCT, with e_0 = 1.
 _LEFT_1, _RIGHT_1 = (np.concatenate(([np.eye(4)], m)) for m in (QUAT_LEFT, QUAT_RIGHT))
 _QUAT_PRODUCT = np.einsum("jab,kbc->jkac", _LEFT_1, _RIGHT_1).reshape(16, 16)
@@ -171,9 +175,8 @@ def block_hamiltonian(schedule, s, omega=1.0):
     even-parity basis.
 
     s may be a scalar, giving one (4, 4) complex matrix, or an array,
-    giving shape (..., 4, 4).  HamiltonianFamily.block_matrix_grid adds
-    the velocity block to it, and every 8x8 sector operator of the package
-    is embed_blocks(b, b) of that sum.
+    giving shape (..., 4, 4).  HamiltonianFamily.coordinate_grid forms
+    it, with the velocity block, as so(4) coordinates.
     """
     return drive_grid(sample(schedule, in_domain(s)), omega)
 
@@ -221,13 +224,18 @@ def block_eigenvectors(schedule, s):
     return frame_grid(sample_at(schedule, s))[0]
 
 
+def _velocity_weights(path):
+    """theta' (a cos theta, a sin theta, -1), K on (T0, T1, C/4), (..., 3)."""
+    _, theta, rate, a = chart(path)
+    weights = np.stack([a * np.cos(theta), a * np.sin(theta), -np.ones_like(a)], axis=-1)
+    return rate[..., None] * weights
+
+
 def velocity_grid(path):
     """K = V' V^T = theta' [a (cos theta T0 + sin theta T1) - C/4] at each
     sample point, (..., 4, 4), exact in the schedule's derivatives."""
-    _, theta, rate, a = chart(path)
-    weights = np.stack([a * np.cos(theta), a * np.sin(theta), -np.ones_like(a)], axis=-1)
-    k = (rate[..., None] * weights) @ _VELOCITY_BASIS
-    return k.reshape(np.shape(theta) + (4, 4))
+    k = _velocity_weights(path) @ _VELOCITY_BASIS
+    return k.reshape(np.shape(path[0]) + (4, 4))
 
 
 def frame_derivative_grid(path):
@@ -240,30 +248,57 @@ def block_eigenvector_derivatives(schedule, s):
     return frame_derivative_grid(sample_at(schedule, s))[0]
 
 
-def segment_propagator(h, dt):
-    """exp(-i h_{N-1} dt) ... exp(-i h_0 dt) for a stack of sector blocks h,
-    shape (..., 4, 4) taken in flattened order; returns one (4, 4) matrix.
+def coordinate_grid(path, omega, tau=None):
+    """The so(4) coordinates (a, b) of the sector block at each point of a
+    schedules.sample, (..., 6): the drive, plus (i/tau) K for a tau."""
+    ab = np.stack(path[:2], axis=-1) @ (-omega * _SAMPLE_SPLIT[:2])
+    if tau is not None:
+        require_positive("tau", tau)
+        ab += _velocity_weights(path) @ (_SAMPLE_SPLIT[2:] / tau)
+    return ab
 
-    Each step is the real orthogonal L(p) R(q) of "Real frame" in the
-    module docstring, so the product runs in real 4x4 arithmetic.  A block
-    that is not finite, or whose Frobenius residual off the six generators
-    exceeds SPAN_RTOL times its norm, raises ValueError.
-    """
+
+def coordinate_block(ab):
+    """The sector blocks i W (a.L + b.R) W^dag of coordinates (..., 6)."""
+    return (ab @ _UNSPLIT).view(complex).reshape(np.shape(ab)[:-1] + (4, 4))
+
+
+def step_products(ab, dt, lengths):
+    """W O_{k+n-1} ... O_k W^dag for consecutive runs of lengths[j] rows of
+    the coordinates ab, (N, 6), as (len(lengths), 4, 4): one pairwise tree,
+    each run padded to the longest by exact identities, which leave its
+    tree bitwise unchanged.  Non-finite ab raise ValueError."""
+    if not np.all(np.isfinite(ab)):
+        raise ValueError("so(4) coordinates are not finite")
+    v = dt * np.reshape(ab, (-1, 2, 3))
+    angle = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    pq = np.concatenate((np.cos(angle), np.sinc(angle / np.pi) * v), axis=-1)
+    steps = np.einsum("ni,nj->nij", pq[:, 0], pq[:, 1]).reshape(-1, 16) @ _QUAT_PRODUCT
+    lengths = np.asarray(lengths)
+    if lengths.sum() != len(steps):
+        raise ValueError(f"runs of {lengths.sum()} steps for {len(steps)} coordinates")
+    o = np.tile(np.eye(4).ravel(), (len(lengths), lengths.max(), 1))
+    o[np.arange(o.shape[1]) < lengths[:, None]] = steps
+    o = o.reshape(o.shape[:2] + (4, 4))
+    while o.shape[1] > 1:  # m pairs per run, the later step on the left
+        m = o.shape[1] // 2
+        pairs = o[:, 1 : 2 * m : 2] @ o[:, 0 : 2 * m : 2]
+        o = np.concatenate((pairs, o[:, 2 * m :]), axis=1)
+    return REAL_FRAME @ o[:, 0] @ REAL_FRAME.conj().T
+
+
+def segment_propagator(h, dt):
+    """exp(-i h_{N-1} dt) ... exp(-i h_0 dt), one (4, 4) matrix, for a stack
+    of sector blocks h, (..., 4, 4) in flattened order.  A block that is not
+    finite, or whose Frobenius residual off the six generators exceeds
+    SPAN_RTOL times its norm, raises ValueError."""
     h = np.ascontiguousarray(h, dtype=complex).reshape(-1, 16).view(float)
     ab = h @ _SPLIT
     off = h - ab @ _UNSPLIT
     off2, h2 = (np.einsum("ij,ij->i", x, x) for x in (off, h))
     if not np.all(off2 <= SPAN_RTOL**2 * h2):  # NaN fails too
         raise ValueError("block is not finite or lies outside the sector algebra")
-    v = dt * ab.reshape(-1, 2, 3)
-    angle = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
-    pq = np.concatenate((np.cos(angle), np.sinc(angle / np.pi) * v), axis=-1)
-    o = np.einsum("ni,nj->nij", pq[:, 0], pq[:, 1]).reshape(-1, 16) @ _QUAT_PRODUCT
-    o = o.reshape(-1, 4, 4)
-    while len(o) > 1:  # m pairs, the later step on the left
-        m = len(o) // 2
-        o = np.concatenate((o[1 : 2 * m : 2] @ o[0 : 2 * m : 2], o[2 * m :]))
-    return REAL_FRAME @ o[0] @ REAL_FRAME.conj().T
+    return step_products(ab, dt, [len(ab)])[0]
 
 
 def embed_blocks(plus_block, minus_block):

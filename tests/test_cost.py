@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sagt
 from sagt import cost
@@ -56,6 +57,13 @@ def test_fast_random_drives_reach_the_energy_time_limit(sch):
     assert 1e-4 * cost.cost_closed_form(sch, 1e-4) == pytest.approx(
         ENERGY_TIME_LIMIT, rel=1e-6
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(sch=strategies.paths, tau_omega=st.floats(-2.0, 3.0).map(lambda e: 10.0**e))
+def test_superadiabatic_cost_is_at_least_the_adiabatic_cost(sch, tau_omega):
+    # the velocity weight 4 theta'^2 (1 + a^2) / (tau omega)^2 only adds
+    assert cost.cost_closed_form(sch, tau_omega) >= cost.adiabatic_cost(sch)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -39,6 +39,17 @@ def test_block_matrix_grid_is_the_even_block_of_the_sector(kind):
         assert np.array_equal(fam.block_matrix_grid(s), sector[(slice(None),) + even])
 
 
+@pytest.mark.parametrize(
+    "grid", ["coordinate_grid", "block_matrix_grid", "sector_matrix_grid"]
+)
+@pytest.mark.parametrize("bad", [2.0, float("nan"), -0.01])
+def test_generator_grids_reject_s_outside_the_unit_interval(grid, bad):
+    base = sagt.single_sector_family(1.0, builtin_schedule("linear"))
+    for fam in (base, sagt.superadiabatic_family(base, 0.7)):
+        with pytest.raises(ValueError, match="outside"):
+            getattr(fam, grid)(np.array([0.5, bad]))
+
+
 def test_family_is_a_five_field_value_object():
     sch = builtin_schedule("linear")
     base = sagt.multi_sector_family(2, 1.0, sch)

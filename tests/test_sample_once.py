@@ -90,22 +90,44 @@ def test_cost_sweep_samples_each_schedule_once_per_level(monkeypatch):
         assert calls == each_called(len(used))
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("gate", [None, "cnot"])
-def test_the_reported_rung_samples_its_checkpoints_once(monkeypatch, mode, gate):
+def count_coordinate_grids(monkeypatch):
+    """A list that gets the point count of every family.coordinate_grid."""
     generators = []
-    assemble = HamiltonianFamily.block_matrix_grid
+    form = HamiltonianFamily.coordinate_grid
 
     def counted(self, s_values):
         generators.append(len(s_values))
-        return assemble(self, s_values)
+        return form(self, s_values)
 
-    monkeypatch.setattr(HamiltonianFamily, "block_matrix_grid", counted)
+    monkeypatch.setattr(HamiltonianFamily, "coordinate_grid", counted)
+    return generators
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("gate", [None, "cnot"])
+def test_the_reported_rung_samples_its_checkpoints_once(monkeypatch, mode, gate):
+    generators = count_coordinate_grids(monkeypatch)
     sch, calls = counting_schedule("trigonometric")
     if gate is None:
         record = sagt.run_state_teleport(1, sch, 1.0, mode, [0.6, 0.8])
     else:
         record = sagt.run_gate_teleport(gate, sch, 1.0, mode, [0.6, 0.8, 0.0, 0.0])
     assert len(record.ground_overlap_trace) == 21
-    # one sample per propagation segment, and one for all 21 checkpoints
+    # one sample per propagation pass, and one for all 21 checkpoints
     assert calls == each_called(len(generators) + 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
+    # 4,000 steps in 20 observer segments of 200 fill one pass of 4,096
+    generators = count_coordinate_grids(monkeypatch)
+    sch, calls = counting_schedule("trigonometric")
+    family = sagt.single_sector_family(1.0, sch)
+    if mode == "superadiabatic":
+        family = sagt.superadiabatic_family(family, 1.0)
+    seen = []
+    psi0 = sagt.initial_state([0.6, 0.8], 1)
+    sagt.propagate(family, psi0, 4000, tau=1.0, observer=lambda s, psi: seen.append(s))
+    assert len(seen) == 21
+    assert generators == [4000]
+    assert calls == each_called(1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import sagt
-from sagt import cost, spectral
+from sagt import cost, counterdiabatic, spectral
 from sagt.schedules import Schedule, builtin_schedule, chi, make_schedule, sample
 
 import oracles
@@ -299,6 +299,46 @@ def test_segment_propagator_matches_ordered_expm(sch, tau, omega, reach):
         for stack in (h[:7], h):  # roundoff grows with the factors
             u = spectral.segment_propagator(stack, dt)
             assert np.abs(u - _ordered_expm(stack, dt)).max() < 1e-13 * len(stack)
+
+
+def test_step_products_of_uneven_runs_match_each_segment():
+    lengths = [1, 2, 3, 7, 1, 200]
+    fam = sagt.superadiabatic_family(
+        sagt.single_sector_family(1.3, builtin_schedule("exponential")), 0.4
+    )
+    ab = fam.coordinate_grid((np.arange(sum(lengths)) + 0.5) / sum(lengths))
+    dt = 0.05
+    got = spectral.step_products(ab, dt, lengths)
+    assert got.shape == (len(lengths), 4, 4)
+    bounds = np.cumsum([0] + lengths)
+    for u, lo, hi in zip(got, bounds[:-1], bounds[1:]):
+        want = spectral.segment_propagator(spectral.coordinate_block(ab[lo:hi]), dt)
+        assert np.abs(u - want).max() < 1e-13 * (hi - lo)
+
+
+def test_step_products_rejects_non_finite_coordinates():
+    ab = np.ones((5, 6))
+    ab[3, 2] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        spectral.step_products(ab, 0.1, [2, 3])
+
+
+def test_step_products_rejects_runs_that_miss_rows():
+    # one row would broadcast over a three-step run without the check
+    with pytest.raises(ValueError, match="runs of 3 steps for 1"):
+        spectral.step_products(np.zeros((1, 6)), 0.1, [3])
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=strategies.paths, tau=TAUS, omega=OMEGAS)
+def test_coordinate_block_is_the_drive_plus_the_velocity_term(sch, tau, omega):
+    path = sample(sch, np.linspace(0.0, 1.0, 33))
+    drive = spectral.drive_grid(path, omega)
+    for t, want in ((None, drive), (tau, drive + counterdiabatic.block_cd_grid(path, tau))):
+        h = spectral.coordinate_block(spectral.coordinate_grid(path, omega, t))
+        err = np.linalg.norm(h - want, axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+        spectral.segment_propagator(h, 0.1)  # inside the sector algebra
 
 
 def _span_blocks(ab):
