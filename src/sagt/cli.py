@@ -29,7 +29,7 @@ from .model import (
     rotate_family,
     superadiabatic_family,
 )
-from .operators import commutator, frobenius_norm, random_state, random_unitary
+from .operators import random_state, random_unitary
 from .schedules import builtin_schedule
 from .spectral import MINUS_BASIS, PLUS_BASIS, embed_blocks
 
@@ -255,15 +255,13 @@ def _verify_checks(grid_points, tau_values, tol):
     grid = np.linspace(0.0, 1.0, grid_points)
 
     # block structure of the bare drive: equal diagonal blocks, zero off-blocks
+    plus, minus = (np.asarray(basis) for basis in (PLUS_BASIS, MINUS_BASIS))
     worst = 0.0
     for schedule in schedules:
-        family = multi_sector_family(1, 1.0, schedule)
-        for s in grid:
-            h = family.matrix(s)
-            plus = h[np.ix_(PLUS_BASIS, PLUS_BASIS)]
-            minus = h[np.ix_(MINUS_BASIS, MINUS_BASIS)]
-            worst = max(worst, np.abs(plus - minus).max())
-            worst = max(worst, np.abs(h - embed_blocks(plus, minus)).max())
+        h = multi_sector_family(1, 1.0, schedule).matrix_grid(grid)
+        blocks = h[:, plus[:, None], plus], h[:, minus[:, None], minus]
+        worst = max(worst, np.abs(blocks[0] - blocks[1]).max())
+        worst = max(worst, np.abs(h - embed_blocks(*blocks)).max())
     yield "block-structure", worst, tol
 
     worst_comm = 0.0
@@ -273,14 +271,11 @@ def _verify_checks(grid_points, tau_values, tol):
         px = parity("x", "global", 1)
         for tau in tau_values:
             family = superadiabatic_family(multi_sector_family(1, 1.0, schedule), tau)
-            for s in grid:
-                h = family.matrix(s)
-                worst_comm = max(
-                    worst_comm,
-                    frobenius_norm(commutator(h, pz)),
-                    frobenius_norm(commutator(h, px)),
-                )
-                worst_trace = max(worst_trace, abs(np.trace(h)))
+            h = family.matrix_grid(grid)
+            for p in (pz, px):
+                comm = np.linalg.norm(h @ p - p @ h, ord="fro", axis=(1, 2))
+                worst_comm = max(worst_comm, comm.max())
+            worst_trace = max(worst_trace, np.abs(np.trace(h, axis1=1, axis2=2)).max())
     yield "parity-commutators", worst_comm, tol
     yield "traceless", worst_trace, 1e-10
 
@@ -290,6 +285,7 @@ def _verify_checks(grid_points, tau_values, tol):
     worst_cov = 0.0
     schedule = builtin_schedule("trigonometric")
     tau = 1.0
+    points = (0.15, 0.5, 0.85)
     for i in range(10):
         n = 1 if i < 5 else 2
         gate = random_unitary(2**n, rng)
@@ -297,12 +293,11 @@ def _verify_checks(grid_points, tau_values, tol):
         base = multi_sector_family(n, 1.0, schedule)
         family = superadiabatic_family(rotate_family(base, rotation), tau)
         plain = superadiabatic_family(base, tau)
-        for s in (0.15, 0.5, 0.85):
-            built = assembled_register_cd(schedule, s, tau, n=n, rotation=rotation)
-            built = built + rotation @ base.matrix(s) @ rotation.conj().T
-            conjugated = rotation @ plain.matrix(s) @ rotation.conj().T
-            worst_cov = max(worst_cov, np.abs(built - conjugated).max())
-            worst_cov = max(worst_cov, np.abs(family.matrix(s) - conjugated).max())
+        built = [assembled_register_cd(schedule, s, tau, n=n, rotation=rotation) for s in points]
+        built = np.array(built) + rotation @ base.matrix_grid(points) @ rotation.conj().T
+        conjugated = rotation @ plain.matrix_grid(points) @ rotation.conj().T
+        worst_cov = max(worst_cov, np.abs(built - conjugated).max())
+        worst_cov = max(worst_cov, np.abs(family.matrix_grid(points) - conjugated).max())
     yield "rotation-covariance", worst_cov, tol
 
     single = cost_closed_form(builtin_schedule("linear"), tau=1.0)

@@ -24,66 +24,87 @@ traceless sector terms are orthogonal in the Frobenius sense, which
 collapses the register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n)
 times the single-sector cost.
 
-All quadratures are composite Simpson with interval doubling until the
-relative change drops below QUAD_RTOL.  The closed-form route takes one
-schedules.sample per Simpson level and reads both weights off it.
+All quadratures are composite Simpson on nested grids, each doubling
+evaluating only the new midpoints, until the relative change drops below
+QUAD_RTOL.  The direct route assembles the dense register matrix of every
+node in matrix_grid batches of at most NORM_CHUNK entries.  The closed
+form takes one schedules.sample per Simpson level; a sweep integrates all
+its tau*omega (the bare drive as tau*omega = inf) as columns of one
+integrand, each frozen at the level where it settles.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 
 from . import spectral
 from .model import multi_sector_family, superadiabatic_family
-from .operators import frobenius_norm, require_positive
+from .operators import require_positive
 from .schedules import sample
 
 QUAD_RTOL = 1e-8
 MIN_QUAD_POINTS = 16
 MAX_QUAD_POINTS = 2**14
+NORM_CHUNK = 2**14  # complex entries cost_numeric takes per matrix_grid call
 
 DEFAULT_TAU_GRID = tuple(np.geomspace(0.1, 1000.0, 60))
 
 
 def _simpson(values, width):
+    """Composite Simpson along the first axis; each column is summed as one
+    contiguous row, pairwise, as numpy sums a lone integral."""
     if len(values) % 2 == 0:
         raise ValueError("Simpson needs an odd number of nodes")
+    v = np.ascontiguousarray(np.moveaxis(values, 0, -1))
     return width / 3.0 * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
+        v[..., 0] + v[..., -1] + 4.0 * v[..., 1:-1:2].sum(-1) + 2.0 * v[..., 2:-2:2].sum(-1)
     )
 
 
-def _converge(sample, quad_points):
-    """Double the Simpson interval count until the value settles, never
-    sampling more than MAX_QUAD_POINTS intervals."""
+def _converge(integrand, quad_points):
+    """Simpson over nested grids of [0, 1] of integrand(s), values at the
+    nodes s along its first axis: each doubling samples only the midpoints,
+    and each integral is frozen where it settles, as arrays (values,
+    intervals, defects); never more than MAX_QUAD_POINTS intervals."""
     n = max(int(quad_points), MIN_QUAD_POINTS)
     if n % 2:
         n += 1
     if n > MAX_QUAD_POINTS:
         raise ValueError(f"quad_points={quad_points} exceeds {MAX_QUAD_POINTS}")
-    prev = _simpson(sample(n), 1.0 / n)
-    while True:
+    f = integrand(np.linspace(0.0, 1.0, n + 1))
+    cur = _simpson(f, 1.0 / n)
+    value, defect, used = np.zeros_like(cur), np.zeros_like(cur), np.zeros_like(cur, int)
+    while not used.all():
+        prev = cur
         if 2 * n > MAX_QUAD_POINTS:
             msg = f"quadrature did not settle below {QUAD_RTOL} by {n} intervals"
             raise RuntimeError(msg)
-        n *= 2
-        cur = _simpson(sample(n), 1.0 / n)
-        defect = abs(cur - prev) / max(abs(cur), 1e-300)
-        if defect <= QUAD_RTOL:
-            return float(cur), n, float(defect)
-        prev = cur
+        fine = np.empty((2 * n + 1,) + f.shape[1:])
+        fine[::2] = f
+        fine[1::2] = integrand(np.linspace(0.0, 1.0, 2 * n + 1)[1::2])
+        f, n = fine, 2 * n
+        cur = _simpson(f, 1.0 / n)
+        change = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
+        fresh = (used == 0) & (change <= QUAD_RTOL)
+        value, defect = np.where(fresh, cur, value), np.where(fresh, change, defect)
+        used = np.where(fresh, n, used)
+    return value, used, defect
 
 
 def cost_numeric(family, quad_points=64):
-    """Direct route: Simpson quadrature of ||H(s)||_F for any family."""
+    """Direct route: Simpson quadrature of ||H(s)||_F for any family, off
+    the dense register matrix at every node, NORM_CHUNK entries at a time."""
+    per_call = max(1, NORM_CHUNK // family.dim**2)
 
-    def sample(n):
-        grid = np.linspace(0.0, 1.0, n + 1)
-        return np.array([frobenius_norm(family.matrix(s)) for s in grid])
+    def norms(s):
+        out = np.empty(len(s))
+        for i in range(0, len(s), per_call):
+            h = family.matrix_grid(s[i : i + per_call])
+            h = h.reshape(len(h), -1).view(float)
+            out[i : i + per_call] = np.sqrt(np.einsum("ij,ij->i", h, h))
+        return out
 
-    value, _, _ = _converge(sample, quad_points)
-    return value
+    return float(_converge(norms, quad_points)[0])
 
 
 def mu(schedule, s, m):
@@ -98,23 +119,22 @@ def mu(schedule, s, m):
     return float(dv @ dv)
 
 
-def _weights(schedule, n):
-    """The cost weights 16 chi^2 and 2 ||K||_F^2 = 4 theta'^2 (1 + a^2) on
-    the n-interval Simpson grid of [0, 1], both read off one sample."""
-    chi2, _, rate, a = spectral.chart(sample(schedule, np.linspace(0.0, 1.0, n + 1)))
+def _weights(schedule, s):
+    """The cost weights 16 chi^2 and 2 ||K||_F^2 = 4 theta'^2 (1 + a^2) at
+    the nodes s of [0, 1], both read off one sample."""
+    chi2, _, _, rate, a = spectral.chart(sample(schedule, s))
     return 16.0 * chi2, 4.0 * rate * rate * (1.0 + a * a)
 
 
-def _unit_cost(weights, tau_omega, quad_points=64):
-    """The closed-form cost in units of hbar*omega, as (value, intervals,
-    defect), from weights(n), the _weights of the n-interval grid;
-    tau_omega None is the bare drive."""
+def _unit_costs(schedule, tau_omegas, quad_points=64):
+    """The closed-form costs in units of hbar*omega at each tau*omega, as
+    _converge arrays (values, intervals, defects); tau*omega = inf is the
+    bare drive.  One sample per Simpson level serves every tau*omega."""
+    tau2 = np.square(np.asarray(tau_omegas, dtype=float))
 
-    def integrand(n):
-        energy, velocity = weights(n)
-        if tau_omega is None:
-            return np.sqrt(energy)
-        return np.sqrt(energy + velocity / tau_omega**2)
+    def integrand(s):
+        energy, velocity = _weights(schedule, s)
+        return np.sqrt(energy[:, None] + velocity[:, None] / tau2)
 
     return _converge(integrand, quad_points)
 
@@ -123,13 +143,13 @@ def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     """Spectral route: omega times the unit-cost integral at tau*omega."""
     require_positive("tau", tau)
     require_positive("omega", omega)
-    return omega * _unit_cost(partial(_weights, schedule), tau * omega, quad_points)[0]
+    return omega * float(_unit_costs(schedule, [tau * omega], quad_points)[0][0])
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
     require_positive("omega", omega)
-    return omega * _unit_cost(partial(_weights, schedule), None, quad_points)[0]
+    return omega * float(_unit_costs(schedule, [np.inf], quad_points)[0][0])
 
 
 def cost_scaling(n):
@@ -161,8 +181,8 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
     """Closed-form cost curves over a tau*omega grid.
 
     The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties: one sample
-    per schedule and quadrature level feeds both, built once and reused
-    across the whole grid.  Costs come out in units of hbar*omega, in which
+    per schedule and quadrature level feeds both, for every mode and grid
+    point at once.  Costs come out in units of hbar*omega, in which
     they depend on tau and omega only through the product tau*omega.  Each
     report carries the interval count and defect of its hardest grid point
     (the last one with the most intervals).
@@ -174,28 +194,23 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
         raise ValueError("tau*omega grid is empty")
     for t in taus:
         require_positive("tau*omega", t)
+    for mode in modes:
+        if mode not in ("adiabatic", "superadiabatic"):
+            raise ValueError(f"unknown mode {mode!r}")
+    rows = [t if mode == "superadiabatic" else np.inf for mode in modes for t in taus]
     reports = []
     for schedule in schedules:
-        weights = lru_cache(maxsize=None)(partial(_weights, schedule))
-        for mode in modes:
-            if mode not in ("adiabatic", "superadiabatic"):
-                raise ValueError(f"unknown mode {mode!r}")
-            points = []
-            worst = (0, 0.0)
-            for tau_omega in taus:
-                value, n_used, defect = _unit_cost(
-                    weights, tau_omega if mode == "superadiabatic" else None
-                )
-                points.append((tau_omega, value))
-                if n_used >= worst[0]:
-                    worst = (n_used, defect)
+        values, used, defects = _unit_costs(schedule, rows)
+        for k, mode in enumerate(modes):
+            part = slice(k * len(taus), (k + 1) * len(taus))
+            worst = k * len(taus) + np.flatnonzero(used[part] == used[part].max())[-1]
             reports.append(
                 CostReport(
                     schedule=schedule.name,
                     mode=mode,
-                    grid=points,
-                    quadrature_points=worst[0],
-                    quadrature_defect=worst[1],
+                    grid=list(zip(taus, values[part].tolist())),
+                    quadrature_points=int(used[worst]),
+                    quadrature_defect=float(defects[worst]),
                 )
             )
     return reports

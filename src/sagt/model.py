@@ -57,8 +57,9 @@ class HamiltonianFamily:
     ``coordinate_grid`` alone forms the generator, off one sample of an
     in_domain s-array: the so(4) coordinates of the parity block -omega
     (eta_i A + eta_f B) + (i/tau) K, ``block_matrix_grid``, which
-    ``sector_matrix_grid`` embeds on both parities and ``matrix`` pads over
-    the sectors and rotates (evaluating to G H(s) G^dag).
+    ``sector_matrix_grid`` embeds on both parities.  ``matrix_grid`` pads
+    those sector terms over the register and rotates them, one batch of
+    G H(s) G^dag, (N, dim, dim); ``matrix(s)`` is its one-point case.
     """
 
     sectors: int
@@ -89,19 +90,20 @@ class HamiltonianFamily:
     def sector_matrix(self, s):
         return self.sector_matrix_grid(np.array([float(s)]))[0]
 
-    def matrix(self, s):
-        h = self.sector_matrix(s)
-        if self.sectors == 1:
-            full = h
-        else:
-            full = np.zeros((self.dim, self.dim), dtype=complex)
-            for k in range(self.sectors):
-                left = np.eye(8**k, dtype=complex)
-                right = np.eye(8 ** (self.sectors - 1 - k), dtype=complex)
-                full += np.kron(np.kron(left, h), right)
+    def matrix_grid(self, s_values):
+        h = self.sector_matrix_grid(s_values)
+        count, n = len(h), self.sectors
+        full = np.zeros((count, self.dim, self.dim), dtype=complex)
+        for k in range(n):  # add 1 (x) h (x) 1 through a diagonal view of full
+            left, right = 8**k, 8 ** (n - 1 - k)
+            pads = full.reshape(count, left, 8, right, left, 8, right)
+            np.einsum("blirljr->blrij", pads)[...] += h[:, None, None]
         if self.rotation is not None:
             full = self.rotation @ full @ self.rotation.conj().T
         return full
+
+    def matrix(self, s):
+        return self.matrix_grid([float(s)])[0]
 
 
 def single_sector_family(omega, schedule):

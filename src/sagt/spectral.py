@@ -39,8 +39,9 @@ T0 = v2 v1^T - v1 v2^T (T0^3 = -T0 too), phi = atan(sin theta - cos theta)
 
 real orthogonal, so <v_m | d/ds v_m> = 0.  Nothing divides by chi + ei or
 chi + ef: V is exact to roundoff at every theta, around the circle too.
-chart(path) is the one place theta = atan2(ef, ei) is read off a sample,
-with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below.
+chart(path) reads cos theta = ei / chi and sin theta = ef / chi off a
+sample, with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below; only
+frame_grid, which turns by theta itself, takes its atan2.
 
 Velocity.  d phi / d theta = a(theta) = (cos theta + sin theta) /
 (2 - sin 2 theta), whose denominator is at least 1, so the real
@@ -194,14 +195,16 @@ def gap(schedule, s, omega=1.0):
 
 
 def chart(path):
-    """(chi^2, theta, theta', a(theta)) at each point of a schedules.sample:
-    theta = atan2(ef, ei), theta' = (ei ef' - ef ei') / chi^2 and the
-    zero-mode turn rate a = (cos theta + sin theta) / (2 - sin 2 theta)."""
+    """(chi^2, cos theta, sin theta, theta', a(theta)) at each point of a
+    schedules.sample: cos theta = ei / chi, sin theta = ef / chi,
+    theta' = (ei ef' - ef ei') / chi^2 and the zero-mode turn rate
+    a = (cos theta + sin theta) / (2 - 2 cos theta sin theta)."""
     ei, ef, dei, def_ = path
     chi2 = ei * ei + ef * ef
-    theta = np.arctan2(ef, ei)
-    a = (np.cos(theta) + np.sin(theta)) / (2.0 - np.sin(2.0 * theta))
-    return chi2, theta, (ei * def_ - ef * dei) / chi2, a
+    chi = np.sqrt(chi2)
+    cos, sin = ei / chi, ef / chi
+    a = (cos + sin) / (2.0 - 2.0 * cos * sin)
+    return chi2, cos, sin, (ei * def_ - ef * dei) / chi2, a
 
 
 def _exp_turn(m, angle):
@@ -214,8 +217,9 @@ def _exp_turn(m, angle):
 def frame_grid(path):
     """The eigenframe V = R(theta) exp(phi T0) FRAME_0 at each sample point,
     (..., 4, 4); column m is the eigenvector of block_energies[m]."""
-    _, theta, _, _ = chart(path)
-    phi = np.arctan(np.sin(theta) - np.cos(theta)) + 0.25 * np.pi
+    _, cos, sin, _, _ = chart(path)
+    theta = np.arctan2(sin, cos)
+    phi = np.arctan(sin - cos) + 0.25 * np.pi
     return _exp_turn(-0.25 * BLOCK_C, theta) @ _exp_turn(TURN_0, phi) @ FRAME_0
 
 
@@ -226,8 +230,8 @@ def block_eigenvectors(schedule, s):
 
 def _velocity_weights(path):
     """theta' (a cos theta, a sin theta, -1), K on (T0, T1, C/4), (..., 3)."""
-    _, theta, rate, a = chart(path)
-    weights = np.stack([a * np.cos(theta), a * np.sin(theta), -np.ones_like(a)], axis=-1)
+    _, cos, sin, rate, a = chart(path)
+    weights = np.stack([a * cos, a * sin, -np.ones_like(a)], axis=-1)
     return rate[..., None] * weights
 
 

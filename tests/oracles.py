@@ -29,6 +29,18 @@ def reference_propagate(matrix_fn, psi0, tau, steps):
     return psi
 
 
+def kron_sum(sector, n, rotation=None):
+    """G (sum_k 1 (x) h_k (x) 1) G^dag for one sector term h on each of n
+    sectors, padded by explicit Kronecker products."""
+    dim = 8**n
+    full = np.zeros((dim, dim), dtype=complex)
+    for k in range(n):
+        full += np.kron(np.kron(np.eye(8**k), sector), np.eye(8 ** (n - 1 - k)))
+    if rotation is not None:
+        full = rotation @ full @ rotation.conj().T
+    return full
+
+
 def reference_quad(fn, a=0.0, b=1.0):
     """Adaptive quadrature of a scalar function, tight tolerances."""
     value, _ = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sagt
 from sagt import cost
+from sagt.model import HamiltonianFamily
 from sagt.schedules import builtin_schedule, chi
 
 import oracles
@@ -227,14 +228,16 @@ def test_default_grid():
 def test_quadrature_honours_its_budget():
     requested = []
 
-    def restless(n):  # the value moves at every level and never settles
-        requested.append(n)
-        return np.full(n + 1, float(len(requested)))
+    def restless(s):  # the value moves at every level and never settles
+        requested.append(len(s))
+        return np.full(len(s), float(len(requested)))
 
     with pytest.raises(RuntimeError, match="did not settle"):
         cost._converge(restless, 64)
-    assert requested[0] == 64
-    assert max(requested) == cost.MAX_QUAD_POINTS
+    # 64 intervals first, then the new midpoints of each doubling
+    assert requested[0] == 64 + 1
+    assert requested[1:] == [64 * 2**k for k in range(len(requested) - 1)]
+    assert sum(requested) - 1 == cost.MAX_QUAD_POINTS
     requested.clear()
     with pytest.raises(ValueError, match="quad_points"):
         cost._converge(restless, cost.MAX_QUAD_POINTS + 1)
@@ -257,3 +260,64 @@ def test_adiabatic_costs_never_evaluate_the_velocity_weight(monkeypatch, kind):
     assert cost.adiabatic_cost(sch) == pytest.approx(frozen, rel=1e-8)
     [report] = cost.cost_sweep([sch], [0.1, 10.0], modes=("adiabatic",))
     assert [c for _, c in report.grid] == pytest.approx([frozen, frozen], rel=1e-8)
+
+
+@pytest.mark.parametrize("route", ["plain", "rotated", "two-sector"])
+def test_direct_route_evaluates_each_simpson_node_once(monkeypatch, route):
+    sch = builtin_schedule("trigonometric")
+    base = sagt.multi_sector_family(2 if route == "two-sector" else 1, 1.0, sch)
+    if route == "rotated":
+        gate = sagt.random_unitary(2, np.random.default_rng(3))
+        base = sagt.rotate_family(base, sagt.embed_on_outputs(gate, 1))
+    family = sagt.superadiabatic_family(base, 0.4)
+    calls, levels = [], []
+    grid, simpson = HamiltonianFamily.matrix_grid, cost._simpson
+
+    def counted_grid(self, s_values):
+        calls.append(np.array(s_values))
+        return grid(self, s_values)
+
+    def counted_simpson(values, width):
+        levels.append(len(values))
+        return simpson(values, width)
+
+    monkeypatch.setattr(HamiltonianFamily, "matrix_grid", counted_grid)
+    monkeypatch.setattr(cost, "_simpson", counted_simpson)
+    value = cost.cost_numeric(family)
+    want = cost.cost_closed_form(sch, 0.4) * cost.cost_scaling(family.sectors)
+    assert value == pytest.approx(want, rel=1e-10)
+    nodes = np.concatenate(calls)
+    assert len(levels) >= 2 and levels[0] == 64 + 1
+    assert len(nodes) == levels[-1]  # the final interval count + 1
+    assert len(np.unique(nodes)) == len(nodes)
+    np.testing.assert_array_equal(np.sort(nodes), np.linspace(0.0, 1.0, len(nodes)))
+    per_call = cost.NORM_CHUNK // family.dim**2
+    assert all(len(s) <= per_call for s in calls)
+
+
+# Interval counts of the parent cost_sweep on DEFAULT_TAU_GRID, per schedule:
+# (adiabatic, superadiabatic).
+SWEEP_QUADRATURE_POINTS = {
+    "linear": (128, 256),
+    "trigonometric": (128, 128),
+    "exponential": (128, 256),
+}
+
+
+def test_sweep_matches_the_pointwise_costs_on_the_default_grid():
+    schedules = [builtin_schedule(kind) for kind in KINDS]
+    reports = cost.cost_sweep(schedules)
+    assert [(r.schedule, r.mode) for r in reports] == [
+        (kind, mode) for kind in KINDS for mode in ("adiabatic", "superadiabatic")
+    ]
+    for report in reports:
+        sch = builtin_schedule(report.schedule)
+        taus = [t for t, _ in report.grid]
+        assert taus == [float(t) for t in cost.DEFAULT_TAU_GRID]
+        adiabatic = report.mode == "adiabatic"
+        for t, value in report.grid:
+            want = cost.adiabatic_cost(sch) if adiabatic else cost.cost_closed_form(sch, t)
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
+        points = SWEEP_QUADRATURE_POINTS[report.schedule][0 if adiabatic else 1]
+        assert report.quadrature_points == points
+        assert 0.0 <= report.quadrature_defect <= cost.QUAD_RTOL

@@ -129,8 +129,8 @@ def test_the_scan_sees_arctan2():
     "path", [p for p in ALL_MODULES if p.name != "spectral.py"], ids=lambda p: p.name
 )
 def test_the_chart_has_one_home(path):
-    # spectral.chart is where theta = atan2(eta_f, eta_i) is read off a
-    # sample; every other module takes theta from it
+    # spectral is where theta = atan2(eta_f, eta_i) is read off a sample
+    # (frame_grid); every other module takes cos and sin from spectral.chart
     assert arctan2_references(path.read_text(encoding="utf-8")) == []
 
 

@@ -29,6 +29,25 @@ def test_single_sector_matrix_is_the_declared_pauli_sum(kind):
         np.testing.assert_allclose(fam.matrix(s), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_matrix_grid_is_the_kron_sum_of_its_sectors(n, rotated):
+    rng = np.random.default_rng(n)
+    base = sagt.multi_sector_family(n, 1.3, builtin_schedule("exponential"))
+    fam = sagt.superadiabatic_family(base, 0.8)
+    g = None
+    if rotated:
+        g = operators.random_unitary(8**n, rng)
+        fam = sagt.rotate_family(fam, g)
+    s = np.array([0.0, 0.37, 1.0])
+    grid = fam.matrix_grid(s)
+    assert grid.shape == (3, 8**n, 8**n)
+    for h, x in zip(grid, s):
+        expected = oracles.kron_sum(fam.sector_matrix(x), n, g)
+        np.testing.assert_allclose(h, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(fam.matrix(0.37), fam.matrix_grid([0.37])[0])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_matrix_grid_is_the_even_block_of_the_sector(kind):
     even = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)

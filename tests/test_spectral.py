@@ -148,7 +148,7 @@ def test_frame_and_velocity_weight_on_random_paths(sch):
     for block, v in zip(spectral.drive_grid(path, 1.0), frames):
         _assert_frame_matches_dense(block, v, tol=1e-12)
     # the scalar cost weight 4 theta'^2 (1 + a^2) on the same 16-interval grid
-    _, scalar = cost._weights(sch, 16)
+    _, scalar = cost._weights(sch, s)
     k = spectral.velocity_grid(path)
     np.testing.assert_allclose(2.0 * np.einsum("sij,sij->s", k, k), scalar, rtol=1e-13)
 
