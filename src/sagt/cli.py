@@ -308,6 +308,8 @@ def _verify_checks(grid_points, tau_values, tol):
 
 
 def cmd_verify(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     rows = list(_verify_checks(args.grid, (0.1, 1.0, 10.0), args.tol))
     width = max(len(name) for name, _, _ in rows)
     failed = False
@@ -336,8 +338,9 @@ def _add_run_options(sub, with_gate=False):
         "--mode", choices=("adiabatic", "superadiabatic"), default="superadiabatic"
     )
     sub.add_argument("--steps", type=int, default=2000, help="initial step count")
-    sub.add_argument("--amp", help="input amplitudes re:im,re:im,...")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--amp", help="input amplitudes re:im,re:im,...")
+    source.add_argument(
         "--random", dest="random_state", action="store_true", help="seeded random input"
     )
     sub.add_argument("--seed", type=int, default=0)

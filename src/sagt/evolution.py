@@ -15,13 +15,12 @@ _CHUNK steps long), and consecutive segments into passes of at most
 _CHUNK padded steps.  A pass costs one family.coordinate_grid, the so(4)
 coordinates of its steps off one sample, and one spectral.step_products,
 one pairwise tree of real 4x4 steps (two unit quaternions each, no
-eigensolver) for all its segments; a segment costs one tensor
-contraction per sector on the state.  A fixed register rotation G
-telescopes through the product of step unitaries (G exp(-iH dt) G^dag =
-exp(-i G H G^dag dt)), so rotated families are propagated in the
-unrotated frame and rotated back only at observation points.  A gate run
-goes further: it propagates the unrotated protocol state and applies G
-once to each rung's end state.
+eigensolver) for all its segments; a segment costs one 8x8 product per
+sector on the state.  A fixed register rotation G telescopes through the
+product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
+so rotated families are propagated in the unrotated frame and rotated
+back only at observation points.  A gate run goes further: it propagates
+the unrotated protocol state and applies G once to each rung's end state.
 """
 
 from dataclasses import dataclass
@@ -75,25 +74,19 @@ def _whole(count, name="steps"):
 
 
 def _apply_sectorwise(u, psi, n):
-    """Apply the same 8x8 matrix to every sector axis of a 8**n state."""
-    if n == 1:
-        return u @ psi
-    t = psi.reshape((8,) * n)
-    for ax in range(n):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [ax])), 0, ax)
-    return t.reshape(-1)
+    """u^(x n) psi for an 8x8 u and an 8**n state: each product acts on the
+    leading sector and moves it last, so n of them restore the order."""
+    for _ in range(n):
+        psi = np.dot(u, psi.reshape(8, -1)).T.ravel()
+    return psi
 
 
 def _passes(cuts):
-    """The sorted cuts in runs of consecutive segments, each run holding at
-    most _CHUNK steps once its segments are padded to the longest."""
-    bounds = cuts[:1]
-    for stop in cuts[1:]:
-        if len(bounds) * max(np.diff(bounds + [stop])) > _CHUNK:
-            yield bounds
-            bounds = bounds[-1:]
-        bounds.append(stop)
-    yield bounds
+    """The sorted cuts in passes of _CHUNK // (longest segment) segments,
+    each pass starting at the last cut of the one before; padded to the
+    longest segment, a pass holds at most _CHUNK steps."""
+    width = _CHUNK // np.diff(cuts).max()
+    return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
 
 
 def propagate(family, psi0, steps, tau=None, observer=None):

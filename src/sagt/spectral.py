@@ -159,10 +159,6 @@ _SAMPLE_SPLIT = _SAMPLE_SPLIT.astype(complex).reshape(5, 16).view(float) @ _SPLI
 _LEFT_1, _RIGHT_1 = (np.concatenate(([np.eye(4)], m)) for m in (QUAT_LEFT, QUAT_RIGHT))
 _QUAT_PRODUCT = np.einsum("jab,kbc->jkac", _LEFT_1, _RIGHT_1).reshape(16, 16)
 
-# A sector block's relative residual off the span is a few eps; anything
-# above this is not a generator of the sector.
-SPAN_RTOL = 1e-12
-
 
 def drive_grid(path, omega):
     """The block -omega (eta_i A + eta_f B) at each point of a
@@ -289,20 +285,6 @@ def step_products(ab, dt, lengths):
         pairs = o[:, 1 : 2 * m : 2] @ o[:, 0 : 2 * m : 2]
         o = np.concatenate((pairs, o[:, 2 * m :]), axis=1)
     return REAL_FRAME @ o[:, 0] @ REAL_FRAME.conj().T
-
-
-def segment_propagator(h, dt):
-    """exp(-i h_{N-1} dt) ... exp(-i h_0 dt), one (4, 4) matrix, for a stack
-    of sector blocks h, (..., 4, 4) in flattened order.  A block that is not
-    finite, or whose Frobenius residual off the six generators exceeds
-    SPAN_RTOL times its norm, raises ValueError."""
-    h = np.ascontiguousarray(h, dtype=complex).reshape(-1, 16).view(float)
-    ab = h @ _SPLIT
-    off = h - ab @ _UNSPLIT
-    off2, h2 = (np.einsum("ij,ij->i", x, x) for x in (off, h))
-    if not np.all(off2 <= SPAN_RTOL**2 * h2):  # NaN fails too
-        raise ValueError("block is not finite or lies outside the sector algebra")
-    return step_products(ab, dt, [len(ab)])[0]
 
 
 def embed_blocks(plus_block, minus_block):

@@ -296,6 +296,26 @@ def test_bad_amp_inputs_exit_one(capsys, command, amp):
     assert "sagt: error:" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["state-teleport"], ["gate-teleport", "--gate", "x"]], ids=["state", "gate"]
+)
+def test_amp_and_random_together_exit_one(capsys, command):
+    # the record could not say which input ran: the two options exclude each other
+    argv = [*command, "--tau", "1.0", "--steps", "4", "--amp", "1,0", "--random"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "[--amp AMP | --random]" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_verify_rejects_an_empty_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err == f"sagt: error: --grid must be at least 1, got {grid}\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "11")
     assert code == 0

@@ -216,3 +216,25 @@ def test_sector_correction_on_random_paths(sch, s, tau):
         deta_f=lambda x: 0.0 * x,
     )
     assert np.max(np.abs(counterdiabatic.sector_cd(frozen, s, tau))) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sch=strategies.paths,
+    n=st.integers(1, 2),
+    tau=st.floats(0.1, 20.0),
+    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotated_correction_is_covariant_on_random_paths(sch, n, tau, s, seed):
+    # the frame-assembled correction of the rotated register, plus the
+    # rotated drive, is the conjugated superadiabatic generator; the
+    # route's finite-difference roundoff, about eps / _CHECK_STEP, enters
+    # through the 1/tau of the correction, so the bound scales with it
+    gate = sagt.random_unitary(2**n, np.random.default_rng(seed))
+    g = sagt.embed_on_outputs(gate, n)
+    base = sagt.multi_sector_family(n, 1.0, sch)
+    built = counterdiabatic.assembled_register_cd(sch, s, tau, n=n, rotation=g)
+    built = built + sagt.rotate_family(base, g).matrix(s)
+    conjugated = g @ sagt.superadiabatic_family(base, tau).matrix(s) @ g.conj().T
+    np.testing.assert_allclose(built, conjugated, rtol=0, atol=3e-9 / tau)

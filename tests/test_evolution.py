@@ -1,6 +1,7 @@
 """Time propagation and the teleportation protocol runners."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,16 +98,17 @@ def test_checkpoint_states_match_dense_reference_three_sectors():
     np.testing.assert_allclose(final, psi, atol=1e-10)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     sch=strategies.paths,
     superadiabatic=st.booleans(),
     tau=st.floats(0.1, 20.0),
     steps=st.integers(1, 300),
     n=st.integers(1, 2),
+    chunk=st.sampled_from([evolution._CHUNK, 1, 7]),
 )
 def test_segment_products_match_per_step_exponentials(
-    sch, superadiabatic, tau, steps, n
+    sch, superadiabatic, tau, steps, n, chunk
 ):
     fam = sagt.multi_sector_family(n, 1.0, sch)
     if superadiabatic:
@@ -125,13 +127,48 @@ def test_segment_products_match_per_step_exponentials(
             h = fam.sector_matrix((k + 0.5) / steps)
             u = expm(-1j * (tau / steps) * h) @ u
     seen = []
-    final = evolution.propagate(
-        fam, psi0, steps, tau=tau, observer=lambda s, psi: seen.append((s, psi))
-    )
+    # a small pass width splits the run into many passes and segments
+    with mock.patch.object(evolution, "_CHUNK", chunk):
+        final = evolution.propagate(
+            fam, psi0, steps, tau=tau, observer=lambda s, psi: seen.append((s, psi))
+        )
     np.testing.assert_allclose(final, expected[steps], atol=1e-12)
     assert [s for s, _ in seen] == [k / steps for k in checkpoints]
     for (_, psi), k in zip(seen, checkpoints):
         np.testing.assert_allclose(psi, expected[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_sectorwise_is_the_kronecker_power(n):
+    # a complex, non-Hermitian, non-symmetric u: a transposed or misplaced
+    # sector axis would not pass
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    psi = rng.normal(size=8**n) + 1j * rng.normal(size=8**n)
+    want = functools.reduce(np.kron, [u] * n) @ psi
+    np.testing.assert_allclose(evolution._apply_sectorwise(u, psi, n), want, rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chunk=st.sampled_from([evolution._CHUNK, 1, 7]),
+    steps=st.integers(1, 3 * evolution._CHUNK),
+    marks=st.lists(st.floats(0.0, 1.0), max_size=30),
+)
+def test_passes_chain_and_cover_the_cuts(chunk, steps, marks):
+    # the cuts propagate makes: its checkpoints, every multiple of the pass
+    # width, and the end
+    cuts = {int(round(f * steps)) for f in marks} | set(range(0, steps, chunk))
+    cuts = sorted(cuts | {steps})
+    with mock.patch.object(evolution, "_CHUNK", chunk):
+        passes = evolution._passes(cuts)
+    assert passes[0][0] == 0 and passes[-1][-1] == steps
+    for before, after in zip(passes, passes[1:]):
+        assert before[-1] == after[0]
+    assert passes[0] + [c for p in passes[1:] for c in p[1:]] == cuts
+    for p in passes:
+        assert len(p) >= 2
+        assert (len(p) - 1) * np.diff(p).max() <= chunk
 
 
 @settings(max_examples=15, deadline=None)

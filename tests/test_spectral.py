@@ -285,20 +285,28 @@ def _ordered_expm(h, dt):
     return u
 
 
+def _runs(ab, dt, lengths):
+    """(step_products, ordered expm) of each run of lengths[j] rows of ab."""
+    blocks = spectral.coordinate_block(ab)
+    bounds = np.cumsum([0] + list(lengths))
+    want = [_ordered_expm(blocks[lo:hi], dt) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return zip(spectral.step_products(ab, dt, lengths), want, lengths)
+
+
 @settings(max_examples=25, deadline=None)
 @given(sch=DRIVES, tau=TAUS, omega=OMEGAS, reach=st.floats(1e-3, 10.0))
 def test_segment_propagator_matches_ordered_expm(sch, tau, omega, reach):
     # reach = the largest lambda_1 dt on the grid, up to about 3 pi
     s = np.linspace(0.0, 1.0, 33)
     for fam in _families(sch, omega, tau):
-        h = fam.block_matrix_grid(s)
+        ab = fam.coordinate_grid(s)
+        h = spectral.coordinate_block(ab)
         dt = reach / np.abs(np.linalg.eigvalsh(h)).max()
-        for b in h:  # each step exponential on its own
-            u = spectral.segment_propagator(b, dt)
-            assert np.abs(u - expm(-1j * dt * b)).max() < 1e-13
-        for stack in (h[:7], h):  # roundoff grows with the factors
-            u = spectral.segment_propagator(stack, dt)
-            assert np.abs(u - _ordered_expm(stack, dt)).max() < 1e-13 * len(stack)
+        # each step exponential on its own, then runs of 7 and of all rows:
+        # roundoff grows with the factors
+        for lengths in ([1] * len(ab), [7, 7, 7, 7, 5], [len(ab)]):
+            for u, want, count in _runs(ab, dt, lengths):
+                assert np.abs(u - want).max() < 1e-13 * count
 
 
 def test_step_products_of_uneven_runs_match_each_segment():
@@ -307,13 +315,9 @@ def test_step_products_of_uneven_runs_match_each_segment():
         sagt.single_sector_family(1.3, builtin_schedule("exponential")), 0.4
     )
     ab = fam.coordinate_grid((np.arange(sum(lengths)) + 0.5) / sum(lengths))
-    dt = 0.05
-    got = spectral.step_products(ab, dt, lengths)
-    assert got.shape == (len(lengths), 4, 4)
-    bounds = np.cumsum([0] + lengths)
-    for u, lo, hi in zip(got, bounds[:-1], bounds[1:]):
-        want = spectral.segment_propagator(spectral.coordinate_block(ab[lo:hi]), dt)
-        assert np.abs(u - want).max() < 1e-13 * (hi - lo)
+    assert spectral.step_products(ab, 0.05, lengths).shape == (len(lengths), 4, 4)
+    for u, want, count in _runs(ab, 0.05, lengths):
+        assert np.abs(u - want).max() < 1e-13 * count
 
 
 def test_step_products_rejects_non_finite_coordinates():
@@ -338,7 +342,6 @@ def test_coordinate_block_is_the_drive_plus_the_velocity_term(sch, tau, omega):
         h = spectral.coordinate_block(spectral.coordinate_grid(path, omega, t))
         err = np.linalg.norm(h - want, axis=(-2, -1))
         assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
-        spectral.segment_propagator(h, 0.1)  # inside the sector algebra
 
 
 def _span_blocks(ab):
@@ -361,36 +364,13 @@ def test_segment_propagator_on_random_span_vectors(kind):
         ab[4] = 0.0
     h = _span_blocks(ab)
     for dt in (0.1, 2.0, 7.0):
-        for b in h:
-            u = spectral.segment_propagator(b, dt)
+        for u, b in zip(spectral.step_products(ab, dt, [1] * len(ab)), h):
             np.testing.assert_allclose(u, expm(-1j * dt * b), atol=1e-13)
-        u = spectral.segment_propagator(h, dt)
+        u = spectral.step_products(ab, dt, [len(ab)])[0]
         np.testing.assert_allclose(u, _ordered_expm(h, dt), atol=1e-13 * len(h))
     if kind == "zero":
-        u = spectral.segment_propagator(h[4], 1.0)
+        u = spectral.step_products(ab[4:5], 1.0, [1])[0]
         np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-15)
-
-
-def _outside_blocks():
-    v = sagt.random_unitary(4, np.random.default_rng(5))
-    nan = np.full((4, 4), np.nan, dtype=complex)
-    return {
-        "cubic": np.diag([1.0, 2.0, 3.0, -6.0]).astype(complex),
-        "trace": np.diag([1.0, -1.0, 2.0, -1.0]).astype(complex),
-        "nan": nan,
-        "distinct": (v * np.array([-2.0, -0.5, 0.5, 2.0])) @ v.conj().T,
-    }
-
-
-@pytest.mark.parametrize("kind", ["cubic", "trace", "nan", "distinct"])
-def test_segment_propagator_rejects_a_block_off_the_algebra(kind):
-    fam = sagt.superadiabatic_family(
-        sagt.single_sector_family(1.0, builtin_schedule("linear")), 1.0
-    )
-    good = fam.block_matrix_grid(np.array([0.3]))
-    blocks = np.concatenate((good, [_outside_blocks()[kind]]))
-    with pytest.raises(ValueError, match="outside the sector algebra"):
-        spectral.segment_propagator(blocks, 0.1)
 
 
 def test_the_sector_generators_are_real_in_the_real_frame():
