@@ -1,9 +1,13 @@
 """Command-line front end: teleportation runs, cost sweeps, self-checks.
 
-Outputs are deterministic for a fixed command line (seeded randomness,
-repr-formatted floats) and land on disk atomically via a temp-file rename.
-Exit codes: 0 success, 1 usage or input errors, 2 verification failure
-(a failed self-check, or a run whose convergence ladder did not accept).
+state-teleport and gate-teleport are one command, cmd_teleport: a gate
+teleport is a state teleport with a gate, and the library's run checks
+the gate against --n.  Outputs are deterministic for a fixed command line
+(seeded randomness, repr-formatted floats; a record's seed is null unless
+something was drawn) and land on disk atomically via a temp-file rename.
+Exit codes: 0 success, 1 usage or input errors (argparse's usage line and
+reason, or one "sagt: error:" line), 2 verification failure (a failed
+self-check, or a run whose convergence ladder did not accept).
 """
 
 import argparse
@@ -17,9 +21,10 @@ import numpy as np
 from . import __version__
 from .cost import cost_multi, cost_scaling, cost_sweep, cost_closed_form
 from .counterdiabatic import assembled_register_cd
-from .evolution import run_gate_teleport, run_state_teleport
+from .evolution import DEFAULT_STEPS, run_gate_teleport, run_state_teleport
 from .model import (
     GATE_NAMES,
+    MODES,
     embed_on_outputs,
     gate_width,
     multi_sector_family,
@@ -140,75 +145,47 @@ def _emit_record(record, config, out):
     return 0 if record.accepted else 2
 
 
-def cmd_state_teleport(args):
-    schedule = _schedule(args.schedule)
-    psi_in = _input_state(args, args.n)
-    record = run_state_teleport(
-        args.n,
-        schedule,
-        args.tau,
-        args.mode,
-        psi_in,
-        steps=args.steps,
-        omega=args.omega,
-    )
-    config = {
-        "command": "state-teleport",
-        "n": args.n,
-        "schedule": schedule.name,
-        "tau_omega": args.tau,
-        "omega": args.omega,
-        "mode": args.mode,
-        "steps": args.steps,
-        "seed": args.seed if args.random_state else None,
-        "amp": args.amp,
-    }
-    return _emit_record(record, config, args.out)
-
-
-def cmd_gate_teleport(args):
-    schedule = _schedule(args.schedule)
+def _gate(args):
+    """(gate, label) from --gate-file, --gate random-su or a named gate;
+    (None, None) for a state-teleport."""
+    if args.command == "state-teleport":
+        return None, None
     if args.gate_file:
-        gate = load_unitary(args.gate_file)
-        gate_label = os.path.basename(args.gate_file)
-    elif args.gate == "random-su":
+        return load_unitary(args.gate_file), os.path.basename(args.gate_file)
+    if args.gate == "random-su":
         if args.n is None:
             raise ValueError("--gate random-su needs --n to fix the gate size")
         require_sectors(args.n)
-        gate = random_unitary(2**args.n, np.random.default_rng(args.seed))
-        gate_label = "random-su"
-    else:
-        if args.gate is None:
-            raise ValueError("pick a gate with --gate or --gate-file")
-        gate = named_gate(args.gate)
-        gate_label = args.gate
-    n = gate_width(gate)
-    if args.n is not None and args.n != n:
-        raise ValueError(f"gate {gate_label!r} acts on {n} qubits, but --n={args.n}")
+        return random_unitary(2**args.n, np.random.default_rng(args.seed)), "random-su"
+    if args.gate is None:
+        raise ValueError("pick a gate with --gate or --gate-file")
+    return named_gate(args.gate), args.gate
+
+
+def cmd_teleport(args):
+    schedule = _schedule(args.schedule)
+    gate, label = _gate(args)
+    n = args.n if gate is None else gate_width(gate)
     psi_in = _input_state(args, n)
-    record = run_gate_teleport(
-        gate,
-        schedule,
-        args.tau,
-        args.mode,
-        psi_in,
-        n=n,
-        steps=args.steps,
-        omega=args.omega,
-    )
-    record.gate = gate_label
+    run_args = (schedule, args.tau, args.mode, psi_in)
+    options = {"steps": args.steps, "omega": args.omega}
+    if gate is None:
+        record = run_state_teleport(n, *run_args, **options)
+    else:  # run_gate_teleport holds the one width rule for a given --n
+        record = run_gate_teleport(gate, *run_args, n=args.n, **options)
     config = {
-        "command": "gate-teleport",
-        "gate": gate_label,
+        "command": args.command,
         "n": n,
         "schedule": schedule.name,
         "tau_omega": args.tau,
         "omega": args.omega,
         "mode": args.mode,
         "steps": args.steps,
-        "seed": args.seed,
+        "seed": args.seed if args.random_state or label == "random-su" else None,
         "amp": args.amp,
     }
+    if gate is not None:
+        config["gate"] = label
     return _emit_record(record, config, args.out)
 
 
@@ -322,22 +299,12 @@ def cmd_verify(args):
     return 2 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this artifact reserves 2 for
-    # verification failures, so route usage problems to exit code 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
-
-
 def _add_run_options(sub, with_gate=False):
     sub.add_argument("--schedule", default="linear", help="linear | trig | exp")
     sub.add_argument("--tau", type=float, required=True, help="total time tau*omega")
     sub.add_argument("--omega", type=float, default=1.0, help="coupling rate")
-    sub.add_argument(
-        "--mode", choices=("adiabatic", "superadiabatic"), default="superadiabatic"
-    )
-    sub.add_argument("--steps", type=int, default=2000, help="initial step count")
+    sub.add_argument("--mode", choices=MODES, default="superadiabatic")
+    sub.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="initial step count")
     source = sub.add_mutually_exclusive_group()
     source.add_argument("--amp", help="input amplitudes re:im,re:im,...")
     source.add_argument(
@@ -354,17 +321,17 @@ def _add_run_options(sub, with_gate=False):
 
 
 def build_parser():
-    parser = _Parser(prog="sagt", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="sagt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sagt {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     st = commands.add_parser("state-teleport", help="teleport a state across sectors")
     _add_run_options(st)
-    st.set_defaults(func=cmd_state_teleport)
+    st.set_defaults(func=cmd_teleport)
 
     gt = commands.add_parser("gate-teleport", help="teleport through a rotated family")
     _add_run_options(gt, with_gate=True)
-    gt.set_defaults(func=cmd_gate_teleport)
+    gt.set_defaults(func=cmd_teleport)
 
     cs = commands.add_parser("cost-sweep", help="cost curves over a tau*omega grid")
     cs.add_argument("--schedules", default="linear,trig,exp")
@@ -372,7 +339,7 @@ def build_parser():
     cs.add_argument("--tau-max", type=float, default=1000.0)
     cs.add_argument("--points", type=int, default=60)
     cs.add_argument("--log", action="store_true", help="logarithmic tau grid")
-    cs.add_argument("--modes", default="adiabatic,superadiabatic")
+    cs.add_argument("--modes", default=",".join(MODES))
     cs.add_argument("--out", help="write CSV here")
     cs.set_defaults(func=cmd_cost_sweep)
 
@@ -387,7 +354,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse printed its reason; exit 2 is for verification
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

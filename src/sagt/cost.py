@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .model import multi_sector_family, superadiabatic_family
+from .model import MODES, multi_sector_family, superadiabatic_family
 from .operators import require_positive
 from .schedules import sample
 
@@ -177,7 +177,7 @@ class CostReport:
     quadrature_defect: float
 
 
-def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabatic")):
+def cost_sweep(schedules, tau_omega_grid=None, modes=MODES):
     """Closed-form cost curves over a tau*omega grid.
 
     The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties: one sample
@@ -195,7 +195,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=("adiabatic", "superadiabat
     for t in taus:
         require_positive("tau*omega", t)
     for mode in modes:
-        if mode not in ("adiabatic", "superadiabatic"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     rows = [t if mode == "superadiabatic" else np.inf for mode in modes for t in taus]
     reports = []

@@ -31,6 +31,7 @@ import numpy as np
 from . import spectral
 from .cost import _simpson
 from .model import (
+    MODES,
     _protocol_input,
     embed_on_outputs,
     gate_width,
@@ -50,8 +51,6 @@ DEFAULT_TARGET_DEFECT = 1e-8
 MAX_STEPS = 2**20
 _CHUNK = 4096
 _TRACE_POINTS = 21
-
-MODES = ("adiabatic", "superadiabatic")
 
 
 def fidelity(psi, phi):

@@ -22,6 +22,8 @@ MAX_QUBITS = 10
 
 UNITARITY_ATOL = 1e-10
 
+MODES = ("adiabatic", "superadiabatic")
+
 
 class CapacityError(ValueError):
     """Register would exceed the dense-simulation budget."""

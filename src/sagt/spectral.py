@@ -32,16 +32,17 @@ The block at (ei, ef) = chi (cos theta, sin theta) is thus chi R H_0 R^T,
 H_0 the block at (1, 0), whose frame FRAME_0 has the columns (1,1,0,0),
 (1,-1,0,0), (0,0,1,1) and (0,0,1,-1) over sqrt 2, energy ascending.  The
 zero-mode pair v1, v2 is turned in a fixed gauge by exp(phi T0), with
-T0 = v2 v1^T - v1 v2^T (T0^3 = -T0 too), phi = atan(sin theta - cos theta)
-+ pi/4:
+T0 = v2 v1^T - v1 v2^T (T0^3 = -T0 too), phi = atan(t) + pi/4 with
+t = sin theta - cos theta, so cos phi = (1 - t) / sqrt(2 (1 + t^2)) and
+sin phi = (1 + t) / sqrt(2 (1 + t^2)):
 
     V(theta) = R(theta) exp(phi T0) FRAME_0,
 
 real orthogonal, so <v_m | d/ds v_m> = 0.  Nothing divides by chi + ei or
 chi + ef: V is exact to roundoff at every theta, around the circle too.
 chart(path) reads cos theta = ei / chi and sin theta = ef / chi off a
-sample, with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below; only
-frame_grid, which turns by theta itself, takes its atan2.
+sample, with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below; no
+theta or phi is ever taken: frame_grid turns by their cosines and sines.
 
 Velocity.  d phi / d theta = a(theta) = (cos theta + sin theta) /
 (2 - sin 2 theta), whose denominator is at least 1, so the real
@@ -203,20 +204,21 @@ def chart(path):
     return chi2, cos, sin, (ei * def_ - ef * dei) / chi2, a
 
 
-def _exp_turn(m, angle):
-    """exp(angle m) = 1 + sin(angle) m + (1 - cos(angle)) m^2 at each angle,
-    for a constant real m with m^3 = -m; shape (..., 4, 4)."""
-    angle = angle[..., None, None]
-    return np.eye(4) + np.sin(angle) * m + (1.0 - np.cos(angle)) * (m @ m)
+def _turn(m, cos, sin):
+    """exp(angle m) = 1 + sin m + (1 - cos) m^2 at the cosine and sine of
+    each angle, for a constant real m with m^3 = -m; shape (..., 4, 4)."""
+    cos, sin = cos[..., None, None], sin[..., None, None]
+    return np.eye(4) + sin * m + (1.0 - cos) * (m @ m)
 
 
 def frame_grid(path):
     """The eigenframe V = R(theta) exp(phi T0) FRAME_0 at each sample point,
     (..., 4, 4); column m is the eigenvector of block_energies[m]."""
     _, cos, sin, _, _ = chart(path)
-    theta = np.arctan2(sin, cos)
-    phi = np.arctan(sin - cos) + 0.25 * np.pi
-    return _exp_turn(-0.25 * BLOCK_C, theta) @ _exp_turn(TURN_0, phi) @ FRAME_0
+    t = sin - cos
+    norm = np.sqrt(2.0 * (1.0 + t * t))
+    zero_turn = _turn(TURN_0, (1.0 - t) / norm, (1.0 + t) / norm)
+    return _turn(-0.25 * BLOCK_C, cos, sin) @ zero_turn @ FRAME_0
 
 
 def block_eigenvectors(schedule, s):

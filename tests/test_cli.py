@@ -42,6 +42,10 @@ def test_usage_errors_exit_one(capsys):
     )
     assert code == 1
     assert "unknown schedule" in err
+    # argparse's own reason reaches stderr, under its usage line
+    code, out, err = run_cli(capsys, "state-teleport", "--tau", "1", "--mode", "bogus")
+    assert (code, out) == (1, "")
+    assert "argument --mode: invalid choice: 'bogus'" in err
 
 
 def test_state_teleport_stdout_record(capsys):
@@ -144,6 +148,21 @@ def test_gate_teleport_random_su_needs_n(capsys):
     )
     assert code == 0
     assert json.loads(out)["fidelity"] >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (("gate-teleport", "--gate", "cnot", "--amp", "1,0,0,0"), None),
+        (("gate-teleport", "--gate", "random-su", "--n", "1", "--seed", "5"), 5),
+        (("gate-teleport", "--gate", "x", "--random", "--seed", "5"), 5),
+        (("state-teleport", "--amp", "1,0", "--seed", "5"), None),
+    ],
+)
+def test_seed_is_recorded_only_when_something_was_drawn(capsys, argv, seed):
+    code, out, _ = run_cli(capsys, *argv, "--tau", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == seed
 
 
 def test_gate_teleport_from_file(tmp_path, capsys):
@@ -306,6 +325,7 @@ def test_amp_and_random_together_exit_one(capsys, command):
     assert code == 1
     assert out == ""
     assert "[--amp AMP | --random]" in err
+    assert "not allowed with argument --amp" in err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

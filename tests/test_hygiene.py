@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used,
 every import sits at module level, so the module graph reads off the top of
 each file, no module but schedules evaluates a schedule on a grid, no
-module but spectral reads an angle off (eta_i, eta_f) with arctan2, and no
-module but operators names an eigensolver or a matrix exponential."""
+module takes an arctan2 (spectral.chart reads cos and sin off (eta_i,
+eta_f) instead), and no module but operators names an eigensolver or a
+matrix exponential."""
 
 import ast
 from pathlib import Path
@@ -125,12 +126,10 @@ def test_the_scan_sees_arctan2():
     assert arctan2_references(source) == [2, 3, 4]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in ALL_MODULES if p.name != "spectral.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_the_chart_has_one_home(path):
-    # spectral is where theta = atan2(eta_f, eta_i) is read off a sample
-    # (frame_grid); every other module takes cos and sin from spectral.chart
+    # spectral.chart reads cos theta and sin theta off a sample; the frame
+    # and every other module take those, never the angle theta itself
     assert arctan2_references(path.read_text(encoding="utf-8")) == []
 
 
