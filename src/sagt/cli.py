@@ -35,24 +35,14 @@ from .model import (
     superadiabatic_family,
 )
 from .operators import random_state, random_unitary
-from .schedules import builtin_schedule
+from .schedules import BUILTIN_KINDS, builtin_schedule
 from .spectral import MINUS_BASIS, PLUS_BASIS, embed_blocks
 
-SCHEDULE_ALIASES = {
-    "linear": "linear",
-    "trig": "trigonometric",
-    "trigonometric": "trigonometric",
-    "exp": "exponential",
-    "exponential": "exponential",
-}
+SCHEDULE_ALIASES = {"trig": "trigonometric", "exp": "exponential"}
+
 
 def _schedule(token):
-    try:
-        return builtin_schedule(SCHEDULE_ALIASES[token])
-    except KeyError:
-        raise ValueError(
-            f"unknown schedule {token!r}; choose from {sorted(SCHEDULE_ALIASES)}"
-        ) from None
+    return builtin_schedule(SCHEDULE_ALIASES.get(token, token))
 
 
 def _atomic_write(path, text):
@@ -78,10 +68,12 @@ def load_unitary(path):
                 continue
             row = []
             for cell in line.split(","):
-                parts = cell.split()
-                if len(parts) != 2:
-                    raise ValueError(f"bad cell {cell!r} in {path}: want 're im'")
-                row.append(complex(float(parts[0]), float(parts[1])))
+                try:
+                    re, im = map(float, cell.split())
+                except ValueError:
+                    want = "want 're im' floats"
+                    raise ValueError(f"bad cell {cell!r} in {path}: {want}") from None
+                row.append(complex(re, im))
             rows.append(row)
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
@@ -228,33 +220,22 @@ def cmd_cost_sweep(args):
 
 def _verify_checks(grid_points, tau_values, tol):
     """Yield (name, max_defect, tolerance) rows for the self-check table."""
-    schedules = [builtin_schedule(k) for k in ("linear", "trigonometric", "exponential")]
     grid = np.linspace(0.0, 1.0, grid_points)
+    bare = [multi_sector_family(1, 1.0, builtin_schedule(kind)) for kind in BUILTIN_KINDS]
 
     # block structure of the bare drive: equal diagonal blocks, zero off-blocks
     plus, minus = (np.asarray(basis) for basis in (PLUS_BASIS, MINUS_BASIS))
-    worst = 0.0
-    for schedule in schedules:
-        h = multi_sector_family(1, 1.0, schedule).matrix_grid(grid)
-        blocks = h[:, plus[:, None], plus], h[:, minus[:, None], minus]
-        worst = max(worst, np.abs(blocks[0] - blocks[1]).max())
-        worst = max(worst, np.abs(h - embed_blocks(*blocks)).max())
+    h = np.concatenate([family.matrix_grid(grid) for family in bare])
+    blocks = h[:, plus[:, None], plus], h[:, minus[:, None], minus]
+    worst = max(np.abs(blocks[0] - blocks[1]).max(), np.abs(h - embed_blocks(*blocks)).max())
     yield "block-structure", worst, tol
 
-    worst_comm = 0.0
-    worst_trace = 0.0
-    for schedule in schedules:
-        pz = parity("z", "global", 1)
-        px = parity("x", "global", 1)
-        for tau in tau_values:
-            family = superadiabatic_family(multi_sector_family(1, 1.0, schedule), tau)
-            h = family.matrix_grid(grid)
-            for p in (pz, px):
-                comm = np.linalg.norm(h @ p - p @ h, ord="fro", axis=(1, 2))
-                worst_comm = max(worst_comm, comm.max())
-            worst_trace = max(worst_trace, np.abs(np.trace(h, axis1=1, axis2=2)).max())
-    yield "parity-commutators", worst_comm, tol
-    yield "traceless", worst_trace, 1e-10
+    dressed = [superadiabatic_family(family, tau) for family in bare for tau in tau_values]
+    h = np.concatenate([family.matrix_grid(grid) for family in dressed])
+    parities = [parity(axis, "global", 1) for axis in "zx"]
+    worst = max(np.linalg.norm(h @ p - p @ h, axis=(1, 2)).max() for p in parities)
+    yield "parity-commutators", worst, tol
+    yield "traceless", np.abs(np.trace(h, axis1=1, axis2=2)).max(), 1e-10
 
     # covariance under fixed register rotations, via the independent
     # frame-assembled construction

@@ -24,6 +24,7 @@ the unrotated protocol state and applies G once to each rung's end state.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -257,7 +258,7 @@ def _run_protocol(
 
     # observables of the reported rung, read off the unrotated states, where
     # the conserved parity is plain Z...Z and the ground projector the bare one
-    z_signs = np.array([(-1.0) ** bin(i).count("1") for i in range(family.dim)])
+    z_signs = reduce(np.kron, [[1.0, -1.0]] * (3 * n))
     projectors = _ground_pair_projector(schedule, [s for s, _ in states])
     trace, parities = [], []
     for (s, psi), projector in zip(states, projectors):

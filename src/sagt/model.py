@@ -121,10 +121,7 @@ def single_sector_family(omega, schedule):
 def multi_sector_family(n, omega, schedule):
     """n independent copies of the drive on 3n qubits (sum of padded sectors)."""
     require_sectors(n)
-    base = single_sector_family(omega, schedule)
-    if n == 1:
-        return base
-    return replace(base, sectors=n)
+    return replace(single_sector_family(omega, schedule), sectors=n)
 
 
 def superadiabatic_family(base, tau):
@@ -263,34 +260,23 @@ def target_state(psi_in, n, rotation=None):
 # named gates
 
 
-def _gate_table():
-    rt2 = 1.0 / np.sqrt(2.0)
-    h = rt2 * np.array([[1, 1], [1, -1]], dtype=complex)
-    t = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
-    return {
-        "hadamard": h,
-        "t": t,
-        "x": x,
-        "z": z,
-        "cnot": cnot,
-        "cz": cz,
-        "toffoli": toffoli,
-    }
+_GATES = {
+    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "t": np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "z": np.diag([1.0, -1.0]).astype(complex),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "cz": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
+    "toffoli": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
 
-
-GATE_NAMES = tuple(sorted(_gate_table()))
+GATE_NAMES = tuple(sorted(_GATES))
 
 
 def named_gate(name):
     """Look up a standard gate matrix by name; see GATE_NAMES."""
-    table = _gate_table()
     try:
-        return table[name].copy()
+        return _GATES[name].copy()
     except KeyError:
         raise ValueError(f"unknown gate {name!r}; choose from {GATE_NAMES}") from None
 

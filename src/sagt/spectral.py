@@ -42,7 +42,10 @@ real orthogonal, so <v_m | d/ds v_m> = 0.  Nothing divides by chi + ei or
 chi + ef: V is exact to roundoff at every theta, around the circle too.
 chart(path) reads cos theta = ei / chi and sin theta = ef / chi off a
 sample, with chi^2, theta' = (ei ef' - ef ei') / chi^2 and a below; no
-theta or phi is ever taken: frame_grid turns by their cosines and sines.
+theta or phi is ever taken.  Both turns are 1 + sin M + (1 - cos) M^2, so
+frame_grid weighs nine constant matrices r z FRAME_0, r in (1, -C/4,
+C^2/16) and z in (1, T0, T0^2), by the products of (1, sin theta,
+1 - cos theta) and (1, sin phi, 1 - cos phi), like K below.
 
 Velocity.  d phi / d theta = a(theta) = (cos theta + sin theta) /
 (2 - sin 2 theta), whose denominator is at least 1, so the real
@@ -124,6 +127,10 @@ TURN_0 = np.outer(FRAME_0[:, 2], FRAME_0[:, 1])
 TURN_0 = TURN_0 - TURN_0.T
 TURN_1 = 0.25 * (TURN_0 @ BLOCK_C - BLOCK_C @ TURN_0)
 _VELOCITY_BASIS = np.stack([TURN_0, TURN_1, 0.25 * BLOCK_C]).reshape(3, 16)
+# The nine r z FRAME_0, r and z the powers 0, 1, 2 of -C/4 and T0, that V
+# weighs by (1, sin theta, 1 - cos theta) (x) (1, sin phi, 1 - cos phi).
+_POWERS = [np.stack([np.eye(4), m, m @ m]) for m in (-0.25 * BLOCK_C, TURN_0)]
+_FRAME_BASIS = (_POWERS[0][:, None] @ _POWERS[1] @ FRAME_0).reshape(9, 4, 4)
 
 # Q = CARTESIAN takes the spin-1 levels v0, v3 to their real combinations,
 # W = REAL_FRAME = FRAME_0 Q, and QUAT_LEFT, QUAT_RIGHT multiply by the
@@ -204,21 +211,17 @@ def chart(path):
     return chi2, cos, sin, (ei * def_ - ef * dei) / chi2, a
 
 
-def _turn(m, cos, sin):
-    """exp(angle m) = 1 + sin m + (1 - cos) m^2 at the cosine and sine of
-    each angle, for a constant real m with m^3 = -m; shape (..., 4, 4)."""
-    cos, sin = cos[..., None, None], sin[..., None, None]
-    return np.eye(4) + sin * m + (1.0 - cos) * (m @ m)
-
-
 def frame_grid(path):
     """The eigenframe V = R(theta) exp(phi T0) FRAME_0 at each sample point,
     (..., 4, 4); column m is the eigenvector of block_energies[m]."""
     _, cos, sin, _, _ = chart(path)
     t = sin - cos
     norm = np.sqrt(2.0 * (1.0 + t * t))
-    zero_turn = _turn(TURN_0, (1.0 - t) / norm, (1.0 + t) / norm)
-    return _turn(-0.25 * BLOCK_C, cos, sin) @ zero_turn @ FRAME_0
+    one = np.ones_like(t)
+    turn = np.stack([one, sin, 1.0 - cos], axis=-1)
+    zero_turn = np.stack([one, (1.0 + t) / norm, 1.0 - (1.0 - t) / norm], axis=-1)
+    weights = (turn[..., :, None] * zero_turn[..., None, :]).reshape(t.shape + (9,))
+    return np.einsum("...i,ijk->...jk", weights, _FRAME_BASIS)
 
 
 def block_eigenvectors(schedule, s):

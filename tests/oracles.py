@@ -1,22 +1,24 @@
 """Independent reference routes used to freeze expected values.
 
 Everything here deliberately avoids the library's own construction paths:
-propagation uses scipy's dense matrix exponential on whatever Hamiltonian
-callable it is handed, integrals go through adaptive quadrature, and
-eigenvector references come from plain dense diagonalization.  Tests compare
-library output against these routes (or against constants frozen from them)
-so that a bug in a shared helper cannot cancel out of both sides.
+propagation applies scipy's dense matrix exponential (expm_multiply, its
+action on a vector) to whatever Hamiltonian callable it is handed,
+integrals go through adaptive quadrature, and eigenvector references come
+from plain dense diagonalization.  Tests compare library output against
+these routes (or against constants frozen from them) so that a bug in a
+shared helper cannot cancel out of both sides.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 
 def reference_propagate(matrix_fn, psi0, tau, steps):
-    """Midpoint-rule propagation using scipy.linalg.expm for every step.
+    """Midpoint-rule propagation: scipy's expm_multiply, the action of
+    exp(-i H dt) on the state, for every step.
 
     ``matrix_fn(s)`` must return the full Hamiltonian at normalized time
     ``s``; no sector factorization, no eigendecomposition reuse.
@@ -25,7 +27,7 @@ def reference_propagate(matrix_fn, psi0, tau, steps):
     dt = tau / steps
     for k in range(steps):
         s = (k + 0.5) / steps
-        psi = expm(-1j * matrix_fn(s) * dt) @ psi
+        psi = expm_multiply(-1j * matrix_fn(s) * dt, psi)
     return psi
 
 

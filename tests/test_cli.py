@@ -200,7 +200,7 @@ def test_load_unitary_round_trip(tmp_path, capsys):
     assert run_cli(capsys, *argv)[0] == 0
 
 
-def test_load_unitary_rejects_bad_input(tmp_path):
+def test_load_unitary_rejects_bad_input(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     for gate in BAD_GATES.values():
         write_unitary(path, gate)
@@ -209,6 +209,13 @@ def test_load_unitary_rejects_bad_input(tmp_path):
     path.write_text("1,0\n0,1\n")  # cells missing the imaginary part
     with pytest.raises(ValueError):
         cli.load_unitary(str(path))
+    # a cell that is two tokens but not two floats names the file and the cell
+    path.write_text("np.float64(0.7071067811865475) 0.0,0 0\n0 0,1 0\n")
+    with pytest.raises(ValueError, match="bad.csv"):
+        cli.load_unitary(str(path))
+    code, out, err = run_cli(capsys, "gate-teleport", "--gate-file", str(path), "--tau", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("sagt: error: bad cell 'np.float64(0.7071067811865475) 0.0'")
     path.write_text("# only comments\n")
     with pytest.raises(ValueError):
         cli.load_unitary(str(path))

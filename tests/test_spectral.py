@@ -153,6 +153,19 @@ def test_frame_and_velocity_weight_on_random_paths(sch):
     np.testing.assert_allclose(2.0 * np.einsum("sij,sij->s", k, k), scalar, rtol=1e-13)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    sch=strategies.paths,
+    s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300).map(np.array),
+)
+def test_frame_grid_is_batch_invariant(sch, s):
+    # a run's observer trace evaluates its checkpoints in one batch and is
+    # compared with single points, bitwise
+    frames = spectral.frame_grid(sample(sch, s))
+    for i in range(len(s)):
+        assert np.array_equal(frames[i], spectral.frame_grid(sample(sch, s[i : i + 1]))[0])
+
+
 def _long_way():
     """theta = -(3 pi / 2) s: from eta_i = 1 to eta_f = 1 clockwise, through
     theta = -pi/2, where chi + eta_f = 0, and theta = -pi."""
