@@ -11,6 +11,7 @@ self-check, or a run whose convergence ladder did not accept).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -101,16 +102,7 @@ def _input_state(args, n):
 
 
 def _record_json(record, config):
-    payload = {
-        "version": __version__,
-        "config": config,
-        "fidelity": record.fidelity,
-        "step_count": record.step_count,
-        "convergence_defect": record.convergence_defect,
-        "accepted": record.accepted,
-        "parity_drift": record.parity_drift,
-        "ground_overlap_trace": [[s, o] for (s, o) in record.ground_overlap_trace],
-    }
+    payload = {"version": __version__, "config": config, **dataclasses.asdict(record)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

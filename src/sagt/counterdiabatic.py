@@ -21,7 +21,7 @@ from . import spectral
 from .operators import require_positive
 from .schedules import sample_at
 
-_CHECK_STEP = 1e-6  # finite-difference step of assembled_register_cd
+_CHECK_STEP = 2e-6  # finite-difference step of assembled_register_cd
 
 
 def block_cd_grid(path, tau):

@@ -33,8 +33,8 @@ from . import spectral
 from .cost import _simpson
 from .model import (
     MODES,
+    _on_outputs,
     _protocol_input,
-    embed_on_outputs,
     gate_width,
     initial_state,
     multi_sector_family,
@@ -93,19 +93,20 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     """Drive psi0 through s: 0 -> 1 under the family's Hamiltonian.
 
     tau defaults to family.tau (required one way or the other; it fixes
-    the physical duration and hence dt).  If given, `observer(s, psi)` is
-    called with the physical state at ~20 evenly spaced checkpoints,
-    including both endpoints; it may keep psi, which is never modified
-    afterwards.  Returns the final state.
+    the physical duration and hence dt; ValueError if both differ).  If
+    given, `observer(s, psi)` is called with the physical state at ~20
+    evenly spaced checkpoints, including both endpoints; it may keep psi,
+    which is never modified afterwards.  Returns the final state.
     """
     steps = _whole(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if tau is None:
-        tau = family.tau
+    tau = family.tau if tau is None else tau
     if tau is None:
         raise ValueError("a positive total time tau is required to propagate")
     require_positive("tau", tau)
+    if family.tau not in (None, tau):
+        raise ValueError(f"tau={tau} disagrees with the family's tau={family.tau}")
     psi = np.asarray(psi0, dtype=complex).ravel().copy()
     if psi.size != family.dim:
         raise ValueError(f"state dim {psi.size} != register dim {family.dim}")
@@ -226,15 +227,12 @@ def _run_protocol(
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     tau = float(tau_omega) / float(omega)
 
-    # the gate enters once: the unrotated family carries the protocol state,
-    # G on the output qubits acts on each rung's end state, and target_state
-    # applies it independently; embed_on_outputs checks G, and its embedding
-    # P (G (x) 1) P^T is then unitary to the same defect
+    # the unrotated family carries the protocol state; G, checked by gate_width,
+    # acts on each rung's end state, and target_state checks and applies it apart
     family = multi_sector_family(n, omega, schedule)
     if mode == "superadiabatic":
         family = superadiabatic_family(family, tau)
     psi0 = initial_state(psi_in, n)
-    rotation = None if gate is None else embed_on_outputs(gate, n)
     tgt = target_state(psi_in, n, rotation=gate)
 
     def run(k):
@@ -242,8 +240,8 @@ def _run_protocol(
         final = propagate(
             family, psi0, k, tau=tau, observer=lambda s, psi: states.append((s, psi))
         )
-        if rotation is not None:
-            final = rotation @ final
+        if gate is not None:
+            final = _on_outputs(gate, final, n)
         return fidelity(final, tgt), states
 
     f_prev, _ = run(steps)

@@ -236,12 +236,12 @@ def initial_state(psi_in, n, rotation=None):
 
     psi_in is an n-qubit state distributed one qubit per sector (it may be
     entangled across sectors; it is normalized).  An optional rotation --
-    a 2^n x 2^n unitary, placed on the n output qubits by embed_on_outputs
-    -- pre-rotates the resource halves, which is how a gate is loaded.
+    a 2^n x 2^n unitary, applied on the n output qubits by _on_outputs --
+    pre-rotates the resource halves, which is how a gate is loaded.
     """
     state = _sector_layout(_protocol_input(psi_in, n), n, lone_last=False)
     if rotation is not None:
-        state = embed_on_outputs(rotation, n) @ state
+        state = _on_outputs(_require_unitary(rotation, 2**n, "gate"), state, n)
     return state
 
 
@@ -296,3 +296,11 @@ def embed_on_outputs(gate, n):
     """Pad an n-qubit gate onto the n output qubits of a 3n-qubit register."""
     g = _require_unitary(gate, 2**n, "gate")
     return place_on_qubits(g, [3 * k + 2 for k in range(n)], 3 * n)
+
+
+def _on_outputs(gate, psi, n):
+    """embed_on_outputs(gate, n) @ psi: a checked G on axes 1, 3, ... of psi."""
+    outputs = list(range(1, 2 * n, 2))
+    psi = np.moveaxis(np.reshape(psi, (4, 2) * n), outputs, range(n))
+    psi = (gate @ psi.reshape(2**n, -1)).reshape(psi.shape)
+    return np.moveaxis(psi, range(n), outputs).ravel()

@@ -79,10 +79,12 @@ Real frame.  Spin 1 is a real representation: in its Cartesian basis
 i(e0 - e3)/sqrt 2, (e0 + e3)/sqrt 2, e1 and e2, the five constant
 generators -iA, -iB, C, T0 and T1 are real antisymmetric in W, and so is
 G = W^dag (-i h) W for every sector block h, in both gauges.  Read R^4 as
-the quaternions x0 + x1 i + x2 j + x3 k.  The left multiplications
-L_m: x -> e_m x and the right ones R_m: x -> x e_m by e = (i, j, k) span
-so(4) = su(2) (+) su(2); all six are orthogonal with squared Frobenius
-norm 4, and every L_m commutes with every R_n.  Hence
+the quaternions x0 + x1 i + x2 j + x3 k, whose Hamilton table is
+e_a e_b = sum_c H[a, b, c] e_c on (1, i, j, k): 1 is neutral, e_l e_l = -1,
+e_l e_m = eps_lmn e_n, eps_lmn = (l - m)(m - n)(n - l) / 2.  Its transposes
+L_m[c, b] = H[m, b, c]: x -> e_m x and R_m[c, a] = H[a, m, c]: x -> x e_m,
+e = (i, j, k), span so(4) = su(2) (+) su(2); all six are orthogonal with
+squared Frobenius norm 4, and every L_m commutes with every R_n.  Hence
 
     G = a.L + b.R,    a_m = <G, L_m> / 4,    b_m = <G, R_m> / 4,
     exp(G t) = L(e^{t a}) R(e^{t b}),    e^v = cos|v| + sinc|v| v,
@@ -110,7 +112,7 @@ from .schedules import in_domain, sample, sample_at
 # Computational-basis indices of the even block and, pairwise complemented,
 # of the odd block.  Order matters: it is what makes the two blocks equal.
 PLUS_BASIS = (0, 3, 5, 6)
-MINUS_BASIS = (7, 4, 2, 1)
+MINUS_BASIS = tuple(7 - i for i in PLUS_BASIS)  # XXX flips all three bits
 
 # The two coupling patterns of the drive, weighed by eta_i and eta_f, their
 # common parity block, and the commutator of the blocks.
@@ -133,28 +135,20 @@ _POWERS = [np.stack([np.eye(4), m, m @ m]) for m in (-0.25 * BLOCK_C, TURN_0)]
 _FRAME_BASIS = (_POWERS[0][:, None] @ _POWERS[1] @ FRAME_0).reshape(9, 4, 4)
 
 # Q = CARTESIAN takes the spin-1 levels v0, v3 to their real combinations,
-# W = REAL_FRAME = FRAME_0 Q, and QUAT_LEFT, QUAT_RIGHT multiply by the
-# quaternion units i, j, k on x0 + x1 i + x2 j + x3 k from the left, right.
+# and W = REAL_FRAME = FRAME_0 Q.
 CARTESIAN = np.array(
     [[1j, 1, 0, 0], [0, 0, 2**0.5, 0], [0, 0, 0, 2**0.5], [-1j, 1, 0, 0]]
 ) / 2**0.5
 REAL_FRAME = FRAME_0 @ CARTESIAN
-QUAT_LEFT = np.array(
-    [
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-    ],
-    dtype=float,
-)
-QUAT_RIGHT = np.array(
-    [
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-        [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
-    ],
-    dtype=float,
-)
+# H (eps_lmn holds for i, j, k counted from 0 too) and its transposes, the
+# multiplications by (1, i, j, k); QUAT_LEFT and QUAT_RIGHT drop the 1.
+_HAMILTON = np.zeros((4, 4, 4))
+_HAMILTON[0, range(4), range(4)] = _HAMILTON[range(4), 0, range(4)] = 1.0
+_HAMILTON[range(1, 4), range(1, 4), 0] = -1.0
+_L, _M, _N = np.indices((3, 3, 3))
+_HAMILTON[1:, 1:, 1:] = (_L - _M) * (_M - _N) * (_N - _L) / 2
+_LEFT_1, _RIGHT_1 = _HAMILTON.transpose(0, 2, 1), _HAMILTON.transpose(1, 2, 0)
+QUAT_LEFT, QUAT_RIGHT = _LEFT_1[1:], _RIGHT_1[1:]
 # i W L_m W^dag and i W R_m W^dag in their float view: a block h, viewed as
 # 32 floats, has (a, b) = h @ _SPLIT and its part in the span (a, b) @ _UNSPLIT.
 _UNSPLIT = 1j * REAL_FRAME @ np.vstack((QUAT_LEFT, QUAT_RIGHT)) @ REAL_FRAME.T.conj()
@@ -164,7 +158,6 @@ _SPLIT = 0.25 * _UNSPLIT.T
 _SAMPLE_SPLIT = np.stack([BLOCK_A, BLOCK_B, 1j * TURN_0, 1j * TURN_1, 0.25j * BLOCK_C])
 _SAMPLE_SPLIT = _SAMPLE_SPLIT.astype(complex).reshape(5, 16).view(float) @ _SPLIT
 # L(p) R(q), flattened, is (p (x) q) @ _QUAT_PRODUCT, with e_0 = 1.
-_LEFT_1, _RIGHT_1 = (np.concatenate(([np.eye(4)], m)) for m in (QUAT_LEFT, QUAT_RIGHT))
 _QUAT_PRODUCT = np.einsum("jab,kbc->jkac", _LEFT_1, _RIGHT_1).reshape(16, 16)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, records, files, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -69,6 +70,29 @@ def test_state_teleport_stdout_record(capsys):
     trace = record["ground_overlap_trace"]
     assert trace[0][0] == 0.0 and trace[-1][0] == 1.0
     assert "state-teleport: fidelity=" in err
+
+
+@pytest.mark.parametrize(
+    "argv, sectors, gate",
+    [
+        (("state-teleport", "--n", "1", "--schedule", "trig"), 1, None),
+        # the CLI hands the library a matrix, which it records as "custom"
+        (("gate-teleport", "--gate", "cnot", "--schedule", "trig"), 2, "custom"),
+    ],
+    ids=["state", "cnot"],
+)
+def test_the_record_is_the_run_record(capsys, argv, sectors, gate):
+    # every RunRecord field sits at the top level, beside version and config
+    code, out, _ = run_cli(capsys, *argv, "--tau", "0.5", "--omega", "2")
+    assert code == 0
+    record = json.loads(out)
+    fields = [f.name for f in dataclasses.fields(sagt.RunRecord)]
+    assert sorted(record) == sorted(["version", "config", *fields])
+    assert record["sectors"] == record["config"]["n"] == sectors
+    assert record["schedule"] == "trigonometric"
+    assert (record["tau_omega"], record["omega"]) == (0.5, 2.0)
+    assert record["mode"] == "superadiabatic"
+    assert record["gate"] == gate
 
 
 def test_state_teleport_is_deterministic(capsys):
@@ -175,6 +199,7 @@ def test_gate_teleport_from_file(tmp_path, capsys):
     assert code == 0
     record = json.loads(out)
     assert record["config"]["gate"] == "hadamard.csv"
+    assert record["gate"] == "custom"  # the library's name for a matrix
     assert record["fidelity"] >= 1.0 - 1e-6
 
 

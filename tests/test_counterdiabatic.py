@@ -218,6 +218,19 @@ def test_sector_correction_on_random_paths(sch, s, tau):
     assert np.max(np.abs(counterdiabatic.sector_cd(frozen, s, tau))) == 0.0
 
 
+def _covariance_defect(sch, n, tau, s, seed):
+    """Largest entry of the frame-assembled correction of the register
+    rotated by a seeded random gate, plus the rotated drive, minus the
+    conjugated superadiabatic generator."""
+    gate = sagt.random_unitary(2**n, np.random.default_rng(seed))
+    g = sagt.embed_on_outputs(gate, n)
+    base = sagt.multi_sector_family(n, 1.0, sch)
+    built = counterdiabatic.assembled_register_cd(sch, s, tau, n=n, rotation=g)
+    built = built + sagt.rotate_family(base, g).matrix(s)
+    conjugated = g @ sagt.superadiabatic_family(base, tau).matrix(s) @ g.conj().T
+    return np.abs(built - conjugated).max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     sch=strategies.paths,
@@ -227,14 +240,19 @@ def test_sector_correction_on_random_paths(sch, s, tau):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rotated_correction_is_covariant_on_random_paths(sch, n, tau, s, seed):
-    # the frame-assembled correction of the rotated register, plus the
-    # rotated drive, is the conjugated superadiabatic generator; the
-    # route's finite-difference roundoff, about eps / _CHECK_STEP, enters
-    # through the 1/tau of the correction, so the bound scales with it
-    gate = sagt.random_unitary(2**n, np.random.default_rng(seed))
-    g = sagt.embed_on_outputs(gate, n)
-    base = sagt.multi_sector_family(n, 1.0, sch)
-    built = counterdiabatic.assembled_register_cd(sch, s, tau, n=n, rotation=g)
-    built = built + sagt.rotate_family(base, g).matrix(s)
-    conjugated = g @ sagt.superadiabatic_family(base, tau).matrix(s) @ g.conj().T
-    np.testing.assert_allclose(built, conjugated, rtol=0, atol=3e-9 / tau)
+    # the route's finite-difference roundoff, about eps / _CHECK_STEP,
+    # enters through the 1/tau of the correction, so the bound scales with it
+    assert _covariance_defect(sch, n, tau, s, seed) <= 3e-9 / tau
+
+
+def test_rotated_correction_at_the_endpoints_of_a_fast_run():
+    # one-sided differences at s = 0 and 1 with tau*omega = 0.1: the
+    # finite-difference step balances their truncation against roundoff
+    sch = builtin_schedule("trigonometric")
+    worst = max(
+        _covariance_defect(sch, n, 0.1, s, seed)
+        for n in (1, 2)
+        for seed in range(8)
+        for s in (0.0, 1.0)
+    )
+    assert worst <= 5e-9

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import sagt
-from sagt import evolution, spectral
+from sagt import evolution, model, spectral
 from sagt.schedules import builtin_schedule
 
 import oracles
@@ -218,10 +218,19 @@ def test_propagate_validation():
         evolution.propagate(fam, psi0, steps=0)
     with pytest.raises(ValueError):
         evolution.propagate(fam, np.ones(4, dtype=complex), steps=10)
-    # an explicit duration overrides the one stored on the family
+    # an explicit duration equal to the one stored on the family changes nothing
     out_stored = evolution.propagate(fam, psi0, steps=50)
     out_explicit = evolution.propagate(fam, psi0, steps=50, tau=1.0)
     np.testing.assert_allclose(out_stored, out_explicit, atol=1e-14)
+
+
+def test_propagate_rejects_a_tau_the_family_was_not_built_for():
+    # the velocity term of a superadiabatic family is built for its own tau
+    sch = builtin_schedule("linear")
+    fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), tau=1.0)
+    psi0 = sagt.initial_state(np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="tau=2.0 disagrees with the family's tau=1.0"):
+        evolution.propagate(fam, psi0, 50, tau=2.0)
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
@@ -543,16 +552,18 @@ def test_run_record_reports_the_accepted_rung(n, mode):
         fam, psi0, rec.step_count, tau=1.0,
         observer=lambda s, psi: kept.append((s, psi.copy())),
     )
-    g = np.eye(8**n) if gate is None else sagt.embed_on_outputs(gate, n)
+    if gate is not None:
+        final = model._on_outputs(gate, final, n)
     target = sagt.target_state(psi_in, n, rotation=gate)
     trace, parities = _observables(kept, sch, n)
-    assert rec.fidelity == evolution.fidelity(g @ final, target)
+    assert rec.fidelity == evolution.fidelity(final, target)
     assert rec.ground_overlap_trace == trace
     assert rec.parity_drift == max(abs(p - parities[0]) for p in parities)
     if gate is None:
         return
     # the rotated family, started from the rotated state and unrotated at
     # every checkpoint, tells the same story to roundoff
+    g = sagt.embed_on_outputs(gate, n)
     rotated = sagt.rotate_family(sagt.multi_sector_family(n, 1.0, sch), g)
     rotated = sagt.superadiabatic_family(rotated, 1.0)
     kept = []

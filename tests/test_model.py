@@ -350,3 +350,13 @@ def test_embed_on_outputs():
     )
     with pytest.raises(ValueError):
         sagt.embed_on_outputs(np.eye(4), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_on_outputs_is_the_embedded_gate(n):
+    rng = np.random.default_rng(60 + n)
+    g = operators.random_unitary(2**n, rng)
+    psi = operators.random_state(8**n, rng)
+    np.testing.assert_allclose(
+        model._on_outputs(g, psi, n), sagt.embed_on_outputs(g, n) @ psi, rtol=0, atol=1e-15
+    )

@@ -410,6 +410,25 @@ def test_the_sector_generators_are_real_in_the_real_frame():
     assert np.array_equal(left[0] @ left[0], -np.eye(4))
 
 
+def _quaternion_product(x, y):
+    """(w1 w2 - v1.v2, w1 v2 + w2 v1 + v1 x v2) for x = (w1, v1), y = (w2, v2)."""
+    w1, v1, w2, v2 = x[0], x[1:], y[0], y[1:]
+    return np.concatenate(([w1 * w2 - v1 @ v2], w1 * v2 + w2 * v1 + np.cross(v1, v2)))
+
+
+def test_quaternion_tables_are_the_textbook_product():
+    # QUAT_LEFT[m] x = e_m x and QUAT_RIGHT[m] x = x e_m for e = (i, j, k)
+    rng = np.random.default_rng(59)
+    for x in rng.normal(size=(5, 4)):
+        for m, e in enumerate(np.eye(4)[1:]):
+            np.testing.assert_allclose(
+                spectral.QUAT_LEFT[m] @ x, _quaternion_product(e, x), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                spectral.QUAT_RIGHT[m] @ x, _quaternion_product(x, e), rtol=0, atol=1e-15
+            )
+
+
 def test_embed_blocks_structure():
     plus = np.arange(16, dtype=complex).reshape(4, 4)
     minus = -np.arange(16, dtype=complex).reshape(4, 4)
