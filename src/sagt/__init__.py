@@ -27,6 +27,7 @@ from .counterdiabatic import block_cd, sector_cd
 from .evolution import (
     RunRecord,
     adiabatic_reference,
+    exact_sector_propagator,
     fidelity,
     propagate,
     run_gate_teleport,

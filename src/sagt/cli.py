@@ -141,8 +141,6 @@ def _gate(args):
             raise ValueError("--gate random-su needs --n to fix the gate size")
         require_sectors(args.n)
         return random_unitary(2**args.n, np.random.default_rng(args.seed)), "random-su"
-    if args.gate is None:
-        raise ValueError("pick a gate with --gate or --gate-file")
     return named_gate(args.gate), args.gate
 
 
@@ -286,8 +284,9 @@ def _add_run_options(sub, with_gate=False):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the run record JSON here")
     if with_gate:
-        sub.add_argument("--gate", help=f"{', '.join(GATE_NAMES)}, or random-su")
-        sub.add_argument("--gate-file", help="CSV unitary ('re im' cells)")
+        gate = sub.add_mutually_exclusive_group(required=True)
+        gate.add_argument("--gate", help=f"{', '.join(GATE_NAMES)}, or random-su")
+        gate.add_argument("--gate-file", help="CSV unitary ('re im' cells)")
         sub.add_argument("--n", type=int, default=None, help="sector count")
     else:
         sub.add_argument("--n", type=int, default=1, help="sector count")

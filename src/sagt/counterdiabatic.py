@@ -45,12 +45,7 @@ def embedded_frame(schedule, s):
     """8x8 orthogonal matrix whose columns are the sector eigenvectors
     lifted to the register: even-block levels first, then odd."""
     v = spectral.frame_grid(sample_at(schedule, s))[0]
-    cols = [
-        spectral.embed_block_vector(v[:, m], parity)
-        for parity in (+1, -1)
-        for m in range(4)
-    ]
-    return np.stack(cols, axis=1)
+    return spectral.embed_blocks(v, v)[:, list(spectral.PLUS_BASIS + spectral.MINUS_BASIS)]
 
 
 def assembled_register_cd(schedule, s, tau, n=1, rotation=None):

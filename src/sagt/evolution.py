@@ -21,6 +21,8 @@ product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
 so rotated families are propagated in the unrotated frame and rotated
 back only at observation points.  A gate run goes further: it propagates
 the unrotated protocol state and applies G once to each rung's end state.
+exact_sector_propagator, the closed-form transport of the dressed block,
+shares no code with that path; adiabatic_reference applies it per sector.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ from .cost import _simpson
 from .model import (
     MODES,
     _on_outputs,
-    _protocol_input,
     gate_width,
     initial_state,
     multi_sector_family,
@@ -146,35 +147,33 @@ def _ground_pair_projector(schedule, s):
     return spectral.embed_blocks(p, p)
 
 
-def adiabatic_reference(family, s, psi_in=None, tau=None):
-    """Ideal adiabatic image of the protocol state at parameter s.
+def exact_sector_propagator(schedule, tau, omega=1.0, s=1.0):
+    """The exact 4x4 propagator over [0, s] of the dressed sector block,
+    V(s) diag(exp(-i tau Int_0^s E_m)) V(0)^T with E = omega (-2 chi, 0, 0,
+    2 chi): its frame V carries itself (Berry, J. Phys. A 42, 365303, 2009).
+    Int chi is Simpson on 513 nodes of [0, s]."""
+    require_positive("tau", tau)
+    require_positive("omega", omega)
+    grid = np.linspace(0.0, in_domain(float(s)), 513)
+    chi_integral = _simpson(_chi(schedule, grid), grid[1])
+    phases = np.exp(2j * tau * omega * chi_integral * np.array([1.0, 0.0, 0.0, -1.0]))
+    v_0, v_s = spectral.frame_grid(sample(schedule, grid[[0, -1]]))
+    return (v_s * phases) @ v_0.T
 
-    Follows the doubly degenerate ground manifold from initial_state and
-    carries the dynamical phase exp(-i tau Int_0^s E0); geometric phases
-    vanish in the real transport gauge.  Single-sector families only.
-    """
+
+def adiabatic_reference(family, s, psi_in=None, tau=None):
+    """Ideal adiabatic image of the protocol state at parameter s: the exact
+    sector propagator on every sector of initial_state, then the family's G.
+    It follows the ground manifold with the phase exp(-i tau Int_0^s E0)."""
     if family.mode != "adiabatic":
         raise ValueError("reference trajectories are defined for adiabatic families")
-    if family.sectors != 1:
-        raise ValueError("adiabatic_reference handles single-sector registers")
-    s = in_domain(float(s))
-    psi_in = _protocol_input([1.0, 0.0] if psi_in is None else psi_in, 1)
     if tau is None:  # an adiabatic family carries no duration
         raise ValueError("tau is required to evaluate the dynamical phase")
-
-    v0 = spectral.block_eigenvectors(family.schedule, s)[:, 0]
-    state = psi_in[0] * spectral.embed_block_vector(v0, +1)
-    state = state + psi_in[1] * spectral.embed_block_vector(v0, -1)
-
-    if s > 0.0:
-        # Simpson on [0, s]: E0(u) = -2 omega chi(u)
-        grid = np.linspace(0.0, s, 513)
-        e0 = -2.0 * family.omega * np.asarray(_chi(family.schedule, grid))
-        integral = _simpson(e0, grid[1] - grid[0])
-        state = np.exp(-1j * float(tau) * integral) * state
-    if family.rotation is not None:
-        state = family.rotation @ state
-    return state
+    n = family.sectors
+    u = exact_sector_propagator(family.schedule, tau, family.omega, s)
+    psi0 = initial_state(np.eye(2**n)[0] if psi_in is None else psi_in, n)
+    state = _apply_sectorwise(spectral.embed_blocks(u, u), psi0, n)
+    return state if family.rotation is None else family.rotation @ state
 
 
 @dataclass

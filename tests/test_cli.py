@@ -203,6 +203,24 @@ def test_gate_teleport_from_file(tmp_path, capsys):
     assert record["fidelity"] >= 1.0 - 1e-6
 
 
+def test_gate_and_gate_file_together_exit_one(tmp_path, capsys):
+    # the record could not say which gate ran: the two options exclude each other
+    gate_path = tmp_path / "hadamard.csv"
+    write_unitary(gate_path, sagt.named_gate("hadamard"))
+    argv = ("gate-teleport", "--gate", "cnot", "--gate-file", str(gate_path), "--tau", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument --gate" in err
+
+
+def test_gate_teleport_without_a_gate_exits_one(capsys):
+    code, out, err = run_cli(capsys, "gate-teleport", "--tau", "1")
+    assert code == 1
+    assert out == ""
+    assert "one of the arguments --gate --gate-file is required" in err
+
+
 BAD_GATES = {
     "non-square": np.eye(2, 4),
     "3x3": np.eye(3),

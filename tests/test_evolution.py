@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 import sagt
 from sagt import evolution, model, spectral
-from sagt.schedules import builtin_schedule
+from sagt.schedules import BUILTIN_KINDS, builtin_schedule
 
 import oracles
 import strategies
@@ -378,13 +378,80 @@ def test_adiabatic_reference_validation():
         sagt.adiabatic_reference(fam, 1.5, tau=1.0)
     with pytest.raises(ValueError):
         sagt.adiabatic_reference(fam, 0.5)  # no duration available
-    multi = sagt.multi_sector_family(2, 1.0, sch)
-    with pytest.raises(ValueError):
-        sagt.adiabatic_reference(multi, 0.5, tau=1.0)
+    with pytest.raises(ValueError, match="adiabatic families"):
+        sagt.adiabatic_reference(sagt.superadiabatic_family(fam, 1.0), 0.5, tau=1.0)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        sagt.adiabatic_reference(fam, 0.5, tau=-1.0)
     with pytest.raises(ValueError, match="zero norm"):
         sagt.adiabatic_reference(fam, 0.5, psi_in=np.zeros(2), tau=1.0)
     with pytest.raises(ValueError, match="dim 3"):
         sagt.adiabatic_reference(fam, 0.5, psi_in=[1.0, 0.0, 0.0], tau=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_adiabatic_reference_on_every_sector_count(n):
+    # the exact sector map on every sector is what the superadiabatic drive
+    # does to the protocol state, and at s = 1 it is the target up to phase
+    rng = np.random.default_rng(40 + n)
+    psi_in = sagt.random_state(2**n, rng)
+    base = sagt.multi_sector_family(n, 1.0, builtin_schedule("exponential"))
+    seen = {}
+
+    def watch(s, psi):
+        seen[round(s, 6)] = psi
+
+    fam = sagt.superadiabatic_family(base, 1.0)
+    evolution.propagate(fam, sagt.initial_state(psi_in, n), 8000, observer=watch)
+    for s in (0.0, 0.25, 0.5, 1.0):
+        ref = sagt.adiabatic_reference(base, s, psi_in=psi_in, tau=1.0)
+        assert np.linalg.norm(ref - seen[s]) < 5e-8
+    target = sagt.target_state(psi_in, n)
+    phase = np.vdot(target, ref)
+    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(ref, phase * target, rtol=0, atol=1e-12)
+
+
+# ||u_N - U(1)||_2 of the midpoint product against the exact sector map,
+# trigonometric schedule, at N = 1k, 4k and 8k steps (ROADMAP item 1);
+# the linear and exponential schedules lie within 15 % of it
+_MIDPOINT_ERRORS = {
+    1.0: (6.4e-7, 4.0e-8, 1.0e-8),
+    20.0: (8.2e-6, 5.1e-7, 1.3e-7),
+    1000.0: (4.2e-4, 2.5e-5, 6.1e-6),
+}
+
+
+def _midpoint_errors(schedule, tau, counts=(1000, 4000, 8000)):
+    fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, schedule), tau)
+    exact = sagt.exact_sector_propagator(schedule, tau)
+    errors = []
+    for count in counts:
+        s_mid = (np.arange(count) + 0.5) / count
+        u = spectral.step_products(fam.coordinate_grid(s_mid), tau / count, [count])[0]
+        errors.append(np.linalg.norm(u - exact, 2))
+    return errors
+
+
+@pytest.mark.parametrize("tau_omega", sorted(_MIDPOINT_ERRORS))
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_midpoint_products_converge_to_the_exact_sector_map(kind, tau_omega):
+    schedule = builtin_schedule(kind)
+    errors = _midpoint_errors(schedule, tau_omega)
+    for error, table in zip(errors, _MIDPOINT_ERRORS[tau_omega]):
+        assert error <= 1.15 * table
+    assert 3.5 <= errors[1] / errors[2] <= 4.5  # second order
+    start = sagt.exact_sector_propagator(schedule, tau_omega, s=0.0)
+    np.testing.assert_allclose(start, np.eye(4), rtol=0, atol=1e-14)
+    for s in (0.3, 1.0):
+        u = sagt.exact_sector_propagator(schedule, tau_omega, s=s)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=strategies.paths, tau_omega=st.floats(0.1, 20.0))
+def test_midpoint_products_are_second_order_on_random_paths(schedule, tau_omega):
+    errors = _midpoint_errors(schedule, tau_omega, counts=(4000, 8000))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_run_state_teleport_record():

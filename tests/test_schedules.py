@@ -72,6 +72,7 @@ def _scalar_entry_points(sch, s):
         "sector_matrix": lambda: dressed.sector_matrix(s),
         "matrix": lambda: fam.matrix(s),
         "adiabatic_reference": lambda: sagt.adiabatic_reference(fam, s, tau=1.0),
+        "exact_sector_propagator": lambda: sagt.exact_sector_propagator(sch, 1.0, s=s),
         "chi": lambda: chi(sch, s),
         "block_hamiltonian": lambda: sagt.block_hamiltonian(sch, s),
         "block_eigenvectors": lambda: sagt.block_eigenvectors(sch, s),
