@@ -14,8 +14,8 @@ Steps are grouped into segments between observation points (at most
 _CHUNK steps long), and consecutive segments into passes of at most
 _CHUNK padded steps.  A pass costs one family.coordinate_grid, the so(4)
 coordinates of its steps off one sample, and one spectral.step_products,
-one pairwise tree of real 4x4 steps (two unit quaternions each, no
-eigensolver) for all its segments; a segment costs one 8x8 product per
+a pairwise tree of unit quaternions for each of the two factors of a step,
+no eigensolver, for all its segments; a segment costs one 8x8 product per
 sector on the state.  A fixed register rotation G telescopes through the
 product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
 so rotated families are propagated in the unrotated frame and rotated

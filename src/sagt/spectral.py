@@ -90,12 +90,16 @@ squared Frobenius norm 4, and every L_m commutes with every R_n.  Hence
     exp(G t) = L(e^{t a}) R(e^{t b}),    e^v = cos|v| + sinc|v| v,
 
 with e^v a unit quaternion, so a step is the real orthogonal
-O = L(p) R(q), bilinear in p and q, and a time-ordered product of steps is
-W O_{N-1} ... O_0 W^dag.  The coordinates come off the chart: h weighs
-A, B, iT0, iT1, iC/4 by (-omega eta_i, -omega eta_f, r a cos theta,
-r a sin theta, -r), r = theta'/tau, so coordinate_grid is linear in those
-and the block is their image, coordinate_block.  step_products multiplies
-runs of steps in one tree of real 4x4 products, with no eigensolver.
+O = L(p) R(q), bilinear in p and q.  As L commutes with R, a time-ordered
+product of steps is W L(p_{N-1} ... p_0) R(q_0 ... q_{N-1}) W^dag.  The
+coordinates come off the chart: h weighs A, B, iT0, iT1, iC/4 by
+(-omega eta_i, -omega eta_f, r a cos theta, r a sin theta, -r),
+r = theta'/tau, so coordinate_grid is linear in those and the block is
+their image, coordinate_block.  step_products holds w + x i + y j + z k as
+the pair (w + x i, y + z i), multiplied as (a1, b1)(a2, b2) = (a1 a2 -
+b1 conj b2, a1 b2 + b1 conj a2), runs the p and, as conj(q_0 ... q_{N-1}) =
+conj q_{N-1} ... conj q_0, the conj q of a run through one pairwise tree
+each, later step on the left, and forms L(P) R(Q) once per run.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -263,26 +267,28 @@ def coordinate_block(ab):
 
 def step_products(ab, dt, lengths):
     """W O_{k+n-1} ... O_k W^dag for consecutive runs of lengths[j] rows of
-    the coordinates ab, (N, 6), as (len(lengths), 4, 4): one pairwise tree,
-    each run padded to the longest by exact identities, which leave its
-    tree bitwise unchanged.  Non-finite ab raise ValueError."""
+    the coordinates ab, (N, 6), as (len(lengths), 4, 4): a quaternion-pair
+    tree per factor, each run padded to a power of two by exact identities,
+    which leave its tree bitwise unchanged.  Non-finite ab raise ValueError."""
     if not np.all(np.isfinite(ab)):
         raise ValueError("so(4) coordinates are not finite")
-    v = dt * np.reshape(ab, (-1, 2, 3))
-    angle = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
-    pq = np.concatenate((np.cos(angle), np.sinc(angle / np.pi) * v), axis=-1)
-    steps = np.einsum("ni,nj->nij", pq[:, 0], pq[:, 1]).reshape(-1, 16) @ _QUAT_PRODUCT
-    lengths = np.asarray(lengths)
-    if lengths.sum() != len(steps):
-        raise ValueError(f"runs of {lengths.sum()} steps for {len(steps)} coordinates")
-    o = np.tile(np.eye(4).ravel(), (len(lengths), lengths.max(), 1))
-    o[np.arange(o.shape[1]) < lengths[:, None]] = steps
-    o = o.reshape(o.shape[:2] + (4, 4))
-    while o.shape[1] > 1:  # m pairs per run, the later step on the left
-        m = o.shape[1] // 2
-        pairs = o[:, 1 : 2 * m : 2] @ o[:, 0 : 2 * m : 2]
-        o = np.concatenate((pairs, o[:, 2 * m :]), axis=1)
-    return REAL_FRAME @ o[:, 0] @ REAL_FRAME.conj().T
+    ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
+    if lengths.sum() != len(ab):
+        raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
+    steps = np.arange(1 << int(lengths.max() - 1).bit_length()) < lengths[:, None]
+    pq = []
+    for v in (dt * ab[:, :3], -dt * ab[:, 3:]):  # p = e^{t a}, conj q = e^{-t b}
+        angle = np.sqrt(np.einsum("ij,ij->i", v, v))
+        v *= np.sinc(angle / np.pi)[:, None]
+        alpha, beta = np.ones(steps.shape, complex), np.zeros(steps.shape, complex)
+        alpha[steps], beta[steps] = np.cos(angle) + 1j * v[:, 0], v[:, 1] + 1j * v[:, 2]
+        while alpha.shape[1] > 1:  # (a1, b1)(a0, b0), the later step a1 + b1 j
+            a1, a0, b1, b0 = alpha[:, 1::2], alpha[:, ::2], beta[:, 1::2], beta[:, ::2]
+            alpha, beta = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+        pq.append(np.stack((alpha[:, 0], beta[:, 0]), axis=-1).view(float))
+    p, q = pq[0], pq[1] * [1, -1, -1, -1]  # q is the conjugate of its tree
+    o = (p[:, :, None] * q[:, None, :]).reshape(-1, 16) @ _QUAT_PRODUCT
+    return REAL_FRAME @ o.reshape(-1, 4, 4) @ REAL_FRAME.conj().T
 
 
 def embed_blocks(plus_block, minus_block):

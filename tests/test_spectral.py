@@ -333,6 +333,15 @@ def test_step_products_of_uneven_runs_match_each_segment():
         assert np.abs(u - want).max() < 1e-13 * count
 
 
+def test_identity_padding_leaves_each_run_bitwise_unchanged():
+    lengths = [1, 2, 3, 7, 1, 200, 64]
+    ab = np.random.default_rng(11).normal(size=(sum(lengths), 6))
+    bounds = np.cumsum([0] + lengths)
+    together = spectral.step_products(ab, 0.3, lengths)
+    for u, lo, hi in zip(together, bounds[:-1], bounds[1:]):
+        assert np.array_equal(u, spectral.step_products(ab[lo:hi], 0.3, [hi - lo])[0])
+
+
 def test_step_products_rejects_non_finite_coordinates():
     ab = np.ones((5, 6))
     ab[3, 2] = np.nan
@@ -365,14 +374,18 @@ def _span_blocks(ab):
     return 1j * w @ g @ w.conj().T
 
 
-@pytest.mark.parametrize("kind", ["generic", "isoclinic", "zero"])
+@pytest.mark.parametrize("kind", ["generic", "isoclinic", "left-isoclinic", "zero"])
 def test_segment_propagator_on_random_span_vectors(kind):
     # a = 0 leaves only the right factor: the isoclinic rotations, whose
-    # spectrum is degenerate; the zero vector is the identity step
+    # spectrum is degenerate; b = 0 leaves only the left one.  Each pins
+    # the step order of its own factor's tree.  The zero vector is the
+    # identity step
     rng = np.random.default_rng(5)
     ab = rng.normal(size=(9, 6))
     if kind == "isoclinic":
         ab[:, :3] = 0.0
+    elif kind == "left-isoclinic":
+        ab[:, 3:] = 0.0
     elif kind == "zero":
         ab[4] = 0.0
     h = _span_blocks(ab)
