@@ -63,7 +63,7 @@ def load_unitary(path):
     """Read a unitary from CSV whose cells are 're im' float pairs."""
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -75,6 +75,8 @@ def load_unitary(path):
                     want = "want 're im' floats"
                     raise ValueError(f"bad cell {cell!r} in {path}: {want}") from None
                 row.append(complex(re, im))
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path} line {number}: {len(row)} cells, want {len(rows[0])}")
             rows.append(row)
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")

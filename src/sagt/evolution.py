@@ -14,7 +14,7 @@ Steps are grouped into segments between observation points (at most
 _CHUNK steps long), and consecutive segments into passes of at most
 _CHUNK padded steps.  A pass costs one family.coordinate_grid, the so(4)
 coordinates of its steps off one sample, and one spectral.step_products,
-a pairwise tree of unit quaternions for each of the two factors of a step,
+a pairwise tree of SU(2) matrices for each of the two spins of a step,
 no eigensolver, for all its segments; a segment costs one 8x8 product per
 sector on the state.  A fixed register rotation G telescopes through the
 product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
@@ -224,11 +224,11 @@ def _run_protocol(
         raise ValueError(f"target_defect must be >= 0, got {target_defect}")
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
-    tau = float(tau_omega) / float(omega)
 
     # the unrotated family carries the protocol state; G, checked by gate_width,
     # acts on each rung's end state, and target_state checks and applies it apart
-    family = multi_sector_family(n, omega, schedule)
+    family = multi_sector_family(n, omega, schedule)  # checks omega before tau
+    tau = float(tau_omega) / float(omega)
     if mode == "superadiabatic":
         family = superadiabatic_family(family, tau)
     psi0 = initial_state(psi_in, n)

@@ -207,6 +207,8 @@ def bell_state():
 def _protocol_input(psi_in, n):
     """psi_in normalized, checked to be an n-qubit state of n sectors."""
     psi = np.asarray(psi_in, dtype=complex).ravel()
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("psi_in has non-finite amplitudes")
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValueError("psi_in has zero norm")

@@ -74,32 +74,28 @@ h = a(theta) theta'/tau, the fixed-gauge turn.  Hence
 det(H - x) = x^4 - (E^2 + g^2 + h^2) x^2 + E^2 h^2: the spectrum is
 +-lambda_1, +-lambda_2 in both modes, and the bare drive has +-E, 0, 0.
 
-Real frame.  Spin 1 is a real representation: in its Cartesian basis
--i J is real antisymmetric.  So with W = FRAME_0 Q, where Q has the columns
-i(e0 - e3)/sqrt 2, (e0 + e3)/sqrt 2, e1 and e2, the five constant
-generators -iA, -iB, C, T0 and T1 are real antisymmetric in W, and so is
-G = W^dag (-i h) W for every sector block h, in both gauges.  Read R^4 as
-the quaternions x0 + x1 i + x2 j + x3 k, whose Hamilton table is
-e_a e_b = sum_c H[a, b, c] e_c on (1, i, j, k): 1 is neutral, e_l e_l = -1,
-e_l e_m = eps_lmn e_n, eps_lmn = (l - m)(m - n)(n - l) / 2.  Its transposes
-L_m[c, b] = H[m, b, c]: x -> e_m x and R_m[c, a] = H[a, m, c]: x -> x e_m,
-e = (i, j, k), span so(4) = su(2) (+) su(2); all six are orthogonal with
-squared Frobenius norm 4, and every L_m commutes with every R_n.  Hence
+Two spins.  Spin 1 (+) spin 0 is two spins 1/2: S = SPIN_FRAME = FRAME_0
+[[1, 1, 1, 1], [i, 1, -1, -i], [i, -1, 1, -i], [1, -1, -1, 1]] / 2 takes
+|up up>, |up dn>, |dn up>, |dn dn> to the block (v0 = |++>, v3 = |--> at
+theta = 0), and S^dag X S reads, with s the Pauli matrices of one spin,
 
-    G = a.L + b.R,    a_m = <G, L_m> / 4,    b_m = <G, R_m> / 4,
-    exp(G t) = L(e^{t a}) R(e^{t b}),    e^v = cos|v| + sinc|v| v,
+    A = sx (x) 1 + 1 (x) sx,        iT0 = (1 (x) sx - sx (x) 1) / 2,
+    B = sy (x) 1 + 1 (x) sy,        iT1 = (1 (x) sy - sy (x) 1) / 2,
+    iC/4 = -(sz (x) 1 + 1 (x) sz) / 2.
 
-with e^v a unit quaternion, so a step is the real orthogonal
-O = L(p) R(q), bilinear in p and q.  As L commutes with R, a time-ordered
-product of steps is W L(p_{N-1} ... p_0) R(q_0 ... q_{N-1}) W^dag.  The
-coordinates come off the chart: h weighs A, B, iT0, iT1, iC/4 by
-(-omega eta_i, -omega eta_f, r a cos theta, r a sin theta, -r),
-r = theta'/tau, so coordinate_grid is linear in those and the block is
-their image, coordinate_block.  step_products holds w + x i + y j + z k as
-the pair (w + x i, y + z i), multiplied as (a1, b1)(a2, b2) = (a1 a2 -
-b1 conj b2, a1 b2 + b1 conj a2), runs the p and, as conj(q_0 ... q_{N-1}) =
-conj q_{N-1} ... conj q_0, the conj q of a run through one pairwise tree
-each, later step on the left, and forms L(P) R(Q) once per run.
+The drive is one in-plane field on both spins, Berry's term (theta'/2 tau)
+sz on both, and the fixed-gauge turn an in-plane field of opposite sign on
+each, so every block is h = S (a.s (x) 1 + 1 (x) b.s) S^dag, (a, b) in
+su(2) (+) su(2).  The coordinates come off the chart: h weighs A, B, iT0,
+iT1, iC/4 by (-omega eta_i, -omega eta_f, r a cos theta, r a sin theta,
+-r), r = theta'/tau, so coordinate_grid is linear in those and the block
+is their image, coordinate_block.  The spins commute, so steps e^{-i dt h}
+multiply to S (U_a (x) U_b) S^dag, U_a = e^{-i dt a_{N-1}.s} ...
+e^{-i dt a_0.s} and U_b alike.  Each e^{-i v.s} = cos|v| - i sinc|v| v.s is
+[[alpha, -conj beta], [beta, conj alpha]], (alpha, beta) = (cos|v| - i w_z,
+w_y - i w_x) with w = sinc|v| v, and step_products runs each spin through
+one pairwise tree, (a1, b1)(a0, b0) = (a1 a0 - conj b1 b0, b1 a0 + conj a1
+b0), later step on the left.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -138,31 +134,17 @@ _VELOCITY_BASIS = np.stack([TURN_0, TURN_1, 0.25 * BLOCK_C]).reshape(3, 16)
 _POWERS = [np.stack([np.eye(4), m, m @ m]) for m in (-0.25 * BLOCK_C, TURN_0)]
 _FRAME_BASIS = (_POWERS[0][:, None] @ _POWERS[1] @ FRAME_0).reshape(9, 4, 4)
 
-# Q = CARTESIAN takes the spin-1 levels v0, v3 to their real combinations,
-# and W = REAL_FRAME = FRAME_0 Q.
-CARTESIAN = np.array(
-    [[1j, 1, 0, 0], [0, 0, 2**0.5, 0], [0, 0, 0, 2**0.5], [-1j, 1, 0, 0]]
-) / 2**0.5
-REAL_FRAME = FRAME_0 @ CARTESIAN
-# H (eps_lmn holds for i, j, k counted from 0 too) and its transposes, the
-# multiplications by (1, i, j, k); QUAT_LEFT and QUAT_RIGHT drop the 1.
-_HAMILTON = np.zeros((4, 4, 4))
-_HAMILTON[0, range(4), range(4)] = _HAMILTON[range(4), 0, range(4)] = 1.0
-_HAMILTON[range(1, 4), range(1, 4), 0] = -1.0
-_L, _M, _N = np.indices((3, 3, 3))
-_HAMILTON[1:, 1:, 1:] = (_L - _M) * (_M - _N) * (_N - _L) / 2
-_LEFT_1, _RIGHT_1 = _HAMILTON.transpose(0, 2, 1), _HAMILTON.transpose(1, 2, 0)
-QUAT_LEFT, QUAT_RIGHT = _LEFT_1[1:], _RIGHT_1[1:]
-# i W L_m W^dag and i W R_m W^dag in their float view: a block h, viewed as
-# 32 floats, has (a, b) = h @ _SPLIT and its part in the span (a, b) @ _UNSPLIT.
-_UNSPLIT = 1j * REAL_FRAME @ np.vstack((QUAT_LEFT, QUAT_RIGHT)) @ REAL_FRAME.T.conj()
-_UNSPLIT = _UNSPLIT.view(float).reshape(6, 32)
+# S = SPIN_FRAME, and S (s (x) 1, 1 (x) s) S^dag in its float view: a block h,
+# viewed as 32 floats, has (a, b) = h @ _SPLIT and its part in the span (a, b) @ _UNSPLIT.
+SPIN_FRAME = FRAME_0 @ np.array(
+    [[1, 1, 1, 1], [1j, 1, -1, -1j], [1j, -1, 1, -1j], [1, -1, -1, 1]]
+) / 2
+_SPINS = np.stack([pauli_string(p) for p in ("X1", "Y1", "Z1", "1X", "1Y", "1Z")])
+_UNSPLIT = (SPIN_FRAME @ _SPINS @ SPIN_FRAME.T.conj()).view(float).reshape(6, 32)
 _SPLIT = 0.25 * _UNSPLIT.T
 # The (a, b) of A, B, iT0, iT1 and iC/4, the generators a sample weighs.
 _SAMPLE_SPLIT = np.stack([BLOCK_A, BLOCK_B, 1j * TURN_0, 1j * TURN_1, 0.25j * BLOCK_C])
 _SAMPLE_SPLIT = _SAMPLE_SPLIT.astype(complex).reshape(5, 16).view(float) @ _SPLIT
-# L(p) R(q), flattened, is (p (x) q) @ _QUAT_PRODUCT, with e_0 = 1.
-_QUAT_PRODUCT = np.einsum("jab,kbc->jkac", _LEFT_1, _RIGHT_1).reshape(16, 16)
 
 
 def drive_grid(path, omega):
@@ -261,34 +243,34 @@ def coordinate_grid(path, omega, tau=None):
 
 
 def coordinate_block(ab):
-    """The sector blocks i W (a.L + b.R) W^dag of coordinates (..., 6)."""
+    """The sector blocks S (a.s (x) 1 + 1 (x) b.s) S^dag of coordinates (..., 6)."""
     return (ab @ _UNSPLIT).view(complex).reshape(np.shape(ab)[:-1] + (4, 4))
 
 
 def step_products(ab, dt, lengths):
-    """W O_{k+n-1} ... O_k W^dag for consecutive runs of lengths[j] rows of
-    the coordinates ab, (N, 6), as (len(lengths), 4, 4): a quaternion-pair
-    tree per factor, each run padded to a power of two by exact identities,
-    which leave its tree bitwise unchanged.  Non-finite ab raise ValueError."""
+    """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
+    the coordinates ab, (N, 6), as (len(lengths), 4, 4): an SU(2) tree per
+    spin, each run padded to a power of two by exact identities, which
+    leave its tree bitwise unchanged.  Non-finite ab raise ValueError."""
     if not np.all(np.isfinite(ab)):
         raise ValueError("so(4) coordinates are not finite")
     ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
     if lengths.sum() != len(ab):
         raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
     steps = np.arange(1 << int(lengths.max() - 1).bit_length()) < lengths[:, None]
-    pq = []
-    for v in (dt * ab[:, :3], -dt * ab[:, 3:]):  # p = e^{t a}, conj q = e^{-t b}
+    spins = []
+    for v in (dt * ab[:, :3], dt * ab[:, 3:]):  # w = sinc|v| v, then (alpha, beta)
         angle = np.sqrt(np.einsum("ij,ij->i", v, v))
         v *= np.sinc(angle / np.pi)[:, None]
         alpha, beta = np.ones(steps.shape, complex), np.zeros(steps.shape, complex)
-        alpha[steps], beta[steps] = np.cos(angle) + 1j * v[:, 0], v[:, 1] + 1j * v[:, 2]
-        while alpha.shape[1] > 1:  # (a1, b1)(a0, b0), the later step a1 + b1 j
+        alpha[steps], beta[steps] = np.cos(angle) - 1j * v[:, 2], v[:, 1] - 1j * v[:, 0]
+        while alpha.shape[1] > 1:  # (a1, b1)(a0, b0), the later step on the left
             a1, a0, b1, b0 = alpha[:, 1::2], alpha[:, ::2], beta[:, 1::2], beta[:, ::2]
-            alpha, beta = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
-        pq.append(np.stack((alpha[:, 0], beta[:, 0]), axis=-1).view(float))
-    p, q = pq[0], pq[1] * [1, -1, -1, -1]  # q is the conjugate of its tree
-    o = (p[:, :, None] * q[:, None, :]).reshape(-1, 16) @ _QUAT_PRODUCT
-    return REAL_FRAME @ o.reshape(-1, 4, 4) @ REAL_FRAME.conj().T
+            alpha, beta = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+        alpha, beta = alpha[:, 0], beta[:, 0]
+        spins.append(np.stack((alpha, -beta.conj(), beta, alpha.conj()), -1).reshape(-1, 2, 2))
+    u = (spins[0][:, :, None, :, None] * spins[1][:, None, :, None, :]).reshape(-1, 4, 4)
+    return SPIN_FRAME @ u @ SPIN_FRAME.conj().T
 
 
 def embed_blocks(plus_block, minus_block):

@@ -259,6 +259,9 @@ def test_load_unitary_rejects_bad_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gate-teleport", "--gate-file", str(path), "--tau", "1")
     assert (code, out) == (1, "")
     assert err.startswith("sagt: error: bad cell 'np.float64(0.7071067811865475) 0.0'")
+    path.write_text("1 0,0 0\n0 0\n")  # a ragged row names the file and the line
+    with pytest.raises(ValueError, match="bad.csv line 2"):
+        cli.load_unitary(str(path))
     path.write_text("# only comments\n")
     with pytest.raises(ValueError):
         cli.load_unitary(str(path))
@@ -343,8 +346,11 @@ def test_cost_sweep_rejects_an_empty_grid(capsys):
     assert "empty" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("option", ["--tau", "--omega"])
+@pytest.mark.parametrize(
+    ("option", "value"),
+    [(o, v) for o in ("--tau", "--omega") for v in ("nan", "inf", "-inf")]
+    + [("--omega", "0"), ("--omega", "-1")],
+)
 def test_non_finite_run_inputs_exit_one(capsys, option, value):
     argv = ["state-teleport", "--tau", "1.0", "--steps", "4", f"{option}={value}"]
     code, out, err = run_cli(capsys, *argv)
@@ -353,16 +359,16 @@ def test_non_finite_run_inputs_exit_one(capsys, option, value):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("amp", ["1,0,0", "0,0"])
+@pytest.mark.parametrize("amp", ["1,0,0", "0,0", "nan,0"])
 @pytest.mark.parametrize(
     "command", [["state-teleport"], ["gate-teleport", "--gate", "x"]], ids=["state", "gate"]
 )
 def test_bad_amp_inputs_exit_one(capsys, command, amp):
-    # a wrong amplitude count and a zero-norm state are refused by the run
+    # a wrong amplitude count, a zero-norm and a non-finite state are refused by the run
     code, out, err = run_cli(capsys, *command, "--tau", "1.0", "--steps", "4", "--amp", amp)
     assert code == 1
     assert out == ""
-    assert "sagt: error:" in err
+    assert "sagt: error: psi_in" in err
 
 
 @pytest.mark.parametrize(

@@ -505,7 +505,7 @@ def test_run_state_teleport_validation():
         sagt.run_state_teleport(2, sch, 1.0, "adiabatic", np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("tau_omega", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("tau_omega", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
 def test_run_rejects_non_finite_inputs_before_propagating(monkeypatch, tau_omega):
     def never(*args, **kwargs):
         raise AssertionError("propagate was called")
@@ -519,7 +519,7 @@ def test_run_rejects_non_finite_inputs_before_propagating(monkeypatch, tau_omega
     with pytest.raises(ValueError, match="omega"):
         sagt.run_state_teleport(
             1, builtin_schedule("linear"), 1.0, "superadiabatic",
-            np.array([1.0, 0.0]), omega=abs(tau_omega),
+            np.array([1.0, 0.0]), omega=tau_omega,
         )
 
 

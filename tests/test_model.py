@@ -311,6 +311,23 @@ def test_state_builders_validate_input():
         sagt.target_state(np.array([1.0, 0.0]), 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_non_finite_inputs_are_refused_by_name(bad):
+    # without the check, an all-NaN state reached the integrator, which
+    # blamed its own normalization
+    psi = np.array([bad, 0.0])
+    sch = builtin_schedule("linear")
+    for build in (
+        lambda: sagt.initial_state(psi, 1),
+        lambda: sagt.target_state(psi, 1),
+        lambda: sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", psi, steps=4),
+        lambda: sagt.run_gate_teleport("x", sch, 1.0, "adiabatic", psi, steps=4),
+    ):
+        with pytest.raises(ValueError, match="psi_in"):
+            build()
+
+
 def test_named_gates():
     for name in sagt.GATE_NAMES:
         g = sagt.named_gate(name)

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 import sagt
 from sagt import cost, counterdiabatic, spectral
+from sagt.operators import PAULI
 from sagt.schedules import Schedule, builtin_schedule, chi, make_schedule, sample
 
 import oracles
@@ -367,24 +368,23 @@ def test_coordinate_block_is_the_drive_plus_the_velocity_term(sch, tau, omega):
 
 
 def _span_blocks(ab):
-    """Blocks i W (a.L + b.R) W^dag for rows (a, b) of ab."""
-    gen = np.concatenate((spectral.QUAT_LEFT, spectral.QUAT_RIGHT))
-    g = np.tensordot(ab, gen, axes=1)
-    w = spectral.REAL_FRAME
-    return 1j * w @ g @ w.conj().T
+    """Blocks S (a.s (x) 1 + 1 (x) b.s) S^dag for rows (a, b) of ab."""
+    paulis = [PAULI[c] for c in "XYZ"]
+    gen = [np.kron(p, np.eye(2)) for p in paulis] + [np.kron(np.eye(2), p) for p in paulis]
+    s = spectral.SPIN_FRAME
+    return s @ np.tensordot(ab, np.stack(gen), axes=1) @ s.conj().T
 
 
-@pytest.mark.parametrize("kind", ["generic", "isoclinic", "left-isoclinic", "zero"])
+@pytest.mark.parametrize("kind", ["generic", "b-only", "a-only", "zero"])
 def test_segment_propagator_on_random_span_vectors(kind):
-    # a = 0 leaves only the right factor: the isoclinic rotations, whose
-    # spectrum is degenerate; b = 0 leaves only the left one.  Each pins
-    # the step order of its own factor's tree.  The zero vector is the
+    # a = 0 leaves only the second spin, b = 0 only the first.  Each pins
+    # the step order of its own spin's tree.  The zero vector is the
     # identity step
     rng = np.random.default_rng(5)
     ab = rng.normal(size=(9, 6))
-    if kind == "isoclinic":
+    if kind == "b-only":
         ab[:, :3] = 0.0
-    elif kind == "left-isoclinic":
+    elif kind == "a-only":
         ab[:, 3:] = 0.0
     elif kind == "zero":
         ab[4] = 0.0
@@ -399,47 +399,42 @@ def test_segment_propagator_on_random_span_vectors(kind):
         np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-15)
 
 
-def test_the_sector_generators_are_real_in_the_real_frame():
-    w = spectral.REAL_FRAME
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-15)
-    np.testing.assert_array_equal(w, spectral.FRAME_0 @ spectral.CARTESIAN)
-    generators = {
-        "-iA": -1j * spectral.BLOCK_A,
-        "-iB": -1j * spectral.BLOCK_B,
-        "C": spectral.BLOCK_C,
-        "T0": spectral.TURN_0,
-        "T1": spectral.TURN_1,
+@settings(max_examples=25, deadline=None)
+@given(sch=strategies.paths, omega=OMEGAS)
+def test_the_sector_is_two_spins_in_the_spin_frame(sch, omega):
+    s = spectral.SPIN_FRAME
+    np.testing.assert_allclose(s.conj().T @ s, np.eye(4), rtol=0, atol=1e-15)
+    # at theta = 0 the frame levels v0 and v3 are |++> and |-->
+    np.testing.assert_allclose(
+        s.conj().T @ spectral.FRAME_0[:, [0, 3]],
+        np.array([[1, 1, 1, 1], [1, -1, -1, 1]]).T / 2,
+        rtol=0,
+        atol=1e-15,
+    )
+    x, y, z, one = PAULI["X"], PAULI["Y"], PAULI["Z"], np.eye(2)
+    spins = {
+        "A": (spectral.BLOCK_A, np.kron(x, one) + np.kron(one, x)),
+        "B": (spectral.BLOCK_B, np.kron(y, one) + np.kron(one, y)),
+        "iC/4": (0.25j * spectral.BLOCK_C, -(np.kron(z, one) + np.kron(one, z)) / 2),
+        "iT0": (1j * spectral.TURN_0, (np.kron(one, x) - np.kron(x, one)) / 2),
+        "iT1": (1j * spectral.TURN_1, (np.kron(one, y) - np.kron(y, one)) / 2),
     }
-    for name, x in generators.items():
-        g = w.conj().T @ x @ w
-        assert np.abs(g.imag).max() < 1e-15, name
-        assert np.abs(g + g.T).max() < 1e-15, name
-    left, right = spectral.QUAT_LEFT, spectral.QUAT_RIGHT
-    for m in left:
-        for n in right:
-            assert np.array_equal(m @ n, n @ m)
-    # x -> i x, j x, k x is the quaternion algebra: i j = k, i^2 = -1
-    assert np.array_equal(left[0] @ left[1], left[2])
-    assert np.array_equal(left[0] @ left[0], -np.eye(4))
-
-
-def _quaternion_product(x, y):
-    """(w1 w2 - v1.v2, w1 v2 + w2 v1 + v1 x v2) for x = (w1, v1), y = (w2, v2)."""
-    w1, v1, w2, v2 = x[0], x[1:], y[0], y[1:]
-    return np.concatenate(([w1 * w2 - v1 @ v2], w1 * v2 + w2 * v1 + np.cross(v1, v2)))
-
-
-def test_quaternion_tables_are_the_textbook_product():
-    # QUAT_LEFT[m] x = e_m x and QUAT_RIGHT[m] x = x e_m for e = (i, j, k)
-    rng = np.random.default_rng(59)
-    for x in rng.normal(size=(5, 4)):
-        for m, e in enumerate(np.eye(4)[1:]):
-            np.testing.assert_allclose(
-                spectral.QUAT_LEFT[m] @ x, _quaternion_product(e, x), rtol=0, atol=1e-15
-            )
-            np.testing.assert_allclose(
-                spectral.QUAT_RIGHT[m] @ x, _quaternion_product(x, e), rtol=0, atol=1e-15
-            )
+    for name, (block, spin) in spins.items():
+        np.testing.assert_allclose(
+            s.conj().T @ block @ s, spin, rtol=0, atol=1e-15, err_msg=name
+        )
+    # the (a, b) of A, B, iT0, iT1 and iC/4
+    table = [
+        [1, 0, 0, 1, 0, 0],
+        [0, 1, 0, 0, 1, 0],
+        [-0.5, 0, 0, 0.5, 0, 0],
+        [0, -0.5, 0, 0, 0.5, 0],
+        [0, 0, -0.5, 0, 0, -0.5],
+    ]
+    np.testing.assert_allclose(spectral._SAMPLE_SPLIT, table, rtol=0, atol=1e-15)
+    # the bare drive is one field on both spins
+    ab = spectral.coordinate_grid(sample(sch, np.linspace(0.0, 1.0, 257)), omega)
+    assert np.array_equal(ab[:, :3], ab[:, 3:])
 
 
 def test_embed_blocks_structure():
