@@ -23,10 +23,18 @@ back only at observation points.  A gate run goes further: it propagates
 the unrotated protocol state and applies G once to each rung's end state.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
+
+The products of a pass depend only on the schedule, omega, the family's
+tau (its mode), the duration, the step count and the cuts.  The gate, the
+sector count and the input never enter them: a gate teleport is the state
+teleport in a rotated frame, and every sector follows one u.  So
+_pass_products keeps each call's read-only (bounds, products) in an LRU map
+of _PASS_CACHE_SIZE entries (about 5 KB each at 21 checkpoints) keyed by
+those values alone, which state runs, gate runs and every n share.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -35,6 +43,7 @@ from . import spectral
 from .cost import _simpson
 from .model import (
     MODES,
+    HamiltonianFamily,
     _on_outputs,
     gate_width,
     initial_state,
@@ -53,6 +62,7 @@ DEFAULT_TARGET_DEFECT = 1e-8
 MAX_STEPS = 2**20
 _CHUNK = 4096
 _TRACE_POINTS = 21
+_PASS_CACHE_SIZE = 64
 
 
 def fidelity(psi, phi):
@@ -90,6 +100,20 @@ def _passes(cuts):
     return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
 
 
+@lru_cache(maxsize=_PASS_CACHE_SIZE)
+def _pass_products(schedule, omega, family_tau, tau, steps, cuts):
+    """(bounds, read-only step products of its segments) for every pass of
+    the cuts of a `steps`-step run of duration tau, off one sector family."""
+    sector = HamiltonianFamily(1, omega, schedule, family_tau, None)
+    passes = []
+    for bounds in _passes(cuts):
+        s_mid = (np.arange(bounds[0], bounds[-1]) + 0.5) / steps
+        us = spectral.step_products(sector.coordinate_grid(s_mid), tau / steps, np.diff(bounds))
+        us.flags.writeable = False
+        passes.append((bounds, us))
+    return tuple(passes)
+
+
 def propagate(family, psi0, steps, tau=None, observer=None):
     """Drive psi0 through s: 0 -> 1 under the family's Hamiltonian.
 
@@ -97,7 +121,9 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     the physical duration and hence dt; ValueError if both differ).  If
     given, `observer(s, psi)` is called with the physical state at ~20
     evenly spaced checkpoints, including both endpoints; it may keep psi,
-    which is never modified afterwards.  Returns the final state.
+    which is never modified afterwards.  Returns the final state.  The step
+    products come from the pass cache if a call of equal schedule, omega,
+    mode, tau, steps and checkpoints formed them.
     """
     steps = _whole(steps)
     if steps < 1:
@@ -123,13 +149,11 @@ def propagate(family, psi0, steps, tau=None, observer=None):
         if k in checkpoints:
             observer(k / steps, psi if g is None else g @ psi)
 
-    dt = float(tau) / steps
     n = family.sectors
-    cuts = sorted(checkpoints | set(range(0, steps, _CHUNK)) | {steps})
+    cuts = tuple(sorted(checkpoints | set(range(0, steps, _CHUNK)) | {steps}))
     observe(0)
-    for bounds in _passes(cuts):
-        s_mid = (np.arange(bounds[0], bounds[-1]) + 0.5) / steps
-        us = spectral.step_products(family.coordinate_grid(s_mid), dt, np.diff(bounds))
+    key = (family.schedule, family.omega, family.tau, float(tau), steps, cuts)
+    for bounds, us in _pass_products(*key):
         for u, stop in zip(spectral.embed_blocks(us, us), bounds[1:]):
             psi = _apply_sectorwise(u, psi, n)
             observe(stop)

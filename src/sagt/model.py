@@ -41,8 +41,9 @@ def _require_unitary(g, dim, what="rotation"):
     g = np.asarray(g, dtype=complex)
     if g.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got {g.shape}")
-    defect = np.abs(g.conj().T @ g - np.eye(dim)).max()
-    if defect > UNITARITY_ATOL:
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and NaN fails below
+        defect = np.abs(g.conj().T @ g - np.eye(dim)).max()
+    if not defect <= UNITARITY_ATOL:
         raise ValueError(f"{what} is not unitary (defect {defect:.2e})")
     return g
 

@@ -283,6 +283,15 @@ def test_bad_gates_are_rejected_by_one_rule(tmp_path, capsys, name):
     assert err.startswith("sagt: error: matrix in ")
 
 
+def test_a_gate_file_with_a_nan_cell_exits_one_naming_the_file(tmp_path, capsys):
+    # a NaN unitarity defect used to pass, and the run exited 2 at 2^20 steps
+    path = tmp_path / "nan.csv"
+    path.write_text("nan 0,0 0\n0 0,1 0\n")
+    code, out, err = run_cli(capsys, "gate-teleport", "--gate-file", str(path), "--tau", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"sagt: error: matrix in {path}: gate is not unitary")
+
+
 def test_random_su_checks_the_sector_count_before_drawing(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a gate was drawn")

@@ -1,5 +1,6 @@
 """Time propagation and the teleportation protocol runners."""
 
+import dataclasses
 import functools
 from unittest import mock
 
@@ -11,10 +12,11 @@ from scipy.linalg import expm
 
 import sagt
 from sagt import evolution, model, spectral
-from sagt.schedules import BUILTIN_KINDS, builtin_schedule
+from sagt.schedules import BUILTIN_KINDS, Schedule, builtin_schedule
 
 import oracles
 import strategies
+from test_sample_once import count_coordinate_grids
 
 
 def test_fidelity_phase_invariant():
@@ -282,6 +284,18 @@ def test_a_target_defect_that_no_run_can_meet_is_rejected(monkeypatch, target):
     for run in _unpropagated_runs(monkeypatch, target_defect=target):
         with pytest.raises(ValueError, match="target_defect must be >= 0"):
             run()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_gate_with_a_non_finite_cell_is_rejected_before_propagating(monkeypatch, bad):
+    # a NaN unitarity defect used to pass the check, and the run climbed the
+    # whole ladder to a NaN fidelity
+    gate = np.eye(2, dtype=complex)
+    gate[0, 0] = bad
+    _unpropagated_runs(monkeypatch)  # a propagate call now fails the test
+    with pytest.raises(ValueError, match="gate is not unitary"):
+        sagt.run_gate_teleport(gate, builtin_schedule("linear"), 1.0, "adiabatic", [1.0, 0.0])
 
 
 def test_a_zero_target_defect_runs_to_the_budget():
@@ -658,3 +672,123 @@ def test_superadiabatic_runs_on_random_paths(sch, tau_omega, n, seed):
     assert rec.accepted
     assert rec.fidelity >= 1.0 - 1e-6
     assert rec.parity_drift <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the pass cache: one sector transport per configuration, whatever n, G, psi
+
+
+@pytest.fixture
+def cold_cache():
+    """The pass cache, empty at the start and at the end of the test."""
+    evolution._pass_products.cache_clear()
+    yield evolution._pass_products
+    evolution._pass_products.cache_clear()
+
+
+def _bits(record):
+    """Every RunRecord field as its repr: equal reprs are equal bits."""
+    return {f.name: repr(getattr(record, f.name)) for f in dataclasses.fields(record)}
+
+
+def test_a_repeated_run_forms_no_generator_and_records_the_same(monkeypatch, cold_cache):
+    generators = count_coordinate_grids(monkeypatch)
+    sch = builtin_schedule("trigonometric")
+    cold = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.6, 0.8])
+    formed = len(generators)
+    assert formed > 0
+    warm = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.6, 0.8])
+    assert len(generators) == formed
+    assert _bits(warm) == _bits(cold)
+
+
+def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
+    # a gate teleport is the state teleport in a rotated frame, and every
+    # sector follows one u: all six runs of one configuration read the
+    # same entries, and each record is the one it has with a cold cache
+    rng = np.random.default_rng(53)
+    sch = builtin_schedule("exponential")
+    runs = []
+    for n, gate in ((1, "hadamard"), (2, "cnot"), (3, "toffoli")):
+        psi_in = sagt.random_state(2**n, rng)
+        runs.append(functools.partial(sagt.run_state_teleport, n, sch, 1.0, "adiabatic", psi_in))
+        runs.append(functools.partial(sagt.run_gate_teleport, gate, sch, 1.0, "adiabatic", psi_in))
+    cold = []
+    for run in runs:
+        cold_cache.cache_clear()
+        cold.append(_bits(run()))
+    cold_cache.cache_clear()
+    generators = count_coordinate_grids(monkeypatch)
+    rungs = set()
+    for run, want in zip(runs, cold):
+        record = run()
+        assert _bits(record) == want
+        count = evolution.DEFAULT_STEPS
+        while count <= record.step_count:
+            rungs.add(count)
+            count *= 2
+    # one entry per distinct rung, its generator formed once over all runs
+    assert cold_cache.cache_info().currsize == len(rungs)
+    assert sum(generators) == sum(rungs)
+
+
+def test_each_configuration_forms_its_own_generator(monkeypatch, cold_cache):
+    generators = count_coordinate_grids(monkeypatch)
+    trig, linear = builtin_schedule("trigonometric"), builtin_schedule("linear")
+    psi0 = sagt.initial_state([0.6, 0.8], 1)
+
+    def observed(fam):
+        return lambda: evolution.propagate(fam, psi0, 64, tau=1.0, observer=lambda s, psi: None)
+
+    def adiabatic(sch=trig, omega=1.0):
+        return sagt.single_sector_family(omega, sch)
+
+    base = sagt.superadiabatic_family(adiabatic(), 1.0)
+    calls = [
+        observed(base),
+        observed(adiabatic()),  # mode, at equal tau
+        observed(sagt.superadiabatic_family(adiabatic(linear), 1.0)),  # schedule
+        observed(sagt.superadiabatic_family(adiabatic(omega=2.0), 1.0)),  # omega
+        lambda: evolution.propagate(base, psi0, 64),  # no observer
+    ]
+    for k, call in enumerate(calls, 1):
+        call()
+        assert len(generators) == k
+    for call in calls:
+        call()
+    assert len(generators) == len(calls)
+    assert cold_cache.cache_info().currsize == len(calls)
+
+
+def test_the_pass_cache_keeps_a_constant_number_of_entries(cold_cache):
+    fam = sagt.single_sector_family(1.0, builtin_schedule("linear"))
+    psi0 = sagt.initial_state([1.0, 0.0], 1)
+    for k in range(evolution._PASS_CACHE_SIZE + 5):
+        evolution.propagate(fam, psi0, 4, tau=1.0 + k / 64)
+    info = cold_cache.cache_info()
+    assert info.currsize == info.maxsize == evolution._PASS_CACHE_SIZE
+    assert info.misses == evolution._PASS_CACHE_SIZE + 5
+
+
+def test_cached_products_are_read_only(cold_cache):
+    sch = builtin_schedule("trigonometric")
+    fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
+    evolution.propagate(fam, sagt.initial_state([0.6, 0.8], 1), 64)
+    # the key an unobserved 64-step run makes: one pass over the cuts 0 and 64
+    ((bounds, us),) = cold_cache(sch, 1.0, 1.0, 1.0, 64, (0, 64))
+    assert cold_cache.cache_info().hits == 1
+    assert bounds == (0, 64) and us.shape == (1, 4, 4)
+    assert not us.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        us[0, 0, 0] = 0.0
+
+
+def test_a_pass_that_raises_leaves_no_entry(cold_cache):
+    def nan(s):
+        return np.full(np.shape(s), np.nan)
+
+    sch = Schedule(name="nan", eta_i=nan, eta_f=nan, deta_i=nan, deta_f=nan)
+    fam = sagt.single_sector_family(1.0, sch)
+    with pytest.raises(ValueError, match="not finite"):
+        evolution.propagate(fam, sagt.initial_state([1.0, 0.0], 1), 8, tau=1.0)
+    assert cold_cache.cache_info().currsize == 0
