@@ -35,7 +35,7 @@ from .model import (
     rotate_family,
     superadiabatic_family,
 )
-from .operators import random_state, random_unitary
+from .operators import random_state, random_unitary, require_positive
 from .schedules import BUILTIN_KINDS, builtin_schedule
 from .spectral import MINUS_BASIS, PLUS_BASIS, embed_blocks
 
@@ -88,10 +88,18 @@ def load_unitary(path):
     return mat
 
 
+def _amplitude(token):
+    """One --amp token, re or re:im, as a complex number."""
+    re, _, im = token.partition(":")
+    try:
+        return complex(float(re), float(im or 0.0))
+    except ValueError:
+        raise ValueError(f"psi_in: --amp token {token!r} is not re or re:im") from None
+
+
 def _input_state(args, n):
     if args.amp is not None:
-        parts = [token.partition(":") for token in args.amp.split(",")]
-        psi = np.array([complex(float(re), float(im or 0.0)) for re, _, im in parts])
+        psi = np.array([_amplitude(token) for token in args.amp.split(",")])
         norm = np.linalg.norm(psi)
         if norm and abs(norm - 1.0) > 1e-6:
             print(f"note: renormalizing input state (norm was {norm:.6f})", file=sys.stderr)
@@ -260,6 +268,7 @@ def _verify_checks(grid_points, tau_values, tol):
 def cmd_verify(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    require_positive("--tol", args.tol)
     rows = list(_verify_checks(args.grid, (0.1, 1.0, 10.0), args.tol))
     width = max(len(name) for name, _, _ in rows)
     failed = False

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import spectral
 from .model import MODES, multi_sector_family, superadiabatic_family
-from .operators import require_positive
+from .operators import _whole, require_positive
 from .schedules import sample
 
 QUAD_RTOL = 1e-8
@@ -113,6 +113,7 @@ def mu(schedule, s, m):
     Levels 0-3 are the even-parity block in ascending energy, 4-7 the odd
     block; the two blocks share one frame, so mu depends on m mod 4.
     """
+    m = _whole("m", m)
     if m not in range(8):
         raise ValueError(f"level index {m} outside 0..7")
     dv = spectral.block_eigenvector_derivatives(schedule, float(s))[:, m % 4]

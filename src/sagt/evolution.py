@@ -9,28 +9,30 @@ more than the target defect.
 
 Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
-propagator is embed_blocks(u, u)^(x n) for a single 4x4 propagator u.
-Steps are grouped into segments between observation points (at most
-_CHUNK steps long), and consecutive segments into passes of at most
-_CHUNK padded steps.  A pass costs one family.coordinate_grid, the so(4)
-coordinates of its steps off one sample, and one spectral.step_products,
-a pairwise tree of SU(2) matrices for each of the two spins of a step,
-no eigensolver, for all its segments; a segment costs one 8x8 product per
-sector on the state.  A fixed register rotation G telescopes through the
-product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
-so rotated families are propagated in the unrotated frame and rotated
-back only at observation points.  A gate run goes further: it propagates
-the unrotated protocol state and applies G once to each rung's end state.
+propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U.  A
+rung (one step count) cuts its steps at ~20 evenly spaced checkpoints s_k
+and at every multiple of _CHUNK, and groups the segments into passes of
+at most _CHUNK padded steps.  A pass costs one family.coordinate_grid, the
+so(4) coordinates of its steps off one sample, and one step_products, a
+pairwise tree of SU(2) matrices for each of the two spins of a step, no
+eigensolver; the segment products, multiplied in order, give U(s_k).  The
+state at s_k is E(U(s_k))^(x n) psi0, so observer(0, psi0) comes after the
+rung is formed, and a call without an observer applies U(1) alone, to the
+same bits.  A fixed register rotation G telescopes through the product of
+step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
+families are propagated in the unrotated frame and rotated back only at
+observation points.  A gate run goes further: it propagates the unrotated
+protocol state and applies G once to each rung's end state.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
 
-The products of a pass depend only on the schedule, omega, the family's
-tau (its mode), the duration, the step count and the cuts.  The gate, the
-sector count and the input never enter them: a gate teleport is the state
-teleport in a rotated frame, and every sector follows one u.  So
-_pass_products keeps each call's read-only (bounds, products) in an LRU map
-of _PASS_CACHE_SIZE entries (about 5 KB each at 21 checkpoints) keyed by
-those values alone, which state runs, gate runs and every n share.
+A rung's U(s_k) depend only on the schedule, omega, the family's tau (its
+mode), the duration and the step count: never on the gate, the sector
+count, the input or the observer, for a gate teleport is the state
+teleport in a rotated frame, and every sector follows one U.  So
+_transports keeps each rung's read-only (checkpoints, U(s_k)) in an LRU
+map of _TRANSPORT_CACHE_SIZE entries (about 5 KB each) keyed by those
+values alone, which state runs, gate runs and every n share.
 """
 
 from dataclasses import dataclass
@@ -49,10 +51,11 @@ from .model import (
     initial_state,
     multi_sector_family,
     named_gate,
+    require_sectors,
     superadiabatic_family,
     target_state,
 )
-from .operators import require_positive
+from .operators import _whole, require_positive
 from .schedules import chi as _chi
 from .schedules import in_domain, sample
 
@@ -62,7 +65,7 @@ DEFAULT_TARGET_DEFECT = 1e-8
 MAX_STEPS = 2**20
 _CHUNK = 4096
 _TRACE_POINTS = 21
-_PASS_CACHE_SIZE = 64
+_TRANSPORT_CACHE_SIZE = 64
 
 
 def fidelity(psi, phi):
@@ -75,13 +78,6 @@ def fidelity(psi, phi):
     if val > 1.0 + 1e-9:
         raise ValueError(f"fidelity {val} exceeds 1 beyond roundoff")
     return float(min(val, 1.0))
-
-
-def _whole(count, name="steps"):
-    """count as an int; ValueError unless it is a whole number."""
-    if not float(count).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {count}")
-    return int(count)
 
 
 def _apply_sectorwise(u, psi, n):
@@ -100,32 +96,36 @@ def _passes(cuts):
     return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
 
 
-@lru_cache(maxsize=_PASS_CACHE_SIZE)
-def _pass_products(schedule, omega, family_tau, tau, steps, cuts):
-    """(bounds, read-only step products of its segments) for every pass of
-    the cuts of a `steps`-step run of duration tau, off one sector family."""
+@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
+def _transports(schedule, omega, family_tau, tau, steps):
+    """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1, with
+    U(0) = I) of a `steps`-step run of duration tau, off one sector family."""
+    checkpoints = sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)})
     sector = HamiltonianFamily(1, omega, schedule, family_tau, None)
-    passes = []
-    for bounds in _passes(cuts):
+    transports = {0: np.eye(4, dtype=complex)}
+    for bounds in _passes(sorted(set(checkpoints).union(range(_CHUNK, steps, _CHUNK)))):
         s_mid = (np.arange(bounds[0], bounds[-1]) + 0.5) / steps
         us = spectral.step_products(sector.coordinate_grid(s_mid), tau / steps, np.diff(bounds))
-        us.flags.writeable = False
-        passes.append((bounds, us))
-    return tuple(passes)
+        for u, start, stop in zip(us, bounds, bounds[1:]):
+            transports[stop] = u @ transports[start]
+    at_checkpoints = np.array([transports[k] for k in checkpoints])
+    at_checkpoints.flags.writeable = False
+    return tuple(checkpoints), at_checkpoints
 
 
 def propagate(family, psi0, steps, tau=None, observer=None):
     """Drive psi0 through s: 0 -> 1 under the family's Hamiltonian.
 
     tau defaults to family.tau (required one way or the other; it fixes
-    the physical duration and hence dt; ValueError if both differ).  If
-    given, `observer(s, psi)` is called with the physical state at ~20
-    evenly spaced checkpoints, including both endpoints; it may keep psi,
-    which is never modified afterwards.  Returns the final state.  The step
-    products come from the pass cache if a call of equal schedule, omega,
-    mode, tau, steps and checkpoints formed them.
+    the physical duration and hence dt; ValueError if both differ).  psi0
+    must be a finite unit vector.  If given, `observer(s, psi)` is called
+    with the physical state at ~20 evenly spaced checkpoints, including
+    both endpoints; it may keep psi, which is never modified afterwards.
+    Returns the final state, the same bits with or without an observer.
+    The rung's transports come from the transport cache if a call of equal
+    schedule, omega, mode, tau and steps formed them.
     """
-    steps = _whole(steps)
+    steps = _whole("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     tau = family.tau if tau is None else tau
@@ -134,29 +134,24 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     require_positive("tau", tau)
     if family.tau not in (None, tau):
         raise ValueError(f"tau={tau} disagrees with the family's tau={family.tau}")
-    psi = np.asarray(psi0, dtype=complex).ravel().copy()
-    if psi.size != family.dim:
-        raise ValueError(f"state dim {psi.size} != register dim {family.dim}")
+    psi0 = np.asarray(psi0, dtype=complex).ravel()
+    if psi0.size != family.dim:
+        raise ValueError(f"state dim {psi0.size} != register dim {family.dim}")
+    norm_defect = abs(np.linalg.norm(psi0) - 1.0)
+    if not norm_defect <= NORM_ATOL:  # NaN fails too
+        raise ValueError(f"psi0 must be a finite unit vector, norm off by {norm_defect:.2e}")
 
     g = family.rotation
     if g is not None:
-        psi = g.conj().T @ psi  # work in the unrotated frame throughout
-
-    marks = [] if observer is None else np.linspace(0.0, 1.0, _TRACE_POINTS)
-    checkpoints = {int(round(f * steps)) for f in marks}
-
-    def observe(k):
-        if k in checkpoints:
+        psi0 = g.conj().T @ psi0  # work in the unrotated frame throughout
+    key = (family.schedule, family.omega, family.tau, float(tau), steps)
+    checkpoints, transports = _transports(*key)
+    if observer is None:
+        checkpoints, transports = checkpoints[-1:], transports[-1:]
+    for k, u in zip(checkpoints, spectral.embed_blocks(transports, transports)):
+        psi = _apply_sectorwise(u, psi0, family.sectors)
+        if observer is not None:
             observer(k / steps, psi if g is None else g @ psi)
-
-    n = family.sectors
-    cuts = tuple(sorted(checkpoints | set(range(0, steps, _CHUNK)) | {steps}))
-    observe(0)
-    key = (family.schedule, family.omega, family.tau, float(tau), steps, cuts)
-    for bounds, us in _pass_products(*key):
-        for u, stop in zip(spectral.embed_blocks(us, us), bounds[1:]):
-            psi = _apply_sectorwise(u, psi, n)
-            observe(stop)
 
     norm_defect = abs(np.linalg.norm(psi) - 1.0)
     if not norm_defect <= NORM_ATOL:  # NaN fails too
@@ -243,11 +238,12 @@ def _run_protocol(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     require_positive("tau_omega", tau_omega)
-    steps, max_steps = _whole(steps), _whole(max_steps, "max_steps")
+    steps, max_steps = _whole("steps", steps), _whole("max_steps", max_steps)
     if not target_defect >= 0.0:  # NaN fails too
         raise ValueError(f"target_defect must be >= 0, got {target_defect}")
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
+    n = require_sectors(n)
 
     # the unrotated family carries the protocol state; G, checked by gate_width,
     # acts on each rung's end state, and target_state checks and applies it apart

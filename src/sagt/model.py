@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import pauli_string, place_on_qubits, require_positive
+from .operators import _whole, pauli_string, place_on_qubits, require_positive
 from .schedules import Schedule, in_domain, sample
 from .spectral import coordinate_block, coordinate_grid, embed_blocks
 
@@ -31,10 +31,13 @@ class CapacityError(ValueError):
 
 def require_sectors(n):
     """The package's one sector-count check: n >= 1 sectors whose 3n
-    qubits fit the dense limit MAX_QUBITS; raises CapacityError."""
+    qubits fit the dense limit MAX_QUBITS, returned as an int; raises
+    ValueError if n is not whole and CapacityError if it is out of range."""
+    n = _whole("n", n)
     if n < 1 or 3 * n > MAX_QUBITS:
         limit = f"1..{MAX_QUBITS // 3} (3n qubits, dense limit {MAX_QUBITS})"
         raise CapacityError(f"sector count n={n} outside {limit}")
+    return n
 
 
 def _require_unitary(g, dim, what="rotation"):
@@ -121,8 +124,7 @@ def single_sector_family(omega, schedule):
 
 def multi_sector_family(n, omega, schedule):
     """n independent copies of the drive on 3n qubits (sum of padded sectors)."""
-    require_sectors(n)
-    return replace(single_sector_family(omega, schedule), sectors=n)
+    return replace(single_sector_family(omega, schedule), sectors=require_sectors(n))
 
 
 def superadiabatic_family(base, tau):
@@ -173,12 +175,12 @@ def parity(axis, scope, n, rotation=None):
     """
     if axis not in ("z", "x"):
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
-    require_sectors(n)
+    n = require_sectors(n)
     letter = axis.upper()
     if scope == "global":
         spec = letter * (3 * n)
     else:
-        k = int(scope)
+        k = _whole("scope", scope)
         if k < 1 or k > n:
             raise ValueError(f"sector index {scope} outside 1..{n}")
         spec = "1" * (3 * (k - 1)) + letter * 3 + "1" * (3 * (n - k))
@@ -206,7 +208,9 @@ def bell_state():
 
 
 def _protocol_input(psi_in, n):
-    """psi_in normalized, checked to be an n-qubit state of n sectors."""
+    """(psi_in normalized, n as an int), checked to be an n-qubit state of
+    n sectors."""
+    n = require_sectors(n)
     psi = np.asarray(psi_in, dtype=complex).ravel()
     if not np.all(np.isfinite(psi)):
         raise ValueError("psi_in has non-finite amplitudes")
@@ -216,8 +220,7 @@ def _protocol_input(psi_in, n):
     psi = psi / norm
     if psi.size != 2**n:
         raise ValueError(f"psi_in has dim {psi.size}, expected {2 ** n}")
-    require_sectors(n)
-    return psi
+    return psi, n
 
 
 def _sector_layout(lone, n, lone_last):
@@ -242,7 +245,8 @@ def initial_state(psi_in, n, rotation=None):
     a 2^n x 2^n unitary, applied on the n output qubits by _on_outputs --
     pre-rotates the resource halves, which is how a gate is loaded.
     """
-    state = _sector_layout(_protocol_input(psi_in, n), n, lone_last=False)
+    psi, n = _protocol_input(psi_in, n)
+    state = _sector_layout(psi, n, lone_last=False)
     if rotation is not None:
         state = _on_outputs(_require_unitary(rotation, 2**n, "gate"), state, n)
     return state
@@ -253,7 +257,7 @@ def target_state(psi_in, n, rotation=None):
     the output qubits: the ideal end point of the protocol.  The 2^n x 2^n
     rotation acts on the input before the layout, not through
     embed_on_outputs, so a gate run's fidelity also checks the placement."""
-    out = _protocol_input(psi_in, n)
+    out, n = _protocol_input(psi_in, n)
     if rotation is not None:
         out = _require_unitary(rotation, 2**n, "gate rotation") @ out
     return _sector_layout(out, n, lone_last=True)

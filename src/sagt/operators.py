@@ -28,6 +28,14 @@ def require_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _whole(name, value):
+    """value as an int; ValueError("<name> must be a whole number, got ...")
+    unless it is one, so a whole float never reaches numpy as a float."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _as_square(a, name="operator"):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

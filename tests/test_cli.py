@@ -368,16 +368,22 @@ def test_non_finite_run_inputs_exit_one(capsys, option, value):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("amp", ["1,0,0", "0,0", "nan,0"])
+_BAD_AMP_TOKENS = {"abc": "abc", "1:2:3": "1:2:3", "1,": ""}
+
+
+@pytest.mark.parametrize("amp", ["1,0,0", "0,0", "nan,0", *_BAD_AMP_TOKENS])
 @pytest.mark.parametrize(
     "command", [["state-teleport"], ["gate-teleport", "--gate", "x"]], ids=["state", "gate"]
 )
 def test_bad_amp_inputs_exit_one(capsys, command, amp):
-    # a wrong amplitude count, a zero-norm and a non-finite state are refused by the run
+    # a wrong amplitude count, a zero-norm and a non-finite state are refused
+    # by the run, and a token that is not a number by the CLI, which names it
     code, out, err = run_cli(capsys, *command, "--tau", "1.0", "--steps", "4", "--amp", amp)
     assert code == 1
     assert out == ""
     assert "sagt: error: psi_in" in err
+    if amp in _BAD_AMP_TOKENS:
+        assert f"--amp token {_BAD_AMP_TOKENS[amp]!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -399,6 +405,16 @@ def test_verify_rejects_an_empty_grid(capsys, grid):
     assert code == 1
     assert out == ""
     assert err == f"sagt: error: --grid must be at least 1, got {grid}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-8", "0"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    # no check can pass a tolerance that is not positive: an argument error,
+    # not a failed verification of a healthy library
+    code, out, err = run_cli(capsys, "verify", "--grid", "11", f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err == f"sagt: error: --tol must be finite and positive, got {float(tol)}\n"
 
 
 def test_verify_passes(capsys):

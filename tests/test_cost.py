@@ -137,6 +137,13 @@ def test_mu_levels():
         )
 
 
+def test_a_level_index_that_is_not_whole_is_rejected_by_name():
+    sch = builtin_schedule("trigonometric")
+    with pytest.raises(ValueError, match="m must be a whole number, got 2.5"):
+        cost.mu(sch, 0.3, 2.5)
+    assert cost.mu(sch, 0.3, 3.0) == cost.mu(sch, 0.3, 3)
+
+
 def test_cost_scaling_values():
     assert cost.cost_scaling(1) == 1.0
     assert cost.cost_scaling(2) == pytest.approx(4.0, abs=1e-14)

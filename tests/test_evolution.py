@@ -675,15 +675,15 @@ def test_superadiabatic_runs_on_random_paths(sch, tau_omega, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# the pass cache: one sector transport per configuration, whatever n, G, psi
+# the transport cache: one sector transport per rung, whatever n, G, psi
 
 
 @pytest.fixture
 def cold_cache():
-    """The pass cache, empty at the start and at the end of the test."""
-    evolution._pass_products.cache_clear()
-    yield evolution._pass_products
-    evolution._pass_products.cache_clear()
+    """The transport cache, empty at the start and at the end of the test."""
+    evolution._transports.cache_clear()
+    yield evolution._transports
+    evolution._transports.cache_clear()
 
 
 def _bits(record):
@@ -749,38 +749,81 @@ def test_each_configuration_forms_its_own_generator(monkeypatch, cold_cache):
         observed(adiabatic()),  # mode, at equal tau
         observed(sagt.superadiabatic_family(adiabatic(linear), 1.0)),  # schedule
         observed(sagt.superadiabatic_family(adiabatic(omega=2.0), 1.0)),  # omega
-        lambda: evolution.propagate(base, psi0, 64),  # no observer
+        lambda: evolution.propagate(base, psi0, 64),  # no observer: the first entry
     ]
     for k, call in enumerate(calls, 1):
         call()
-        assert len(generators) == k
+        assert len(generators) == min(k, 4)
     for call in calls:
         call()
-    assert len(generators) == len(calls)
-    assert cold_cache.cache_info().currsize == len(calls)
+    assert len(generators) == 4
+    assert cold_cache.cache_info().currsize == 4
 
 
 def test_the_pass_cache_keeps_a_constant_number_of_entries(cold_cache):
     fam = sagt.single_sector_family(1.0, builtin_schedule("linear"))
     psi0 = sagt.initial_state([1.0, 0.0], 1)
-    for k in range(evolution._PASS_CACHE_SIZE + 5):
+    for k in range(evolution._TRANSPORT_CACHE_SIZE + 5):
         evolution.propagate(fam, psi0, 4, tau=1.0 + k / 64)
     info = cold_cache.cache_info()
-    assert info.currsize == info.maxsize == evolution._PASS_CACHE_SIZE
-    assert info.misses == evolution._PASS_CACHE_SIZE + 5
+    assert info.currsize == info.maxsize == evolution._TRANSPORT_CACHE_SIZE
+    assert info.misses == evolution._TRANSPORT_CACHE_SIZE + 5
 
 
 def test_cached_products_are_read_only(cold_cache):
     sch = builtin_schedule("trigonometric")
     fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
     evolution.propagate(fam, sagt.initial_state([0.6, 0.8], 1), 64)
-    # the key an unobserved 64-step run makes: one pass over the cuts 0 and 64
-    ((bounds, us),) = cold_cache(sch, 1.0, 1.0, 1.0, 64, (0, 64))
+    # the key every 64-step run of this configuration makes, observed or not
+    checkpoints, transports = cold_cache(sch, 1.0, 1.0, 1.0, 64)
     assert cold_cache.cache_info().hits == 1
-    assert bounds == (0, 64) and us.shape == (1, 4, 4)
-    assert not us.flags.writeable
+    assert len(checkpoints) == evolution._TRACE_POINTS
+    assert (checkpoints[0], checkpoints[-1]) == (0, 64)
+    assert transports.shape == (evolution._TRACE_POINTS, 4, 4)
+    assert np.array_equal(transports[0], np.eye(4))  # U(0) = I
+    assert not transports.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        us[0, 0, 0] = 0.0
+        transports[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > _CHUNK: several passes
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("mode", model.MODES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_observer_changes_no_bit_of_the_final_state(
+    monkeypatch, cold_cache, n, mode, rotated, steps
+):
+    # the state at every checkpoint is E(U(s_k))^(x n) psi0 off one cache
+    # entry, so an unobserved call applies the observed call's U(1)
+    rng = np.random.default_rng(steps + n)
+    fam = sagt.multi_sector_family(n, 1.0, builtin_schedule("trigonometric"))
+    if rotated:
+        fam = sagt.rotate_family(fam, sagt.embed_on_outputs(sagt.random_unitary(2**n, rng), n))
+    if mode == "superadiabatic":
+        fam = sagt.superadiabatic_family(fam, 1.0)
+    psi0 = sagt.initial_state(sagt.random_state(2**n, rng), n)
+    generators = count_coordinate_grids(monkeypatch)
+    observed = evolution.propagate(fam, psi0, steps, tau=1.0, observer=lambda s, psi: None)
+    formed = len(generators)
+    assert formed > 0
+    assert np.array_equal(evolution.propagate(fam, psi0, steps, tau=1.0), observed)
+    assert len(generators) == formed
+    assert cold_cache.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("bad", ["doubled", "zero", "nan"])
+def test_a_psi0_that_is_not_a_unit_vector_is_rejected_before_any_product(
+    monkeypatch, cold_cache, bad
+):
+    # the caller's state is at fault, not the integrator: refused up front
+    sch = builtin_schedule("trigonometric")
+    fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
+    psi = sagt.initial_state([0.6, 0.8], 1)
+    psi0 = {"doubled": 2.0 * psi, "zero": 0.0 * psi, "nan": np.full(8, np.nan)}[bad]
+    generators = count_coordinate_grids(monkeypatch)
+    with pytest.raises(ValueError, match="psi0 must be a finite unit vector"):
+        evolution.propagate(fam, psi0, 64, observer=lambda s, psi: None)
+    assert generators == []
 
 
 def test_a_pass_that_raises_leaves_no_entry(cold_cache):

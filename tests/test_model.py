@@ -137,6 +137,43 @@ def test_bad_sector_counts_raise_capacity_errors(n, user):
         SECTOR_COUNT_USERS[user](n)
 
 
+def _sector_count_calls(n):
+    """Every entry point that takes a sector count n, with a 2-qubit input."""
+    sch = builtin_schedule("linear")
+    return {
+        "multi_sector_family": lambda: sagt.multi_sector_family(n, 1.0, sch),
+        "parity": lambda: sagt.parity("z", "global", n),
+        "initial_state": lambda: sagt.initial_state(np.ones(4), n),
+        "target_state": lambda: sagt.target_state(np.ones(4), n),
+        "run_state_teleport": lambda: sagt.run_state_teleport(
+            n, sch, 1.0, "adiabatic", np.ones(4), steps=500
+        ),
+    }
+
+
+@pytest.mark.parametrize("user", sorted(_sector_count_calls(2)))
+def test_a_sector_count_that_is_not_whole_is_rejected_by_name(user):
+    with pytest.raises(ValueError, match="n must be a whole number, got 1.5"):
+        _sector_count_calls(1.5)[user]()
+
+
+@pytest.mark.parametrize("user", sorted(_sector_count_calls(2)))
+def test_a_whole_float_sector_count_runs_as_the_int(user):
+    # the float never reaches numpy: every result is the int's, field for field
+    got, want = _sector_count_calls(2.0)[user](), _sector_count_calls(2)[user]()
+    if isinstance(want, np.ndarray):
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert vars(got) == vars(want)
+        assert type(got.sectors) is int
+
+
+def test_a_sector_index_that_is_not_whole_is_rejected_by_name():
+    with pytest.raises(ValueError, match="scope must be a whole number, got 1.5"):
+        sagt.parity("z", 1.5, 2)
+    np.testing.assert_array_equal(sagt.parity("x", 2.0, 2), sagt.parity("x", 2, 2))
+
+
 def test_contiguous_layout_matches_role_grouped_reference():
     # The register keeps each sector's three qubits adjacent.  Rebuild the
     # n = 2 generator in a role-grouped layout (inputs first, then channel
