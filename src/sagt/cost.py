@@ -155,6 +155,7 @@ def adiabatic_cost(schedule, omega=1.0, quad_points=64):
 
 def cost_scaling(n):
     """g_n = sqrt(2^{3(n-1)} n): the exact multi-sector cost multiplier."""
+    n = _whole("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return float(np.sqrt(2.0 ** (3 * (n - 1)) * n))

@@ -22,7 +22,10 @@ same bits.  A fixed register rotation G telescopes through the product of
 step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
 families are propagated in the unrotated frame and rotated back only at
 observation points.  A gate run goes further: it propagates the unrotated
-protocol state and applies G once to each rung's end state.
+protocol state and applies G once to each rung's end state.  The
+convergence ladder reads each rung's fidelity off an unobserved call, U(1)
+alone, and observes the reported rung once more after it stops, a cache
+hit, so register states at the checkpoints are formed for that rung alone.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
 
@@ -255,26 +258,24 @@ def _run_protocol(
     tgt = target_state(psi_in, n, rotation=gate)
 
     def run(k):
-        states = []
-        final = propagate(
-            family, psi0, k, tau=tau, observer=lambda s, psi: states.append((s, psi))
-        )
-        if gate is not None:
-            final = _on_outputs(gate, final, n)
-        return fidelity(final, tgt), states
+        final = propagate(family, psi0, k, tau=tau)
+        return fidelity(final if gate is None else _on_outputs(gate, final, n), tgt)
 
-    f_prev, _ = run(steps)
+    f_prev = run(steps)
     count = steps
     while True:
         count *= 2
-        f_next, states = run(count)
+        f_next = run(count)
         defect = abs(f_next - f_prev)
         if defect <= target_defect or count * 2 > max_steps:
             break
         f_prev = f_next
 
-    # observables of the reported rung, read off the unrotated states, where
-    # the conserved parity is plain Z...Z and the ground projector the bare one
+    # observables of the reported rung, whose transports the cache holds, read
+    # off the unrotated states, where the conserved parity is plain Z...Z and
+    # the ground projector the bare one
+    states = []
+    propagate(family, psi0, count, tau=tau, observer=lambda s, psi: states.append((s, psi)))
     z_signs = reduce(np.kron, [[1.0, -1.0]] * (3 * n))
     projectors = _ground_pair_projector(schedule, [s for s, _ in states])
     trace, parities = [], []

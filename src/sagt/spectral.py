@@ -95,7 +95,8 @@ e^{-i dt a_0.s} and U_b alike.  Each e^{-i v.s} = cos|v| - i sinc|v| v.s is
 [[alpha, -conj beta], [beta, conj alpha]], (alpha, beta) = (cos|v| - i w_z,
 w_y - i w_x) with w = sinc|v| v, and step_products runs each spin through
 one pairwise tree, (a1, b1)(a0, b0) = (a1 a0 - conj b1 b0, b1 a0 + conj a1
-b0), later step on the left.
+b0), later step on the left.  The bare drive has a = b, so one tree serves
+both spins there.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -250,17 +251,20 @@ def coordinate_block(ab):
 def step_products(ab, dt, lengths):
     """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
     the coordinates ab, (N, 6), as (len(lengths), 4, 4): an SU(2) tree per
-    spin, each run padded to a power of two by exact identities, which
-    leave its tree bitwise unchanged.  Non-finite ab raise ValueError."""
+    spin, one for both when their coordinates are equal, each run padded to
+    a power of two by exact identities, which leave its tree bitwise
+    unchanged.  Non-finite ab raise ValueError."""
     if not np.all(np.isfinite(ab)):
         raise ValueError("so(4) coordinates are not finite")
     ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
     if lengths.sum() != len(ab):
         raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
     steps = np.arange(1 << int(lengths.max() - 1).bit_length()) < lengths[:, None]
+    # one tree serves both spins when a == b; the first row rejects most b != a
+    same = (ab[:1, :3] == ab[:1, 3:]).all() and np.array_equal(ab[:, :3], ab[:, 3:])
     spins = []
-    for v in (dt * ab[:, :3], dt * ab[:, 3:]):  # w = sinc|v| v, then (alpha, beta)
-        angle = np.sqrt(np.einsum("ij,ij->i", v, v))
+    for v in (dt * ab[:, :3],) if same else (dt * ab[:, :3], dt * ab[:, 3:]):
+        angle = np.sqrt(np.einsum("ij,ij->i", v, v))  # w = sinc|v| v, then (alpha, beta)
         v *= np.sinc(angle / np.pi)[:, None]
         alpha, beta = np.ones(steps.shape, complex), np.zeros(steps.shape, complex)
         alpha[steps], beta[steps] = np.cos(angle) - 1j * v[:, 2], v[:, 1] - 1j * v[:, 0]
@@ -269,7 +273,7 @@ def step_products(ab, dt, lengths):
             alpha, beta = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
         alpha, beta = alpha[:, 0], beta[:, 0]
         spins.append(np.stack((alpha, -beta.conj(), beta, alpha.conj()), -1).reshape(-1, 2, 2))
-    u = (spins[0][:, :, None, :, None] * spins[1][:, None, :, None, :]).reshape(-1, 4, 4)
+    u = (spins[0][:, :, None, :, None] * spins[-1][:, None, :, None, :]).reshape(-1, 4, 4)
     return SPIN_FRAME @ u @ SPIN_FRAME.conj().T
 
 

@@ -559,9 +559,32 @@ def test_run_honours_the_step_budget(monkeypatch):
     rec = sagt.run_state_teleport(
         1, sch, 1.0, "adiabatic", psi, steps=2, max_steps=12
     )
-    assert rungs == [2, 4, 8]
+    # the rungs 2, 4 and 8, then the reported rung again with its observer
+    assert rungs == [2, 4, 8, 8]
+    assert max(rungs) <= 12
     assert rec.step_count == 8
     assert not rec.accepted
+
+
+@pytest.mark.parametrize("gate", [None, "cnot"])
+@pytest.mark.parametrize("mode", model.MODES)
+def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, mode, gate):
+    calls = []
+    real = sagt.evolution.propagate
+
+    def recording(family, psi0, steps, tau=None, observer=None):
+        calls.append((steps, observer is not None))
+        return real(family, psi0, steps, tau=tau, observer=observer)
+
+    monkeypatch.setattr(sagt.evolution, "propagate", recording)
+    sch, psi = builtin_schedule("trigonometric"), sagt.random_state(4, np.random.default_rng(3))
+    if gate is None:
+        rec = sagt.run_state_teleport(2, sch, 1.0, mode, psi, steps=250)
+    else:
+        rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi, steps=250)
+    assert [observed for _, observed in calls] == [False] * (len(calls) - 1) + [True]
+    assert calls[-1][0] == calls[-2][0] == rec.step_count
+    assert len(rec.ground_overlap_trace) == 21
 
 
 def test_run_gate_teleport_named_and_custom():

@@ -148,6 +148,7 @@ def _sector_count_calls(n):
         "run_state_teleport": lambda: sagt.run_state_teleport(
             n, sch, 1.0, "adiabatic", np.ones(4), steps=500
         ),
+        "cost_scaling": lambda: sagt.cost_scaling(n),
     }
 
 
@@ -163,6 +164,8 @@ def test_a_whole_float_sector_count_runs_as_the_int(user):
     got, want = _sector_count_calls(2.0)[user](), _sector_count_calls(2)[user]()
     if isinstance(want, np.ndarray):
         np.testing.assert_array_equal(got, want)
+    elif isinstance(want, float):
+        assert got == want == 4.0
     else:
         assert vars(got) == vars(want)
         assert type(got.sectors) is int

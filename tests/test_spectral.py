@@ -314,6 +314,8 @@ def test_segment_propagator_matches_ordered_expm(sch, tau, omega, reach):
     s = np.linspace(0.0, 1.0, 33)
     for fam in _families(sch, omega, tau):
         ab = fam.coordinate_grid(s)
+        # the bare drive is one field on both spins, so one tree serves them
+        assert fam.tau is not None or np.array_equal(ab[:, :3], ab[:, 3:])
         h = spectral.coordinate_block(ab)
         dt = reach / np.abs(np.linalg.eigvalsh(h)).max()
         # each step exponential on its own, then runs of 7 and of all rows:
@@ -375,11 +377,13 @@ def _span_blocks(ab):
     return s @ np.tensordot(ab, np.stack(gen), axes=1) @ s.conj().T
 
 
-@pytest.mark.parametrize("kind", ["generic", "b-only", "a-only", "zero"])
+@pytest.mark.parametrize("kind", ["generic", "b-only", "a-only", "zero", "a-is-b", "parting"])
 def test_segment_propagator_on_random_span_vectors(kind):
     # a = 0 leaves only the second spin, b = 0 only the first.  Each pins
     # the step order of its own spin's tree.  The zero vector is the
-    # identity step
+    # identity step.  a = b takes one tree for both spins; "parting" has
+    # a = b on every row but one late row, which a check of the first row
+    # alone would miss
     rng = np.random.default_rng(5)
     ab = rng.normal(size=(9, 6))
     if kind == "b-only":
@@ -388,6 +392,9 @@ def test_segment_propagator_on_random_span_vectors(kind):
         ab[:, 3:] = 0.0
     elif kind == "zero":
         ab[4] = 0.0
+    elif kind in ("a-is-b", "parting"):
+        ab[:, 3:] = ab[:, :3]
+        ab[6, 3:] += 0.5 if kind == "parting" else 0.0
     h = _span_blocks(ab)
     for dt in (0.1, 2.0, 7.0):
         for u, b in zip(spectral.step_products(ab, dt, [1] * len(ab)), h):

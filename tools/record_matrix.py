@@ -9,8 +9,9 @@ input state (and gate) from its own seed, fixed by its position in the
 matrix.  Every RunRecord field is printed as its repr, so a diff of two
 outputs shows every bit that moved.  The 108 runs share 18 configurations
 (schedule x mode x tau*omega): n, the gate and the input do not enter the
-step products, so most rungs read them from evolution's pass cache (281 of
-340 propagate calls, from 59 distinct rungs).  Imports sagt from the src/
+step products, so most rungs read them from evolution's transport cache
+(389 of 448 propagate calls, from 59 distinct rungs; each run's last call
+observes its reported rung again, always a hit).  Imports sagt from the src/
 directory next to this script, so a copy of the script in another checkout
 measures that checkout.  Takes no options.
 """
