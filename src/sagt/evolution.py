@@ -16,13 +16,14 @@ at most _CHUNK padded steps.  A pass costs one family.coordinate_grid, the
 so(4) coordinates of its steps off one sample, and one step_products, a
 pairwise tree of SU(2) matrices for each of the two spins of a step, no
 eigensolver; the segment products, multiplied in order, give U(s_k).  The
-state at s_k is E(U(s_k))^(x n) psi0, so observer(0, psi0) comes after the
-rung is formed, and a call without an observer applies U(1) alone, to the
-same bits.  A fixed register rotation G telescopes through the product of
-step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated
-families are propagated in the unrotated frame and rotated back only at
-observation points.  A gate run goes further: it propagates the unrotated
-protocol state and applies G once to each rung's end state.  The
+states at all s_k are one stacked product, E(U(s_k))^(x n) psi0 with k the
+leading axis, so observer(0, psi0) comes after every state is formed, and a
+call without an observer stacks U(1) alone, to the same bits.  A fixed
+register rotation G telescopes through the product of step unitaries
+(G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated families are
+propagated in the unrotated frame and rotated back only at observation
+points.  A gate run goes further: it propagates the unrotated protocol
+state and applies G once to each rung's end state.  The
 convergence ladder reads each rung's fidelity off an unobserved call, U(1)
 alone, and observes the reported rung once more after it stops, a cache
 hit, so register states at the checkpoints are formed for that rung alone.
@@ -78,16 +79,18 @@ def fidelity(psi, phi):
     if psi.shape != phi.shape:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
     val = abs(np.vdot(phi, psi)) ** 2
-    if val > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {val} exceeds 1 beyond roundoff")
+    if not val <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError(f"fidelity {val} is not finite or exceeds 1 beyond roundoff")
     return float(min(val, 1.0))
 
 
 def _apply_sectorwise(u, psi, n):
-    """u^(x n) psi for an 8x8 u and an 8**n state: each product acts on the
-    leading sector and moves it last, so n of them restore the order."""
+    """u^(x n) psi for 8x8 u and 8**n psi, both broadcast over leading axes:
+    each product acts on the leading sector and moves it last, so n of them
+    restore the order; a row of a stack gets the bits of its lone call."""
     for _ in range(n):
-        psi = np.dot(u, psi.reshape(8, -1)).T.ravel()
+        psi = np.matmul(u, psi.reshape(psi.shape[:-1] + (8, -1))).swapaxes(-1, -2)
+        psi = psi.reshape(psi.shape[:-2] + (-1,))
     return psi
 
 
@@ -124,7 +127,8 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     must be a finite unit vector.  If given, `observer(s, psi)` is called
     with the physical state at ~20 evenly spaced checkpoints, including
     both endpoints; it may keep psi, which is never modified afterwards.
-    Returns the final state, the same bits with or without an observer.
+    Returns the final state, the same bits with or without an observer:
+    the checkpoint states, or the end state alone, are one stacked product.
     The rung's transports come from the transport cache if a call of equal
     schedule, omega, mode, tau and steps formed them.
     """
@@ -151,11 +155,13 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     checkpoints, transports = _transports(*key)
     if observer is None:
         checkpoints, transports = checkpoints[-1:], transports[-1:]
-    for k, u in zip(checkpoints, spectral.embed_blocks(transports, transports)):
-        psi = _apply_sectorwise(u, psi0, family.sectors)
-        if observer is not None:
+    u = spectral.embed_blocks(transports, transports)
+    states = _apply_sectorwise(u, psi0, family.sectors)  # a row per checkpoint
+    if observer is not None:
+        for k, psi in zip(checkpoints, states):
             observer(k / steps, psi if g is None else g @ psi)
 
+    psi = states[-1]
     norm_defect = abs(np.linalg.norm(psi) - 1.0)
     if not norm_defect <= NORM_ATOL:  # NaN fails too
         raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
@@ -272,17 +278,17 @@ def _run_protocol(
         f_prev = f_next
 
     # observables of the reported rung, whose transports the cache holds, read
-    # off the unrotated states, where the conserved parity is plain Z...Z and
-    # the ground projector the bare one
-    states = []
-    propagate(family, psi0, count, tau=tau, observer=lambda s, psi: states.append((s, psi)))
-    z_signs = reduce(np.kron, [[1.0, -1.0]] * (3 * n))
-    projectors = _ground_pair_projector(schedule, [s for s, _ in states])
-    trace, parities = [], []
-    for (s, psi), projector in zip(states, projectors):
-        p_psi = _apply_sectorwise(projector, psi, n)
-        trace.append((float(s), float(np.real(np.vdot(psi, p_psi)))))
-        parities.append(float(np.real(np.sum(z_signs * np.abs(psi) ** 2))))
+    # off its stacked unrotated states, where the conserved parity is plain
+    # Z...Z and the ground projector the bare one, one projector per row
+    seen = []
+    propagate(family, psi0, count, tau=tau, observer=lambda s, psi: seen.append((s, psi)))
+    marks, states = zip(*seen)
+    states = np.array(states)
+    p_states = _apply_sectorwise(_ground_pair_projector(schedule, marks), states, n)
+    overlaps = [np.real(np.vdot(psi, p_psi)) for psi, p_psi in zip(states, p_states)]
+    trace = [(float(s), float(overlap)) for s, overlap in zip(marks, overlaps)]
+    z_signs = reduce(np.multiply.outer, [[1.0, -1.0]] * (3 * n)).ravel()
+    parities = np.sum(z_signs * np.abs(states) ** 2, axis=-1)
     return RunRecord(
         sectors=n,
         schedule=schedule.name,
@@ -294,7 +300,7 @@ def _run_protocol(
         step_count=count,
         convergence_defect=float(defect),
         accepted=bool(defect <= target_defect),
-        parity_drift=max(abs(p - parities[0]) for p in parities),
+        parity_drift=float(np.max(np.abs(parities - parities[0]))),
         ground_overlap_trace=trace,
     )
 

@@ -10,6 +10,7 @@ equivalence down for n = 2.
 """
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -227,9 +228,7 @@ def _sector_layout(lone, n, lone_last):
     """lone (x) n Bell pairs, ordered [q_1..q_n, a_1, b_1, ..., a_n, b_n],
     permuted so that sector k holds (q_k, a_k, b_k), or (a_k, b_k, q_k)
     with lone_last: register qubit j takes qubit src[j] of the product."""
-    state = lone
-    for _ in range(n):
-        state = np.kron(state, bell_state())
+    state = reduce(np.multiply.outer, [bell_state()] * n, lone)
     src = []
     for k in range(n):
         pair = [n + 2 * k, n + 2 * k + 1]

@@ -36,6 +36,14 @@ def test_fidelity_validation():
         evolution.fidelity(2.0 * np.ones(4), np.ones(4) / 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fidelity_rejects_a_non_finite_overlap(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        evolution.fidelity([bad, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        evolution.fidelity([1.0, 0.0], [complex(0.0, bad), 0.0])
+
+
 def test_propagate_matches_dense_reference_single_sector():
     sch = builtin_schedule("linear")
     fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), tau=0.7)
@@ -149,6 +157,23 @@ def test_apply_sectorwise_is_the_kronecker_power(n):
     psi = rng.normal(size=8**n) + 1j * rng.normal(size=8**n)
     want = functools.reduce(np.kron, [u] * n) @ psi
     np.testing.assert_allclose(evolution._apply_sectorwise(u, psi, n), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_stacked_application_gives_each_row_its_lone_bits(n):
+    # 21 operators on one state (a rung's checkpoints) and 21 operators on
+    # 21 states (their projectors): every row is the single call, bit for bit
+    rng = np.random.default_rng(10 + n)
+    us = np.array([sagt.random_unitary(8, rng) for _ in range(21)])
+    psis = np.array([sagt.random_state(8**n, rng) for _ in range(21)])
+    one_state = evolution._apply_sectorwise(us, psis[0], n)
+    row_states = evolution._apply_sectorwise(us, psis, n)
+    assert one_state.shape == row_states.shape == (21, 8**n)
+    for k, (u, psi) in enumerate(zip(us, psis)):
+        assert np.array_equal(one_state[k], evolution._apply_sectorwise(u, psis[0], n))
+        assert np.array_equal(row_states[k], evolution._apply_sectorwise(u, psi, n))
+        dense = functools.reduce(np.kron, [u] * n)
+        np.testing.assert_allclose(row_states[k], dense @ psi, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,8 @@
 every import sits at module level, so the module graph reads off the top of
 each file, no module but schedules evaluates a schedule on a grid, no
 module takes an arctan2 (spectral.chart reads cos and sin off (eta_i,
-eta_f) instead), and no module but operators names an eigensolver or a
-matrix exponential."""
+eta_f) instead), no module but operators names an eigensolver or a
+matrix exponential, and no Kronecker product sits on the run path."""
 
 import ast
 from pathlib import Path
@@ -161,3 +161,25 @@ def test_eigensolvers_stay_in_operators(path):
     # the sector has closed forms for its frame and its step propagators;
     # only the generic helpers in operators diagonalize
     assert eigensolver_references(path.read_text(encoding="utf-8")) == []
+
+
+def kron_references(source):
+    return name_references(source, {"kron"})
+
+
+def test_the_scan_sees_kron():
+    source = (
+        "import numpy as np\n"
+        "from numpy import kron as k\n"
+        "x = np.kron(a, b)\n"
+        "y = reduce(np.kron, factors)\n"
+        "z = np.multiply.outer(a, b)\n"
+    )
+    assert kron_references(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["evolution.py", "model.py"])
+def test_the_run_path_takes_no_kron(name):
+    # register states and parity signs are np.multiply.outer products: the
+    # products np.kron forms, in its order, without its per-call reshaping
+    assert kron_references((SRC / name).read_text(encoding="utf-8")) == []

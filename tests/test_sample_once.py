@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sagt
-from sagt import cost
+from sagt import cost, evolution
 from sagt.evolution import MODES
 from sagt.model import HamiltonianFamily
 from sagt.schedules import Schedule, builtin_schedule
@@ -131,3 +131,35 @@ def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
     assert len(seen) == 21
     assert generators == [4000]
     assert calls == each_called(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["state", "gate"])
+def test_a_run_applies_its_states_once_per_rung_and_twice_more(monkeypatch, n, mode, kind):
+    # one stacked product per ladder rung (its end state), one for the
+    # reported rung's checkpoint states and one for their ground projectors
+    applications, rungs = [], []
+    apply, propagate = evolution._apply_sectorwise, evolution.propagate
+
+    def counted_apply(u, psi, sectors):
+        applications.append(np.shape(u))
+        return apply(u, psi, sectors)
+
+    def counted_propagate(*args, **kwargs):
+        rungs.append(kwargs.get("observer") is None)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_apply_sectorwise", counted_apply)
+    monkeypatch.setattr(evolution, "propagate", counted_propagate)
+    rng = np.random.default_rng(n)
+    psi_in, sch = sagt.random_state(2**n, rng), builtin_schedule("trigonometric")
+    if kind == "state":
+        record = sagt.run_state_teleport(n, sch, 1.0, mode, psi_in, steps=64)
+    else:
+        gate = sagt.random_unitary(2**n, rng)
+        record = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in, steps=64)
+    ladder = sum(rungs)
+    assert ladder >= 2 and record.step_count == 64 * 2 ** (ladder - 1)
+    assert len(applications) == ladder + 2
+    assert applications[ladder:] == [(21, 8, 8), (21, 8, 8)]
