@@ -12,6 +12,7 @@ self-check, or a run whose convergence ladder did not accept).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -303,6 +304,7 @@ def _add_run_options(sub, with_gate=False):
         sub.add_argument("--n", type=int, default=1, help="sector count")
 
 
+@functools.cache  # one parser per process, built on the first main call
 def build_parser():
     parser = argparse.ArgumentParser(prog="sagt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sagt {__version__}")

@@ -26,9 +26,10 @@ times the single-sector cost.
 
 All quadratures are composite Simpson on nested grids, each doubling
 evaluating only the new midpoints, until the relative change drops below
-QUAD_RTOL.  The direct route assembles the dense register matrix of every
-node in matrix_grid batches of at most NORM_CHUNK entries.  The closed
-form takes one schedules.sample per Simpson level; a sweep integrates all
+QUAD_RTOL.  The direct route takes one sector_matrix_grid per Simpson
+level and pads those 8x8 terms into the dense register matrix in batches
+of at most NORM_CHUNK entries.  The closed form takes one
+schedules.sample per Simpson level; a sweep integrates all
 its tau*omega (the bare drive as tau*omega = inf) as columns of one
 integrand, each frozen at the level where it settles.
 """
@@ -45,7 +46,7 @@ from .schedules import sample
 QUAD_RTOL = 1e-8
 MIN_QUAD_POINTS = 16
 MAX_QUAD_POINTS = 2**14
-NORM_CHUNK = 2**14  # complex entries cost_numeric takes per matrix_grid call
+NORM_CHUNK = 2**14  # complex entries of the dense matrices cost_numeric pads at once
 
 DEFAULT_TAU_GRID = tuple(np.geomspace(0.1, 1000.0, 60))
 
@@ -66,7 +67,8 @@ def _converge(integrand, quad_points):
     nodes s along its first axis: each doubling samples only the midpoints,
     and each integral is frozen where it settles, as arrays (values,
     intervals, defects); never more than MAX_QUAD_POINTS intervals."""
-    n = max(int(quad_points), MIN_QUAD_POINTS)
+    require_positive("quad_points", quad_points)
+    n = max(_whole("quad_points", quad_points), MIN_QUAD_POINTS)
     if n % 2:
         n += 1
     if n > MAX_QUAD_POINTS:
@@ -93,13 +95,14 @@ def _converge(integrand, quad_points):
 
 def cost_numeric(family, quad_points=64):
     """Direct route: Simpson quadrature of ||H(s)||_F for any family, off
-    the dense register matrix at every node, NORM_CHUNK entries at a time."""
+    the dense register matrix at every node: one sector sample per level,
+    padded NORM_CHUNK entries at a time."""
     per_call = max(1, NORM_CHUNK // family.dim**2)
 
     def norms(s):
-        out = np.empty(len(s))
+        terms, out = family.sector_matrix_grid(s), np.empty(len(s))
         for i in range(0, len(s), per_call):
-            h = family.matrix_grid(s[i : i + per_call])
+            h = family._pad(terms[i : i + per_call])
             h = h.reshape(len(h), -1).view(float)
             out[i : i + per_call] = np.sqrt(np.einsum("ij,ij->i", h, h))
         return out

@@ -64,9 +64,11 @@ class HamiltonianFamily:
     ``coordinate_grid`` alone forms the generator, off one sample of an
     in_domain s-array: the so(4) coordinates of the parity block -omega
     (eta_i A + eta_f B) + (i/tau) K, ``block_matrix_grid``, which
-    ``sector_matrix_grid`` embeds on both parities.  ``matrix_grid`` pads
-    those sector terms over the register and rotates them, one batch of
-    G H(s) G^dag, (N, dim, dim); ``matrix(s)`` is its one-point case.
+    ``sector_matrix_grid`` embeds on both parities.  ``matrix_grid`` is
+    ``_pad`` of those sector terms: summed over the register's sectors and
+    rotated, one batch of G H(s) G^dag, (N, dim, dim); ``matrix(s)`` is its
+    one-point case.  Padding chunks of one sampled grid keeps the bits of
+    matrix_grid on chunks of two or more nodes (numpy rounds one row apart).
     """
 
     sectors: int
@@ -98,7 +100,9 @@ class HamiltonianFamily:
         return self.sector_matrix_grid(np.array([float(s)]))[0]
 
     def matrix_grid(self, s_values):
-        h = self.sector_matrix_grid(s_values)
+        return self._pad(self.sector_matrix_grid(s_values))
+
+    def _pad(self, h):
         count, n = len(h), self.sectors
         full = np.zeros((count, self.dim, self.dim), dtype=complex)
         for k in range(n):  # add 1 (x) h (x) 1 through a diagonal view of full

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, records, files, determinism."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -454,3 +455,40 @@ def test_step_budget_overrun_exits_one(capsys):
     )
     assert code == 1
     assert "max_steps" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser cache before and after, for tests that patch argparse."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, fresh_parser):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    assert cli.main(["--version"]) == 0
+    assert cli.main(["--version"]) == 0
+    assert built == ["sagt"]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_successive_calls_share_no_state(capsys):
+    argv = ["state-teleport", "--schedule", "trig", "--tau", "1.0"]
+    code, out, _ = run_cli(capsys, *argv, "--amp", "1,0")
+    assert code == 0 and json.loads(out)["config"]["amp"] == "1,0"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["config"]["amp"] is None
+    assert cli.main(["--help"]) == 0
+    assert "state-teleport" in capsys.readouterr().out
+    assert cli.main(["cost-sweep", "--points", "3"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["cost-sweep", "--points", "3"]) == 0
+    assert capsys.readouterr().out == first

@@ -277,29 +277,59 @@ def test_direct_route_evaluates_each_simpson_node_once(monkeypatch, route):
         gate = sagt.random_unitary(2, np.random.default_rng(3))
         base = sagt.rotate_family(base, sagt.embed_on_outputs(gate, 1))
     family = sagt.superadiabatic_family(base, 0.4)
-    calls, levels = [], []
-    grid, simpson = HamiltonianFamily.matrix_grid, cost._simpson
+    want = cost.cost_closed_form(sch, 0.4) * cost.cost_scaling(family.sectors)
+    samples, chunks, levels = [], [], []
+    sector_grid, pad, simpson = (
+        HamiltonianFamily.sector_matrix_grid, HamiltonianFamily._pad, cost._simpson
+    )
 
-    def counted_grid(self, s_values):
-        calls.append(np.array(s_values))
-        return grid(self, s_values)
+    def counted_sector_grid(self, s_values):
+        samples.append(np.array(s_values))
+        return sector_grid(self, s_values)
+
+    def counted_pad(self, h):
+        chunks.append(len(h))
+        return pad(self, h)
 
     def counted_simpson(values, width):
         levels.append(len(values))
         return simpson(values, width)
 
-    monkeypatch.setattr(HamiltonianFamily, "matrix_grid", counted_grid)
+    monkeypatch.setattr(HamiltonianFamily, "sector_matrix_grid", counted_sector_grid)
+    monkeypatch.setattr(HamiltonianFamily, "_pad", counted_pad)
     monkeypatch.setattr(cost, "_simpson", counted_simpson)
-    value = cost.cost_numeric(family)
-    want = cost.cost_closed_form(sch, 0.4) * cost.cost_scaling(family.sectors)
-    assert value == pytest.approx(want, rel=1e-10)
-    nodes = np.concatenate(calls)
+    assert cost.cost_numeric(family) == pytest.approx(want, rel=1e-10)
+    # one sector sample per Simpson level, padded in chunks
     assert len(levels) >= 2 and levels[0] == 64 + 1
+    assert len(samples) == len(levels)
+    nodes = np.concatenate(samples)
     assert len(nodes) == levels[-1]  # the final interval count + 1
     assert len(np.unique(nodes)) == len(nodes)
     np.testing.assert_array_equal(np.sort(nodes), np.linspace(0.0, 1.0, len(nodes)))
     per_call = cost.NORM_CHUNK // family.dim**2
-    assert all(len(s) <= per_call for s in calls)
+    assert sum(chunks) == len(nodes)
+    assert all(chunk <= per_call for chunk in chunks)
+
+
+@pytest.mark.parametrize("quad_points", [64.7, 0, -5, np.inf, np.nan])
+@pytest.mark.parametrize(
+    "price",
+    [
+        lambda sch, q: cost.cost_closed_form(sch, 1.0, quad_points=q),
+        lambda sch, q: cost.adiabatic_cost(sch, quad_points=q),
+        lambda sch, q: cost.cost_numeric(sagt.single_sector_family(1.0, sch), q),
+        lambda sch, q: cost.cost_multi(2, sch, 1.0, quad_points=q),
+        lambda sch, q: cost._converge(sch.eta_i, q),
+    ],
+    ids=["closed-form", "adiabatic", "numeric", "multi", "converge"],
+)
+def test_a_quad_points_that_cannot_be_honoured_is_refused(price, quad_points):
+    def never(s):
+        raise AssertionError("sampled before quad_points was checked")
+
+    sch = sagt.Schedule(name="never", eta_i=never, eta_f=never, deta_i=never, deta_f=never)
+    with pytest.raises(ValueError, match="quad_points"):
+        price(sch, quad_points)
 
 
 # Interval counts of the parent cost_sweep on DEFAULT_TAU_GRID, per schedule:

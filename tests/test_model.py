@@ -48,6 +48,25 @@ def test_matrix_grid_is_the_kron_sum_of_its_sectors(n, rotated):
     np.testing.assert_array_equal(fam.matrix(0.37), fam.matrix_grid([0.37])[0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_padding_a_slice_of_the_sector_terms_is_matrix_grid_on_that_slice(n, rotated):
+    # the direct cost route samples a Simpson level once and pads it in
+    # chunks; each chunk must carry the bits of matrix_grid on its nodes
+    base = sagt.multi_sector_family(n, 1.3, builtin_schedule("trigonometric"))
+    fam = sagt.superadiabatic_family(base, 0.6)
+    if rotated:
+        fam = sagt.rotate_family(fam, operators.random_unitary(8**n, np.random.default_rng(n)))
+    s = np.linspace(0.0, 1.0, 65 if n < 3 else 13)[1::2]  # a level's new midpoints
+    terms = fam.sector_matrix_grid(s)
+    for part in (slice(None), slice(0, 2), slice(1, 4), slice(2, None, 3), slice(-3, None)):
+        np.testing.assert_array_equal(fam._pad(terms[part]), fam.matrix_grid(s[part]))
+    # a lone node takes numpy's one-row product in coordinate_block, which
+    # rounds apart from the batched rows by an ulp or so
+    lone = fam.matrix_grid(s[:1])
+    np.testing.assert_allclose(fam._pad(terms[:1]), lone, rtol=0, atol=1e-15 * np.abs(lone).max())
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_matrix_grid_is_the_even_block_of_the_sector(kind):
     even = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)

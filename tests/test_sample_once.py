@@ -4,7 +4,8 @@ schedules.sample evaluates each of the four schedule functions once, and
 the drive, the frame, the velocity term and the cost weights all read that
 one sample.  A raw Schedule whose callables count their calls pins this
 down for the three consumers that sample a grid: the generator, the cost
-quadrature and the observables of a run's reported rung.
+quadratures (closed form and direct) and the observables of a run's
+reported rung.
 """
 
 from collections import Counter
@@ -67,10 +68,32 @@ def record_levels(monkeypatch, tag=lambda: None):
     return levels
 
 
+def direct_cost(rotated):
+    """cost_numeric of a superadiabatic sector, output-rotated or not."""
+
+    def price(sch):
+        base = sagt.single_sector_family(1.0, sch)
+        if rotated:
+            gate = sagt.random_unitary(2, np.random.default_rng(5))
+            base = sagt.rotate_family(base, sagt.embed_on_outputs(gate, 1))
+        return cost.cost_numeric(sagt.superadiabatic_family(base, 0.5))
+
+    return price
+
+
+PRICES = (
+    lambda s: cost.cost_closed_form(s, 0.5),
+    cost.adiabatic_cost,
+    direct_cost(rotated=False),
+    direct_cost(rotated=True),
+    lambda s: cost.cost_multi(2, s, 0.5),
+)
+
+
 @pytest.mark.parametrize("kind", ["linear", "exponential"])
 def test_one_sample_per_simpson_level(monkeypatch, kind):
     levels = record_levels(monkeypatch)
-    for price in (lambda s: cost.cost_closed_form(s, 0.5), cost.adiabatic_cost):
+    for price in PRICES:
         levels.clear()
         sch, calls = counting_schedule(kind)
         price(sch)
