@@ -12,9 +12,12 @@ Sector structure is exploited hard: all sectors of a register share one
 propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U.  A
 rung (one step count) cuts its steps at ~20 evenly spaced checkpoints s_k
 and at every multiple of _CHUNK, and groups the segments into passes of
-at most _CHUNK padded steps.  A pass costs one family.coordinate_grid, the
-so(4) coordinates of its steps off one sample, and one step_products, a
-pairwise tree of SU(2) matrices for each of the two spins of a step, no
+at most _CHUNK steps; step_products pads each segment to a power of two,
+so a pass holds fewer than 2 _CHUNK padded steps (a 4,000-step rung is
+one pass of 20 x 256 = 5,120).  A pass weighs its steps' so(4)
+coordinates off the schedule terms at its midpoints (spectral.weigh_terms
+of spectral.coordinate_terms) and costs one step_products, a pairwise
+tree of SU(2) matrices for each of the two spins of a step, no
 eigensolver; the segment products, multiplied in order, give U(s_k).  The
 states at all s_k are one stacked product, E(U(s_k))^(x n) psi0 with k the
 leading axis, so observer(0, psi0) comes after every state is formed, and a
@@ -30,13 +33,19 @@ hit, so register states at the checkpoints are formed for that rung alone.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
 
-A rung's U(s_k) depend only on the schedule, omega, the family's tau (its
-mode), the duration and the step count: never on the gate, the sector
-count, the input or the observer, for a gate teleport is the state
-teleport in a rotated frame, and every sector follows one U.  So
-_transports keeps each rung's read-only (checkpoints, U(s_k)) in an LRU
-map of _TRANSPORT_CACHE_SIZE entries (about 5 KB each) keyed by those
-values alone, which state runs, gate runs and every n share.
+Three read-only LRU caches keep what a run would form again.  A rung's
+U(s_k) depend only on the schedule, omega, the family's tau (its mode),
+the duration and the step count: never on the gate, the sector count,
+the input or the observer, for a gate teleport is the state teleport in a
+rotated frame, and every sector follows one U.  So _transports keeps each
+rung's (checkpoints, U(s_k)) in _TRANSPORT_CACHE_SIZE entries (about 5 KB
+each) keyed by those values alone, which state runs, gate runs and every
+n share.  A pass's schedule terms depend on the schedule, the mode, the
+step count and the pass bounds alone, never on omega or tau, so
+_pass_terms keeps them for runs of every omega and tau, and a transport
+miss only weighs them; _checkpoint_projectors keeps the ground
+projectors at a rung's checkpoints, a function of the schedule and the
+step count.  Each of these two holds _SAMPLE_CACHE_SIZE entries.
 """
 
 from dataclasses import dataclass
@@ -49,7 +58,6 @@ from . import spectral
 from .cost import _simpson
 from .model import (
     MODES,
-    HamiltonianFamily,
     _on_outputs,
     gate_width,
     initial_state,
@@ -70,6 +78,7 @@ MAX_STEPS = 2**20
 _CHUNK = 4096
 _TRACE_POINTS = 21
 _TRANSPORT_CACHE_SIZE = 64
+_SAMPLE_CACHE_SIZE = 32
 
 
 def fidelity(psi, phi):
@@ -96,22 +105,42 @@ def _apply_sectorwise(u, psi, n):
 
 def _passes(cuts):
     """The sorted cuts in passes of _CHUNK // (longest segment) segments,
-    each pass starting at the last cut of the one before; padded to the
-    longest segment, a pass holds at most _CHUNK steps."""
+    each pass starting at the last cut of the one before: a pass holds at
+    most _CHUNK steps, and fewer than 2 _CHUNK once step_products pads
+    each of its segments to a power of two."""
     width = _CHUNK // np.diff(cuts).max()
     return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
+
+
+def _checkpoints(steps):
+    """The ~20 evenly spaced steps a `steps`-step rung is observed at."""
+    return sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)})
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _pass_terms(schedule, dressed, steps, start, stop):
+    """Read-only spectral.coordinate_terms at the midpoints of steps
+    start..stop-1 of a `steps`-step rung, free of omega and tau.  A pass
+    has at most _CHUNK rows of 40 B (16 B on the bare drive), so the cache
+    holds at most 32 x 4,096 x 40 B, about 5.2 MB."""
+    s_mid = (np.arange(start, stop) + 0.5) / steps
+    terms = spectral.coordinate_terms(sample(schedule, in_domain(s_mid)), dressed)
+    for term in terms:
+        if term is not None:
+            term.flags.writeable = False
+    return terms
 
 
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
 def _transports(schedule, omega, family_tau, tau, steps):
     """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1, with
-    U(0) = I) of a `steps`-step run of duration tau, off one sector family."""
-    checkpoints = sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)})
-    sector = HamiltonianFamily(1, omega, schedule, family_tau, None)
+    U(0) = I) of a `steps`-step run of duration tau, off one sector block."""
+    checkpoints = _checkpoints(steps)
     transports = {0: np.eye(4, dtype=complex)}
     for bounds in _passes(sorted(set(checkpoints).union(range(_CHUNK, steps, _CHUNK)))):
-        s_mid = (np.arange(bounds[0], bounds[-1]) + 0.5) / steps
-        us = spectral.step_products(sector.coordinate_grid(s_mid), tau / steps, np.diff(bounds))
+        terms = _pass_terms(schedule, family_tau is not None, steps, bounds[0], bounds[-1])
+        ab = spectral.weigh_terms(terms, omega, family_tau)
+        us = spectral.step_products(ab, tau / steps, np.diff(bounds))
         for u, start, stop in zip(us, bounds, bounds[1:]):
             transports[stop] = u @ transports[start]
     at_checkpoints = np.array([transports[k] for k in checkpoints])
@@ -173,6 +202,18 @@ def _ground_pair_projector(schedule, s):
     v0 = spectral.frame_grid(sample(schedule, s))[..., 0]
     p = v0[..., :, None] * v0[..., None, :]
     return spectral.embed_blocks(p, p)
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _checkpoint_projectors(schedule, steps):
+    """Read-only _ground_pair_projector at the checkpoints of a `steps`-step
+    rung, (checkpoints, 8, 8), about 21 KB."""
+    projectors = _ground_pair_projector(schedule, np.array(_checkpoints(steps)) / steps)
+    projectors.flags.writeable = False
+    return projectors
+
+
+_CACHES = (_pass_terms, _transports, _checkpoint_projectors)
 
 
 def exact_sector_propagator(schedule, tau, omega=1.0, s=1.0):
@@ -284,7 +325,7 @@ def _run_protocol(
     propagate(family, psi0, count, tau=tau, observer=lambda s, psi: seen.append((s, psi)))
     marks, states = zip(*seen)
     states = np.array(states)
-    p_states = _apply_sectorwise(_ground_pair_projector(schedule, marks), states, n)
+    p_states = _apply_sectorwise(_checkpoint_projectors(schedule, count), states, n)
     overlaps = [np.real(np.vdot(psi, p_psi)) for psi, p_psi in zip(states, p_states)]
     trace = [(float(s), float(overlap)) for s, overlap in zip(marks, overlaps)]
     z_signs = reduce(np.multiply.outer, [[1.0, -1.0]] * (3 * n)).ravel()

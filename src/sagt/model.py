@@ -61,7 +61,7 @@ class HamiltonianFamily:
     Setting tau makes the family superadiabatic: its generator then
     carries the velocity term (i/tau) K, which scales like 1/tau.
 
-    ``coordinate_grid`` alone forms the generator, off one sample of an
+    ``coordinate_grid`` forms the family's generator, off one sample of an
     in_domain s-array: the so(4) coordinates of the parity block -omega
     (eta_i A + eta_f B) + (i/tau) K, ``block_matrix_grid``, which
     ``sector_matrix_grid`` embeds on both parities.  ``matrix_grid`` is

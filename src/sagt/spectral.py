@@ -101,7 +101,9 @@ both spins there.
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
 schedule and a grid, and reads those off it through chart; the scalar
-entry points sample their one point through schedules.sample_at.
+entry points sample their one point through schedules.sample_at.  Only
+omega and 1/tau weigh a sample's coordinate_terms (weigh_terms), so a
+caller may keep those terms for every omega and tau.
 """
 
 import numpy as np
@@ -233,14 +235,28 @@ def block_eigenvector_derivatives(schedule, s):
     return frame_derivative_grid(sample_at(schedule, s))[0]
 
 
+def coordinate_terms(path, dressed):
+    """The tau- and omega-free terms of the so(4) coordinates at each point
+    of a schedules.sample: (eta_i, eta_f) stacked, (..., 2), and for the
+    dressed drive _velocity_weights, (..., 3), else None."""
+    return np.stack(path[:2], axis=-1), _velocity_weights(path) if dressed else None
+
+
+def weigh_terms(terms, omega, tau=None):
+    """The so(4) coordinates (a, b), (..., 6), of coordinate_terms: the
+    drive weighed by omega, plus (i/tau) K for a tau."""
+    etas, velocity = terms
+    ab = etas @ (-omega * _SAMPLE_SPLIT[:2])
+    if tau is not None:
+        require_positive("tau", tau)
+        ab += velocity @ (_SAMPLE_SPLIT[2:] / tau)
+    return ab
+
+
 def coordinate_grid(path, omega, tau=None):
     """The so(4) coordinates (a, b) of the sector block at each point of a
     schedules.sample, (..., 6): the drive, plus (i/tau) K for a tau."""
-    ab = np.stack(path[:2], axis=-1) @ (-omega * _SAMPLE_SPLIT[:2])
-    if tau is not None:
-        require_positive("tau", tau)
-        ab += _velocity_weights(path) @ (_SAMPLE_SPLIT[2:] / tau)
-    return ab
+    return weigh_terms(coordinate_terms(path, tau is not None), omega, tau)
 
 
 def coordinate_block(ab):
@@ -253,7 +269,8 @@ def step_products(ab, dt, lengths):
     the coordinates ab, (N, 6), as (len(lengths), 4, 4): an SU(2) tree per
     spin, one for both when their coordinates are equal, each run padded to
     a power of two by exact identities, which leave its tree bitwise
-    unchanged.  Non-finite ab raise ValueError."""
+    unchanged.  Non-finite ab, or a step angle dt |a| that overflows,
+    raise ValueError."""
     if not np.all(np.isfinite(ab)):
         raise ValueError("so(4) coordinates are not finite")
     ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
@@ -262,9 +279,13 @@ def step_products(ab, dt, lengths):
     steps = np.arange(1 << int(lengths.max() - 1).bit_length()) < lengths[:, None]
     # one tree serves both spins when a == b; the first row rejects most b != a
     same = (ab[:1, :3] == ab[:1, 3:]).all() and np.array_equal(ab[:, :3], ab[:, 3:])
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        halves = (dt * ab[:, :3],) if same else (dt * ab[:, :3], dt * ab[:, 3:])
     spins = []
-    for v in (dt * ab[:, :3],) if same else (dt * ab[:, :3], dt * ab[:, 3:]):
+    for v in halves:
         angle = np.sqrt(np.einsum("ij,ij->i", v, v))  # w = sinc|v| v, then (alpha, beta)
+        if not np.all(np.isfinite(angle)):
+            raise ValueError(f"a step angle dt |a| overflows at dt = {dt:.3g}")
         v *= np.sinc(angle / np.pi)[:, None]
         alpha, beta = np.ones(steps.shape, complex), np.zeros(steps.shape, complex)
         alpha[steps], beta[steps] = np.cos(angle) - 1j * v[:, 2], v[:, 1] - 1j * v[:, 0]

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = run_cli(capsys, "state-teleport", "--tau", "1", "--mode", "bogus")
     assert (code, out) == (1, "")
     assert "argument --mode: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_an_overflowing_step_is_named_and_warns_nothing(capsys, mode):
+    # a step angle dt |a| past the largest float is refused by name, before
+    # any sin or cos of it could print a RuntimeWarning or a NaN state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "state-teleport", "--n", "1", "--schedule", "linear",
+            "--mode", mode, "--tau", "1e308",
+        )
+    assert (code, out) == (1, "")
+    assert "step angle dt |a| overflows" in err
+    assert "normalization" not in err and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_state_teleport_stdout_record(capsys):

@@ -16,7 +16,7 @@ from sagt.schedules import BUILTIN_KINDS, Schedule, builtin_schedule
 
 import oracles
 import strategies
-from test_sample_once import count_coordinate_grids
+from test_sample_once import count_coordinate_grids, counting_schedule
 
 
 def test_fidelity_phase_invariant():
@@ -196,6 +196,9 @@ def test_passes_chain_and_cover_the_cuts(chunk, steps, marks):
     for p in passes:
         assert len(p) >= 2
         assert (len(p) - 1) * np.diff(p).max() <= chunk
+        # step_products pads each segment to the power of two it fills
+        padded = 1 << int(np.diff(p).max() - 1).bit_length()
+        assert (len(p) - 1) * padded < 2 * chunk
 
 
 @settings(max_examples=15, deadline=None)
@@ -723,15 +726,22 @@ def test_superadiabatic_runs_on_random_paths(sch, tau_omega, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# the transport cache: one sector transport per rung, whatever n, G, psi
+# the caches: one sector transport per rung, whatever n, G, psi, and one
+# sample of a pass's schedule terms, whatever omega and tau
+
+
+def empty_caches():
+    for cache in evolution._CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture
 def cold_cache():
-    """The transport cache, empty at the start and at the end of the test."""
-    evolution._transports.cache_clear()
-    yield evolution._transports
-    evolution._transports.cache_clear()
+    """Every evolution cache, empty at the start and at the end of the
+    test; its value empties them all again."""
+    empty_caches()
+    yield empty_caches
+    empty_caches()
 
 
 def _bits(record):
@@ -741,13 +751,82 @@ def _bits(record):
 
 def test_a_repeated_run_forms_no_generator_and_records_the_same(monkeypatch, cold_cache):
     generators = count_coordinate_grids(monkeypatch)
-    sch = builtin_schedule("trigonometric")
+    sch, calls = counting_schedule("trigonometric")
     cold = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.6, 0.8])
-    formed = len(generators)
+    formed, sampled = len(generators), dict(calls)
     assert formed > 0
     warm = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.6, 0.8])
     assert len(generators) == formed
+    assert calls == sampled  # the checkpoint projectors are kept too
     assert _bits(warm) == _bits(cold)
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+def test_a_new_duration_samples_nothing_and_keeps_its_bits(monkeypatch, cold_cache, mode):
+    # tau and omega only weigh a pass's schedule terms: a run at a jittered
+    # tau*omega, on rungs an earlier run sampled, samples the schedule
+    # nowhere and records what it records with every cache empty
+    sch, calls = counting_schedule("trigonometric")
+    jittered = functools.partial(sagt.run_state_teleport, 1, sch, 1.01, mode, [0.6, 0.8])
+    lone = _bits(jittered())
+    cold_cache()
+    first = sagt.run_state_teleport(1, sch, 1.0, mode, [0.6, 0.8])
+    generators, sampled = count_coordinate_grids(monkeypatch), dict(calls)
+    record = jittered()
+    assert record.step_count == first.step_count
+    assert generators == [] and calls == sampled
+    assert _bits(record) == lone
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sch=strategies.paths,
+    dressed=st.booleans(),
+    taus=st.lists(st.floats(0.1, 20.0), min_size=2, max_size=2, unique=True),
+    omegas=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2, unique=True),
+    steps=st.one_of(
+        st.integers(1, 300), st.integers(evolution._CHUNK + 1, evolution._CHUNK + 300)
+    ),
+)
+def test_sharing_the_pass_terms_keeps_the_bits(sch, dressed, taus, omegas, steps):
+    # a transport at (omega_2, tau_2) off the terms a (omega_1, tau_1) call
+    # sampled is the transport every cold cache gives, bit for bit
+    def transports(omega, tau):
+        return evolution._transports(sch, omega, tau if dressed else None, tau, steps)
+
+    empty_caches()
+    cold = transports(omegas[1], taus[1])
+    empty_caches()
+    transports(omegas[0], taus[0])
+    with mock.patch.object(evolution, "_pass_terms", wraps=evolution._pass_terms) as terms:
+        warm = transports(omegas[1], taus[1])
+    assert warm[0] == cold[0]
+    assert np.array_equal(warm[1], cold[1])
+    assert not warm[1].flags.writeable
+    assert terms.call_count >= 1 + (steps > evolution._CHUNK)
+    for call in terms.call_args_list:
+        kept = [a for a in evolution._pass_terms(*call.args) if a is not None]
+        assert len(kept) == 1 + dressed
+        assert not any(a.flags.writeable for a in kept)
+    empty_caches()
+
+
+def test_the_pass_term_cache_holds_its_bound(monkeypatch, cold_cache):
+    # more passes than the cache holds, four of them off a rung longer than
+    # 3 _CHUNK: it keeps at most maxsize entries of at most _CHUNK rows each
+    generators = count_coordinate_grids(monkeypatch)
+    fam = sagt.superadiabatic_family(
+        sagt.single_sector_family(1.0, builtin_schedule("linear")), 1.0
+    )
+    psi0 = sagt.initial_state([1.0, 0.0], 1)
+    runs = [3 * evolution._CHUNK + 5] + list(range(1, evolution._SAMPLE_CACHE_SIZE + 5))
+    for steps in runs:
+        evolution.propagate(fam, psi0, steps)
+    info = evolution._pass_terms.cache_info()
+    assert info.misses == len(generators) > info.maxsize == evolution._SAMPLE_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    assert sum(generators) == sum(runs)
+    assert max(generators) <= evolution._CHUNK
 
 
 def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
@@ -763,9 +842,9 @@ def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
         runs.append(functools.partial(sagt.run_gate_teleport, gate, sch, 1.0, "adiabatic", psi_in))
     cold = []
     for run in runs:
-        cold_cache.cache_clear()
+        cold_cache()
         cold.append(_bits(run()))
-    cold_cache.cache_clear()
+    cold_cache()
     generators = count_coordinate_grids(monkeypatch)
     rungs = set()
     for run, want in zip(runs, cold):
@@ -775,8 +854,8 @@ def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
         while count <= record.step_count:
             rungs.add(count)
             count *= 2
-    # one entry per distinct rung, its generator formed once over all runs
-    assert cold_cache.cache_info().currsize == len(rungs)
+    # one entry per distinct rung, its generator sampled once over all runs
+    assert evolution._transports.cache_info().currsize == len(rungs)
     assert sum(generators) == sum(rungs)
 
 
@@ -799,13 +878,14 @@ def test_each_configuration_forms_its_own_generator(monkeypatch, cold_cache):
         observed(sagt.superadiabatic_family(adiabatic(omega=2.0), 1.0)),  # omega
         lambda: evolution.propagate(base, psi0, 64),  # no observer: the first entry
     ]
+    # omega weighs the terms of the base's sample: a new entry, no new sample
     for k, call in enumerate(calls, 1):
         call()
-        assert len(generators) == min(k, 4)
+        assert len(generators) == min(k, 3)
     for call in calls:
         call()
-    assert len(generators) == 4
-    assert cold_cache.cache_info().currsize == 4
+    assert len(generators) == 3
+    assert evolution._transports.cache_info().currsize == 4
 
 
 def test_the_pass_cache_keeps_a_constant_number_of_entries(cold_cache):
@@ -813,7 +893,7 @@ def test_the_pass_cache_keeps_a_constant_number_of_entries(cold_cache):
     psi0 = sagt.initial_state([1.0, 0.0], 1)
     for k in range(evolution._TRANSPORT_CACHE_SIZE + 5):
         evolution.propagate(fam, psi0, 4, tau=1.0 + k / 64)
-    info = cold_cache.cache_info()
+    info = evolution._transports.cache_info()
     assert info.currsize == info.maxsize == evolution._TRANSPORT_CACHE_SIZE
     assert info.misses == evolution._TRANSPORT_CACHE_SIZE + 5
 
@@ -823,8 +903,8 @@ def test_cached_products_are_read_only(cold_cache):
     fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
     evolution.propagate(fam, sagt.initial_state([0.6, 0.8], 1), 64)
     # the key every 64-step run of this configuration makes, observed or not
-    checkpoints, transports = cold_cache(sch, 1.0, 1.0, 1.0, 64)
-    assert cold_cache.cache_info().hits == 1
+    checkpoints, transports = evolution._transports(sch, 1.0, 1.0, 1.0, 64)
+    assert evolution._transports.cache_info().hits == 1
     assert len(checkpoints) == evolution._TRACE_POINTS
     assert (checkpoints[0], checkpoints[-1]) == (0, 64)
     assert transports.shape == (evolution._TRACE_POINTS, 4, 4)
@@ -832,6 +912,10 @@ def test_cached_products_are_read_only(cold_cache):
     assert not transports.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         transports[0, 0, 0] = 0.0
+    projectors = evolution._checkpoint_projectors(sch, 64)
+    marks = np.array(checkpoints) / 64
+    assert np.array_equal(projectors, evolution._ground_pair_projector(sch, marks))
+    assert not projectors.flags.writeable
 
 
 @pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > _CHUNK: several passes
@@ -856,7 +940,7 @@ def test_an_observer_changes_no_bit_of_the_final_state(
     assert formed > 0
     assert np.array_equal(evolution.propagate(fam, psi0, steps, tau=1.0), observed)
     assert len(generators) == formed
-    assert cold_cache.cache_info().currsize == 1
+    assert evolution._transports.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", ["doubled", "zero", "nan"])
@@ -882,4 +966,4 @@ def test_a_pass_that_raises_leaves_no_entry(cold_cache):
     fam = sagt.single_sector_family(1.0, sch)
     with pytest.raises(ValueError, match="not finite"):
         evolution.propagate(fam, sagt.initial_state([1.0, 0.0], 1), 8, tau=1.0)
-    assert cold_cache.cache_info().currsize == 0
+    assert evolution._transports.cache_info().currsize == 0

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import sagt
-from sagt import cost, evolution
+from sagt import cost, evolution, spectral
 from sagt.evolution import MODES
-from sagt.model import HamiltonianFamily
 from sagt.schedules import Schedule, builtin_schedule
 
 NAMES = ("eta_i", "eta_f", "deta_i", "deta_f")
@@ -114,15 +113,17 @@ def test_cost_sweep_samples_each_schedule_once_per_level(monkeypatch):
 
 
 def count_coordinate_grids(monkeypatch):
-    """A list that gets the point count of every family.coordinate_grid."""
+    """A list that gets the point count of every spectral.coordinate_terms,
+    the one sample of a generator's schedule terms: on the run path, each
+    miss of evolution's pass-term cache."""
     generators = []
-    form = HamiltonianFamily.coordinate_grid
+    terms = spectral.coordinate_terms
 
-    def counted(self, s_values):
-        generators.append(len(s_values))
-        return form(self, s_values)
+    def counted(path, dressed):
+        generators.append(len(path[0]))
+        return terms(path, dressed)
 
-    monkeypatch.setattr(HamiltonianFamily, "coordinate_grid", counted)
+    monkeypatch.setattr(spectral, "coordinate_terms", counted)
     return generators
 
 
@@ -142,7 +143,8 @@ def test_the_reported_rung_samples_its_checkpoints_once(monkeypatch, mode, gate)
 
 @pytest.mark.parametrize("mode", MODES)
 def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
-    # 4,000 steps in 20 observer segments of 200 fill one pass of 4,096
+    # 4,000 steps in 20 observer segments of 200 make one pass of at most
+    # 4,096 steps, which step_products pads to 20 x 256 = 5,120
     generators = count_coordinate_grids(monkeypatch)
     sch, calls = counting_schedule("trigonometric")
     family = sagt.single_sector_family(1.0, sch)

@@ -6,6 +6,8 @@ plain dense diagonalization, continuity along the sweep, and agreement of
 the closed-form derivatives with a finite difference of the frame.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +352,18 @@ def test_step_products_rejects_non_finite_coordinates():
     ab[3, 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         spectral.step_products(ab, 0.1, [2, 3])
+
+
+@pytest.mark.parametrize("spin", [0, 3], ids=["a", "b"])
+def test_step_products_names_an_overflowing_step(spin):
+    # dt |a| past the largest float, in either spin's tree: a ValueError
+    # that names it, and no RuntimeWarning from the product or a sin or cos
+    ab = np.ones((5, 6))
+    ab[2, spin : spin + 3] = 4e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"step angle dt \|a\| overflows"):
+            spectral.step_products(ab, 1e8, [2, 3])
 
 
 def test_step_products_rejects_runs_that_miss_rows():
