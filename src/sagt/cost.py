@@ -40,7 +40,7 @@ import numpy as np
 
 from . import spectral
 from .model import MODES, multi_sector_family, superadiabatic_family
-from .operators import _whole, require_positive
+from .operators import MIN_DURATION, _whole, require_duration, require_positive
 from .schedules import sample
 
 QUAD_RTOL = 1e-8
@@ -147,6 +147,8 @@ def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     """Spectral route: omega times the unit-cost integral at tau*omega."""
     require_positive("tau", tau)
     require_positive("omega", omega)
+    if tau * omega < MIN_DURATION:  # one that overflows to inf is the bare drive
+        require_duration("tau*omega", tau * omega)
     return omega * float(_unit_costs(schedule, [tau * omega], quad_points)[0][0])
 
 
@@ -198,7 +200,7 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=MODES):
     if not taus:
         raise ValueError("tau*omega grid is empty")
     for t in taus:
-        require_positive("tau*omega", t)
+        require_duration("tau*omega", t)
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")

@@ -18,7 +18,7 @@ carry the term, superadiabatic_family included, live in model.
 import numpy as np
 
 from . import spectral
-from .operators import require_positive
+from .operators import require_duration
 from .schedules import sample_at
 
 _CHECK_STEP = 2e-6  # finite-difference step of assembled_register_cd
@@ -26,7 +26,7 @@ _CHECK_STEP = 2e-6  # finite-difference step of assembled_register_cd
 
 def block_cd_grid(path, tau):
     """(..., 4, 4) complex: the block correction at each sample point."""
-    require_positive("tau", tau)
+    require_duration("tau", tau)
     return 1j / tau * spectral.velocity_grid(path)
 
 
@@ -58,7 +58,7 @@ def assembled_register_cd(schedule, s, tau, n=1, rotation=None):
     embedding -- kept as the cross-check that the compact construction is
     right, transforms covariantly and sums correctly over sectors.
     """
-    require_positive("tau", tau)
+    require_duration("tau", tau)
 
     def register_frame(x):
         f = embedded_frame(schedule, x)

@@ -26,14 +26,14 @@ register rotation G telescopes through the product of step unitaries
 (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated families are
 propagated in the unrotated frame and rotated back only at observation
 points.  A gate run goes further: it propagates the unrotated protocol
-state and applies G once to each rung's end state.  The
-convergence ladder reads each rung's fidelity off an unobserved call, U(1)
-alone, and observes the reported rung once more after it stops, a cache
-hit, so register states at the checkpoints are formed for that rung alone.
+state and applies G once to each rung's end state.  The convergence
+ladder reads each rung's fidelity off an unobserved call, U(1) alone, then
+stacks the reported rung's checkpoint states off its cache entry through
+_rung_states, propagate's own body: no observer, no second propagate.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
 
-Three read-only LRU caches keep what a run would form again.  A rung's
+Five read-only LRU caches keep what a run would form again.  A rung's
 U(s_k) depend only on the schedule, omega, the family's tau (its mode),
 the duration and the step count: never on the gate, the sector count,
 the input or the observer, for a gate teleport is the state teleport in a
@@ -43,9 +43,9 @@ each) keyed by those values alone, which state runs, gate runs and every
 n share.  A pass's schedule terms depend on the schedule, the mode, the
 step count and the pass bounds alone, never on omega or tau, so
 _pass_terms keeps them for runs of every omega and tau, and a transport
-miss only weighs them; _checkpoint_projectors keeps the ground
-projectors at a rung's checkpoints, a function of the schedule and the
-step count.  Each of these two holds _SAMPLE_CACHE_SIZE entries.
+miss only weighs them; _checkpoint_projectors keeps a rung's checkpoint
+ground projectors (by schedule and step count), _checkpoints and _rung_plan
+its checkpoints and passes; each holds _SAMPLE_CACHE_SIZE entries.
 """
 
 from dataclasses import dataclass
@@ -57,6 +57,7 @@ import numpy as np
 from . import spectral
 from .cost import _simpson
 from .model import (
+    MAX_QUBITS,
     MODES,
     _on_outputs,
     gate_width,
@@ -67,7 +68,7 @@ from .model import (
     superadiabatic_family,
     target_state,
 )
-from .operators import _whole, require_positive
+from .operators import _whole, require_duration, require_positive
 from .schedules import chi as _chi
 from .schedules import in_domain, sample
 
@@ -112,9 +113,21 @@ def _passes(cuts):
     return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
 
 
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
 def _checkpoints(steps):
-    """The ~20 evenly spaced steps a `steps`-step rung is observed at."""
-    return sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)})
+    """The ~20 evenly spaced steps a `steps`-step rung is observed at, a tuple."""
+    return tuple(sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)}))
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
+def _rung_plan(steps):
+    """The passes of a `steps`-step rung, cut at its checkpoints and at every
+    multiple of _CHUNK: (cuts, read-only segment lengths) for each pass."""
+    cuts = sorted(set(_checkpoints(steps)).union(range(_CHUNK, steps, _CHUNK)))
+    plan = tuple((tuple(bounds), np.diff(bounds)) for bounds in _passes(cuts))
+    for _, lengths in plan:
+        lengths.flags.writeable = False
+    return plan
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
@@ -137,15 +150,30 @@ def _transports(schedule, omega, family_tau, tau, steps):
     U(0) = I) of a `steps`-step run of duration tau, off one sector block."""
     checkpoints = _checkpoints(steps)
     transports = {0: np.eye(4, dtype=complex)}
-    for bounds in _passes(sorted(set(checkpoints).union(range(_CHUNK, steps, _CHUNK)))):
+    for bounds, lengths in _rung_plan(steps):
         terms = _pass_terms(schedule, family_tau is not None, steps, bounds[0], bounds[-1])
         ab = spectral.weigh_terms(terms, omega, family_tau)
-        us = spectral.step_products(ab, tau / steps, np.diff(bounds))
+        us = spectral.step_products(ab, tau / steps, lengths)
         for u, start, stop in zip(us, bounds, bounds[1:]):
             transports[stop] = u @ transports[start]
     at_checkpoints = np.array([transports[k] for k in checkpoints])
     at_checkpoints.flags.writeable = False
-    return tuple(checkpoints), at_checkpoints
+    return checkpoints, at_checkpoints
+
+
+def _rung_states(family, psi0, steps, tau, observed):
+    """(checkpoints, states): unrotated psi0 carried to each checkpoint of a
+    `steps`-step rung, or to its end alone, stacked off its _transports entry."""
+    key = (family.schedule, family.omega, family.tau, float(tau), steps)
+    checkpoints, transports = _transports(*key)
+    if not observed:
+        checkpoints, transports = checkpoints[-1:], transports[-1:]
+    u = spectral.embed_blocks(transports, transports)
+    states = _apply_sectorwise(u, psi0, family.sectors)
+    norm_defect = abs(np.linalg.norm(states[-1]) - 1.0)
+    if not norm_defect <= NORM_ATOL:  # NaN fails too
+        raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
+    return checkpoints, states
 
 
 def propagate(family, psi0, steps, tau=None, observer=None):
@@ -167,7 +195,7 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     tau = family.tau if tau is None else tau
     if tau is None:
         raise ValueError("a positive total time tau is required to propagate")
-    require_positive("tau", tau)
+    require_duration("tau", tau)
     if family.tau not in (None, tau):
         raise ValueError(f"tau={tau} disagrees with the family's tau={family.tau}")
     psi0 = np.asarray(psi0, dtype=complex).ravel()
@@ -180,21 +208,11 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     g = family.rotation
     if g is not None:
         psi0 = g.conj().T @ psi0  # work in the unrotated frame throughout
-    key = (family.schedule, family.omega, family.tau, float(tau), steps)
-    checkpoints, transports = _transports(*key)
-    if observer is None:
-        checkpoints, transports = checkpoints[-1:], transports[-1:]
-    u = spectral.embed_blocks(transports, transports)
-    states = _apply_sectorwise(u, psi0, family.sectors)  # a row per checkpoint
+    checkpoints, states = _rung_states(family, psi0, steps, tau, observer is not None)
     if observer is not None:
         for k, psi in zip(checkpoints, states):
             observer(k / steps, psi if g is None else g @ psi)
-
-    psi = states[-1]
-    norm_defect = abs(np.linalg.norm(psi) - 1.0)
-    if not norm_defect <= NORM_ATOL:  # NaN fails too
-        raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
-    return psi if g is None else g @ psi
+    return states[-1] if g is None else g @ states[-1]
 
 
 def _ground_pair_projector(schedule, s):
@@ -213,7 +231,8 @@ def _checkpoint_projectors(schedule, steps):
     return projectors
 
 
-_CACHES = (_pass_terms, _transports, _checkpoint_projectors)
+_CACHES = (_checkpoints, _rung_plan, _pass_terms, _transports, _checkpoint_projectors)
+_Z_SIGNS = reduce(np.multiply.outer, [[1.0, -1.0]] * MAX_QUBITS).ravel()  # Z...Z: (-1)^popcount
 
 
 def exact_sector_propagator(schedule, tau, omega=1.0, s=1.0):
@@ -287,7 +306,7 @@ def _run_protocol(
 ):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    require_positive("tau_omega", tau_omega)
+    require_duration("tau_omega", tau_omega)
     steps, max_steps = _whole("steps", steps), _whole("max_steps", max_steps)
     if not target_defect >= 0.0:  # NaN fails too
         raise ValueError(f"target_defect must be >= 0, got {target_defect}")
@@ -299,6 +318,7 @@ def _run_protocol(
     # acts on each rung's end state, and target_state checks and applies it apart
     family = multi_sector_family(n, omega, schedule)  # checks omega before tau
     tau = float(tau_omega) / float(omega)
+    require_duration("tau", tau)
     if mode == "superadiabatic":
         family = superadiabatic_family(family, tau)
     psi0 = initial_state(psi_in, n)
@@ -321,15 +341,11 @@ def _run_protocol(
     # observables of the reported rung, whose transports the cache holds, read
     # off its stacked unrotated states, where the conserved parity is plain
     # Z...Z and the ground projector the bare one, one projector per row
-    seen = []
-    propagate(family, psi0, count, tau=tau, observer=lambda s, psi: seen.append((s, psi)))
-    marks, states = zip(*seen)
-    states = np.array(states)
+    checkpoints, states = _rung_states(family, psi0, count, tau, observed=True)
     p_states = _apply_sectorwise(_checkpoint_projectors(schedule, count), states, n)
-    overlaps = [np.real(np.vdot(psi, p_psi)) for psi, p_psi in zip(states, p_states)]
-    trace = [(float(s), float(overlap)) for s, overlap in zip(marks, overlaps)]
-    z_signs = reduce(np.multiply.outer, [[1.0, -1.0]] * (3 * n)).ravel()
-    parities = np.sum(z_signs * np.abs(states) ** 2, axis=-1)
+    overlaps = np.matmul(states.conj()[:, None, :], p_states[:, :, None]).real.ravel()
+    trace = [(k / count, float(overlap)) for k, overlap in zip(checkpoints, overlaps)]
+    parities = np.sum(_Z_SIGNS[: 8**n] * np.abs(states) ** 2, axis=-1)
     return RunRecord(
         sectors=n,
         schedule=schedule.name,

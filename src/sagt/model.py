@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import _whole, pauli_string, place_on_qubits, require_positive
+from .operators import _whole, pauli_string, place_on_qubits, require_duration, require_positive
 from .schedules import Schedule, in_domain, sample
 from .spectral import coordinate_block, coordinate_grid, embed_blocks
 
@@ -143,7 +143,7 @@ def superadiabatic_family(base, tau):
         raise ValueError("base must be a HamiltonianFamily")
     if base.mode != "adiabatic":
         raise ValueError(f"base family must be adiabatic, got mode {base.mode!r}")
-    require_positive("tau", tau)
+    require_duration("tau", tau)
     return replace(base, tau=float(tau))
 
 

@@ -19,6 +19,7 @@ PAULI = {
 }
 
 HERMITICITY_ATOL = 1e-8
+MIN_DURATION = float(np.finfo(float).tiny) ** 0.25  # ~1.2e-77
 
 
 def require_positive(name, value):
@@ -26,6 +27,16 @@ def require_positive(name, value):
     raises ValueError("<name> must be finite and positive, got ...")."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_duration(name, value):
+    """require_positive for a duration tau or tau*omega, which must also be
+    at least MIN_DURATION, so that 1/value**2 <= 1/sqrt(tiny) ~ 6.7e153 and
+    no velocity weight over value or its square overflows; raises
+    ValueError("<name> must be at least ...")."""
+    require_positive(name, value)
+    if value < MIN_DURATION:
+        raise ValueError(f"{name} must be at least {MIN_DURATION:.3g}, got {value}")
 
 
 def _whole(name, value):

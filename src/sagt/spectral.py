@@ -108,7 +108,7 @@ caller may keep those terms for every omega and tau.
 
 import numpy as np
 
-from .operators import pauli_string, require_positive
+from .operators import pauli_string, require_duration
 from .schedules import chi as _chi
 from .schedules import in_domain, sample, sample_at
 
@@ -116,6 +116,7 @@ from .schedules import in_domain, sample, sample_at
 # of the odd block.  Order matters: it is what makes the two blocks equal.
 PLUS_BASIS = (0, 3, 5, 6)
 MINUS_BASIS = tuple(7 - i for i in PLUS_BASIS)  # XXX flips all three bits
+_BLOCK_INDEX = tuple((Ellipsis,) + np.ix_(basis, basis) for basis in (PLUS_BASIS, MINUS_BASIS))
 
 # The two coupling patterns of the drive, weighed by eta_i and eta_f, their
 # common parity block, and the commutator of the blocks.
@@ -248,7 +249,7 @@ def weigh_terms(terms, omega, tau=None):
     etas, velocity = terms
     ab = etas @ (-omega * _SAMPLE_SPLIT[:2])
     if tau is not None:
-        require_positive("tau", tau)
+        require_duration("tau", tau)
         ab += velocity @ (_SAMPLE_SPLIT[2:] / tau)
     return ab
 
@@ -310,9 +311,8 @@ def embed_blocks(plus_block, minus_block):
     if plus_block.shape[-2:] != (4, 4) or minus_block.shape != plus_block.shape:
         raise ValueError("blocks must be 4x4 with equal batch shapes")
     out = np.zeros(plus_block.shape[:-2] + (8, 8), dtype=complex)
-    for basis, block in ((PLUS_BASIS, plus_block), (MINUS_BASIS, minus_block)):
-        idx = np.asarray(basis)
-        out[..., idx[:, None], idx[None, :]] = block
+    for index, block in zip(_BLOCK_INDEX, (plus_block, minus_block)):
+        out[index] = block
     return out
 
 

@@ -67,6 +67,26 @@ def test_an_overflowing_step_is_named_and_warns_nothing(capsys, mode):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("state-teleport", "--n", "1", "--schedule", "linear", "--mode", "superadiabatic",
+          "--tau", "1e-320"), "tau_omega"),
+        (("cost-sweep", "--schedules", "linear", "--points", "3",
+          "--tau-min", "1e-200", "--tau-max", "1"), "tau*omega"),
+    ],
+    ids=["state-teleport", "cost-sweep"],
+)
+def test_a_duration_too_short_to_weigh_is_named_and_warns_nothing(capsys, argv, name):
+    # 1/tau overflowed in the velocity weights, and tau*omega squared
+    # underflowed in the cost integrand, each with a RuntimeWarning and an
+    # error that named neither; now refused up front, by name
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{name} must be at least" in err
+
+
 def test_state_teleport_stdout_record(capsys):
     code, out, err = run_cli(
         capsys,

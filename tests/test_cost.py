@@ -358,3 +358,19 @@ def test_sweep_matches_the_pointwise_costs_on_the_default_grid():
         points = SWEEP_QUADRATURE_POINTS[report.schedule][0 if adiabatic else 1]
         assert report.quadrature_points == points
         assert 0.0 <= report.quadrature_defect <= cost.QUAD_RTOL
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_tau_omega_whose_square_underflows_is_refused_by_name():
+    # the velocity weight over (tau omega)^2 overflowed, and the quadrature ran
+    # to its cap with RuntimeWarnings before it gave up; the least duration runs
+    sch = sagt.builtin_schedule("linear")
+    for tau, omega in ((1e-155, 1.0), (1e-50, 1e-50)):
+        with pytest.raises(ValueError, match=r"tau\*omega must be at least"):
+            cost.cost_closed_form(sch, tau, omega)
+    with pytest.raises(ValueError, match=r"tau\*omega must be at least"):
+        cost.cost_sweep([sch], [1.0, 1e-200])
+    least = sagt.operators.MIN_DURATION
+    assert least * cost.cost_closed_form(sch, least) == pytest.approx(ENERGY_TIME_LIMIT, rel=1e-6)
+    # a tau*omega that overflows to inf is still the bare drive's cost
+    assert cost.cost_closed_form(sch, 1e300, 1e10) == 1e10 * cost.adiabatic_cost(sch)

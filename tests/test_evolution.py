@@ -565,6 +565,30 @@ def test_run_rejects_non_finite_inputs_before_propagating(monkeypatch, tau_omega
         )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", model.MODES)
+def test_a_duration_too_short_to_weigh_is_refused_before_propagating(monkeypatch, mode):
+    # 1/tau overflowed in the velocity weights with a RuntimeWarning, and
+    # the run failed on "so(4) coordinates are not finite"
+    sch, psi = builtin_schedule("linear"), np.array([1.0, 0.0])
+    fam = sagt.single_sector_family(1.0, sch)
+    with pytest.raises(ValueError, match="tau must be at least"):
+        sagt.superadiabatic_family(fam, 1e-320)
+    with pytest.raises(ValueError, match="tau must be at least"):
+        evolution.propagate(fam, sagt.initial_state(psi, 1), 8, tau=1e-320)
+    with pytest.raises(ValueError, match="tau must be at least"):
+        spectral.coordinate_grid(sagt.schedules.sample(sch, np.array([0.5])), 1.0, 1e-320)
+
+    def never(*args, **kwargs):
+        raise AssertionError("propagate was called")
+
+    monkeypatch.setattr(evolution, "propagate", never)
+    with pytest.raises(ValueError, match="tau_omega must be at least"):
+        sagt.run_state_teleport(1, sch, 1e-320, mode, psi)
+    with pytest.raises(ValueError, match="tau must be at least"):  # tau = tau_omega / omega
+        sagt.run_gate_teleport("x", sch, 1.0, mode, psi, omega=1e100)
+
+
 def test_run_honours_the_step_budget(monkeypatch):
     sch = builtin_schedule("linear")
     psi = np.array([1.0, 0.0])
@@ -587,8 +611,8 @@ def test_run_honours_the_step_budget(monkeypatch):
     rec = sagt.run_state_teleport(
         1, sch, 1.0, "adiabatic", psi, steps=2, max_steps=12
     )
-    # the rungs 2, 4 and 8, then the reported rung again with its observer
-    assert rungs == [2, 4, 8, 8]
+    # the rungs 2, 4 and 8; the reported rung's states come off its cache entry
+    assert rungs == [2, 4, 8]
     assert max(rungs) <= 12
     assert rec.step_count == 8
     assert not rec.accepted
@@ -596,13 +620,17 @@ def test_run_honours_the_step_budget(monkeypatch):
 
 @pytest.mark.parametrize("gate", [None, "cnot"])
 @pytest.mark.parametrize("mode", model.MODES)
-def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, mode, gate):
-    calls = []
+def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, cold_cache, mode, gate):
+    # one unobserved propagate per rung; the reported rung's checkpoint states
+    # are read off its _transports entry once more, a hit, and no observer
+    calls, after_last = [], []
     real = sagt.evolution.propagate
 
     def recording(family, psi0, steps, tau=None, observer=None):
         calls.append((steps, observer is not None))
-        return real(family, psi0, steps, tau=tau, observer=observer)
+        final = real(family, psi0, steps, tau=tau, observer=observer)
+        after_last[:] = [evolution._transports.cache_info()]
+        return final
 
     monkeypatch.setattr(sagt.evolution, "propagate", recording)
     sch, psi = builtin_schedule("trigonometric"), sagt.random_state(4, np.random.default_rng(3))
@@ -610,9 +638,44 @@ def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, mode, gate):
         rec = sagt.run_state_teleport(2, sch, 1.0, mode, psi, steps=250)
     else:
         rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi, steps=250)
-    assert [observed for _, observed in calls] == [False] * (len(calls) - 1) + [True]
-    assert calls[-1][0] == calls[-2][0] == rec.step_count
+    assert len(calls) >= 2
+    assert calls == [(250 * 2**k, False) for k in range(len(calls))]
+    assert calls[-1][0] == rec.step_count
+    (last,), info = after_last, evolution._transports.cache_info()
+    assert (info.hits, info.misses) == (last.hits + 1, last.misses)
     assert len(rec.ground_overlap_trace) == 21
+
+
+@pytest.mark.parametrize("kind", ["state", "gate"])
+@pytest.mark.parametrize("mode", model.MODES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_run_records_the_observables_of_the_public_observer_path(n, mode, kind):
+    # the record's trace and parity drift, read off the reported rung's
+    # stacked states, equal those an observed propagate of that rung gives
+    # through a per-row vdot and Z...Z signs formed by outer products
+    rng = np.random.default_rng(7 + n)
+    sch, psi_in = builtin_schedule("exponential"), sagt.random_state(2**n, rng)
+    if kind == "state":
+        rec = sagt.run_state_teleport(n, sch, 1.0, mode, psi_in, steps=250)
+    else:
+        gate = sagt.random_unitary(2**n, rng)
+        rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in, steps=250)
+    fam = sagt.multi_sector_family(n, 1.0, sch)  # the unrotated frame of a gate run
+    if mode == "superadiabatic":
+        fam = sagt.superadiabatic_family(fam, 1.0)
+    seen = []
+    psi0 = sagt.initial_state(psi_in, n)
+    sagt.propagate(fam, psi0, rec.step_count, 1.0, observer=lambda s, psi: seen.append((s, psi)))
+    marks, states = zip(*seen)
+    states = np.array(states)
+    projectors = evolution._ground_pair_projector(sch, np.array(marks))
+    p_states = evolution._apply_sectorwise(projectors, states, n)
+    overlaps = [np.real(np.vdot(psi, p_psi)) for psi, p_psi in zip(states, p_states)]
+    z_signs = functools.reduce(np.multiply.outer, [[1.0, -1.0]] * (3 * n)).ravel()
+    parities = np.sum(z_signs * np.abs(states) ** 2, axis=-1)
+    trace = [(float(s), float(overlap)) for s, overlap in zip(marks, overlaps)]
+    assert rec.ground_overlap_trace == trace
+    assert rec.parity_drift == float(np.max(np.abs(parities - parities[0])))
 
 
 def test_run_gate_teleport_named_and_custom():
@@ -829,6 +892,20 @@ def test_the_pass_term_cache_holds_its_bound(monkeypatch, cold_cache):
     assert max(generators) <= evolution._CHUNK
 
 
+def test_the_step_count_caches_hold_their_bound(cold_cache):
+    # more step counts than either cache holds: each keeps at most maxsize
+    fam = sagt.single_sector_family(1.0, builtin_schedule("linear"))
+    psi0 = sagt.initial_state([1.0, 0.0], 1)
+    runs = range(1, evolution._SAMPLE_CACHE_SIZE + 6)
+    for steps in runs:
+        evolution.propagate(fam, psi0, steps, tau=1.0)
+    for cache in (evolution._checkpoints, evolution._rung_plan):
+        info = cache.cache_info()
+        assert info.maxsize == evolution._SAMPLE_CACHE_SIZE < len(runs)
+        assert info.currsize == info.maxsize
+    assert evolution._rung_plan.cache_info().misses == len(runs)
+
+
 def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
     # a gate teleport is the state teleport in a rotated frame, and every
     # sector follows one u: all six runs of one configuration read the
@@ -916,6 +993,15 @@ def test_cached_products_are_read_only(cold_cache):
     marks = np.array(checkpoints) / 64
     assert np.array_equal(projectors, evolution._ground_pair_projector(sch, marks))
     assert not projectors.flags.writeable
+    # the step-count plan: a tuple of checkpoints, passes of tuples and
+    # read-only lengths that chain over the cuts
+    assert evolution._checkpoints(64) is checkpoints
+    ((cuts, lengths),) = evolution._rung_plan(64)
+    assert cuts == checkpoints and isinstance(cuts, tuple)
+    assert np.array_equal(lengths, np.diff(cuts))
+    assert not lengths.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lengths[0] = 0
 
 
 @pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > _CHUNK: several passes

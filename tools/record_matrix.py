@@ -10,12 +10,14 @@ matrix.  Every RunRecord field is printed as its repr, so a diff of two
 outputs shows every bit that moved.  The 108 runs share 18 configurations
 (schedule x mode x tau*omega): n, the gate and the input do not enter the
 step products, so most rungs read them from evolution's transport cache
-(389 of 448 propagate calls, from 59 distinct rungs; each run's last call
-observes its reported rung again, always a hit).  Neither tau nor omega
-enters a pass's schedule terms or a rung's checkpoint projectors, so the
-59 transport misses sample 56 of their 100 passes, and the 108 reported
-rungs sample their projectors 12 times.  Each evolution cache's hits and
-misses go to stderr, after the records.  Imports sagt from the src/
+(389 of 448 reads, from 59 distinct rungs: 340 propagate calls, one per
+rung, and each run's reported rung read once more for its checkpoint
+states, always a hit).  Neither tau nor omega enters a pass's schedule
+terms or a rung's checkpoint projectors, so the 59 transport misses sample
+56 of their 100 passes, and the 108 reported rungs sample their
+projectors 12 times; the 7 step counts plan their checkpoints and passes
+once each.  Each evolution cache's hits and misses go to stderr, after
+the records.  Imports sagt from the src/
 directory next to this script, so a copy of the script in another
 checkout measures that checkout.  Takes no options.
 """
