@@ -20,32 +20,34 @@ of spectral.coordinate_terms) and costs one step_products, a pairwise
 tree of SU(2) matrices for each of the two spins of a step, no
 eigensolver; the segment products, multiplied in order, give U(s_k).  The
 states at all s_k are one stacked product, E(U(s_k))^(x n) psi0 with k the
-leading axis, so observer(0, psi0) comes after every state is formed, and a
-call without an observer stacks U(1) alone, to the same bits.  A fixed
-register rotation G telescopes through the product of step unitaries
+leading axis, and propagate returns its last row, observed or not.  A
+fixed register rotation G telescopes through the product of step unitaries
 (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated families are
 propagated in the unrotated frame and rotated back only at observation
-points.  A gate run goes further: it propagates the unrotated protocol
-state and applies G once to each rung's end state.  The convergence
-ladder reads each rung's fidelity off an unobserved call, U(1) alone, then
-stacks the reported rung's checkpoint states off its cache entry through
-_rung_states, propagate's own body: no observer, no second propagate.
+points.
+
+A run is one sector: initial_state and target_state lay each sector out
+on the block ground states g0 = (1, 1, 0, 0)/sqrt 2 and g1 = (1, 0, 0,
+1)/sqrt 2, so a run's fidelity is F_1^n, F_1 = |g1^T U(1) g0|^2, for every
+input and gate.  The ladder reads each rung's F_1 off its transport entry;
+the register is formed once, for the reported rung, by _rung_states,
+propagate's own body, and its states give the record's fidelity (held to
+F_1^n to 1e-12), parity drift and ground trace.
 exact_sector_propagator, the closed-form transport of the dressed block,
 shares no code with that path; adiabatic_reference applies it per sector.
 
-Five read-only LRU caches keep what a run would form again.  A rung's
+Four read-only LRU caches keep what a run would form again.  A rung's
 U(s_k) depend only on the schedule, omega, the family's tau (its mode),
-the duration and the step count: never on the gate, the sector count,
-the input or the observer, for a gate teleport is the state teleport in a
-rotated frame, and every sector follows one U.  So _transports keeps each
+the duration and the step count: never on the gate, the sector count, the
+input or the observer, for a run is one sector.  So _transports keeps each
 rung's (checkpoints, U(s_k)) in _TRANSPORT_CACHE_SIZE entries (about 5 KB
-each) keyed by those values alone, which state runs, gate runs and every
-n share.  A pass's schedule terms depend on the schedule, the mode, the
-step count and the pass bounds alone, never on omega or tau, so
-_pass_terms keeps them for runs of every omega and tau, and a transport
-miss only weighs them; _checkpoint_projectors keeps a rung's checkpoint
-ground projectors (by schedule and step count), _checkpoints and _rung_plan
-its checkpoints and passes; each holds _SAMPLE_CACHE_SIZE entries.
+each) keyed by those values alone, which state runs, gate runs and every n
+share.  A pass's schedule terms depend on the schedule, the mode, the step
+count and the pass bounds alone, never on omega or tau, so _pass_terms
+keeps them for runs of every omega and tau, and a transport miss only
+weighs them; _checkpoint_projectors keeps a rung's checkpoint ground
+projectors (by schedule and step count), and _rung_plan its checkpoints
+and passes; each holds _SAMPLE_CACHE_SIZE entries.
 """
 
 from dataclasses import dataclass
@@ -114,20 +116,16 @@ def _passes(cuts):
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _checkpoints(steps):
-    """The ~20 evenly spaced steps a `steps`-step rung is observed at, a tuple."""
-    return tuple(sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)}))
-
-
-@lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
 def _rung_plan(steps):
-    """The passes of a `steps`-step rung, cut at its checkpoints and at every
-    multiple of _CHUNK: (cuts, read-only segment lengths) for each pass."""
-    cuts = sorted(set(_checkpoints(steps)).union(range(_CHUNK, steps, _CHUNK)))
-    plan = tuple((tuple(bounds), np.diff(bounds)) for bounds in _passes(cuts))
-    for _, lengths in plan:
+    """(checkpoints, passes) of a `steps`-step rung: the ~20 evenly spaced
+    steps it is observed at, a tuple, and its passes, cut at those and at
+    every multiple of _CHUNK, as (cuts, read-only segment lengths) each."""
+    checkpoints = tuple(sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)}))
+    cuts = sorted(set(checkpoints).union(range(_CHUNK, steps, _CHUNK)))
+    passes = tuple((tuple(bounds), np.diff(bounds)) for bounds in _passes(cuts))
+    for _, lengths in passes:
         lengths.flags.writeable = False
-    return plan
+    return checkpoints, passes
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
@@ -148,9 +146,9 @@ def _pass_terms(schedule, dressed, steps, start, stop):
 def _transports(schedule, omega, family_tau, tau, steps):
     """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1, with
     U(0) = I) of a `steps`-step run of duration tau, off one sector block."""
-    checkpoints = _checkpoints(steps)
+    checkpoints, passes = _rung_plan(steps)
     transports = {0: np.eye(4, dtype=complex)}
-    for bounds, lengths in _rung_plan(steps):
+    for bounds, lengths in passes:
         terms = _pass_terms(schedule, family_tau is not None, steps, bounds[0], bounds[-1])
         ab = spectral.weigh_terms(terms, omega, family_tau)
         us = spectral.step_products(ab, tau / steps, lengths)
@@ -161,18 +159,21 @@ def _transports(schedule, omega, family_tau, tau, steps):
     return checkpoints, at_checkpoints
 
 
-def _rung_states(family, psi0, steps, tau, observed):
-    """(checkpoints, states): unrotated psi0 carried to each checkpoint of a
-    `steps`-step rung, or to its end alone, stacked off its _transports entry."""
-    key = (family.schedule, family.omega, family.tau, float(tau), steps)
-    checkpoints, transports = _transports(*key)
-    if not observed:
-        checkpoints, transports = checkpoints[-1:], transports[-1:]
-    u = spectral.embed_blocks(transports, transports)
-    states = _apply_sectorwise(u, psi0, family.sectors)
-    norm_defect = abs(np.linalg.norm(states[-1]) - 1.0)
+def _require_kept_norm(psi):
+    """psi, a propagated unit vector; RuntimeError if its norm drifted."""
+    norm_defect = abs(np.linalg.norm(psi) - 1.0)
     if not norm_defect <= NORM_ATOL:  # NaN fails too
         raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
+    return psi
+
+
+def _rung_states(family, psi0, steps, tau):
+    """(checkpoints, states): unrotated psi0 carried to each checkpoint of a
+    `steps`-step rung, stacked off its _transports entry."""
+    key = (family.schedule, family.omega, family.tau, float(tau), steps)
+    checkpoints, transports = _transports(*key)
+    states = _apply_sectorwise(spectral.embed_blocks(transports, transports), psi0, family.sectors)
+    _require_kept_norm(states[-1])
     return checkpoints, states
 
 
@@ -184,10 +185,9 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     must be a finite unit vector.  If given, `observer(s, psi)` is called
     with the physical state at ~20 evenly spaced checkpoints, including
     both endpoints; it may keep psi, which is never modified afterwards.
-    Returns the final state, the same bits with or without an observer:
-    the checkpoint states, or the end state alone, are one stacked product.
-    The rung's transports come from the transport cache if a call of equal
-    schedule, omega, mode, tau and steps formed them.
+    Returns the final state, the last row of the stacked checkpoint states,
+    off the rung's transports: cached if a call of equal schedule, omega,
+    mode, tau and steps formed them.
     """
     steps = _whole("steps", steps)
     if steps < 1:
@@ -208,7 +208,7 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     g = family.rotation
     if g is not None:
         psi0 = g.conj().T @ psi0  # work in the unrotated frame throughout
-    checkpoints, states = _rung_states(family, psi0, steps, tau, observer is not None)
+    checkpoints, states = _rung_states(family, psi0, steps, tau)
     if observer is not None:
         for k, psi in zip(checkpoints, states):
             observer(k / steps, psi if g is None else g @ psi)
@@ -226,12 +226,13 @@ def _ground_pair_projector(schedule, s):
 def _checkpoint_projectors(schedule, steps):
     """Read-only _ground_pair_projector at the checkpoints of a `steps`-step
     rung, (checkpoints, 8, 8), about 21 KB."""
-    projectors = _ground_pair_projector(schedule, np.array(_checkpoints(steps)) / steps)
+    projectors = _ground_pair_projector(schedule, np.array(_rung_plan(steps)[0]) / steps)
     projectors.flags.writeable = False
     return projectors
 
 
-_CACHES = (_checkpoints, _rung_plan, _pass_terms, _transports, _checkpoint_projectors)
+_CACHES = (_rung_plan, _pass_terms, _transports, _checkpoint_projectors)
+_G0, _G1 = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]]) / np.sqrt(2.0)  # g0, g1 above
 _Z_SIGNS = reduce(np.multiply.outer, [[1.0, -1.0]] * MAX_QUBITS).ravel()  # Z...Z: (-1)^popcount
 
 
@@ -268,13 +269,13 @@ def adiabatic_reference(family, s, psi_in=None, tau=None):
 class RunRecord:
     """Outcome of one teleportation run, diagnostics included.
 
-    convergence_defect is |F(steps) - F(steps/2)| at the reported step
-    count; accepted means the defect met the requested target before the
-    step budget max_steps ran out (no rung ever exceeds it).  parity_drift
-    and ground_overlap_trace belong to the reported rung (step_count steps):
-    the largest excursion of the conserved Z-parity expectation, and the
-    overlap with the instantaneous ground manifold of the bare drive, at
-    that run's observer checkpoints in the unrotated frame.
+    sector_fidelity is F_1 of the reported rung (step_count steps) and
+    fidelity its F_1^n; convergence_defect is |F(steps) - F(steps/2)| there;
+    accepted means the defect met the requested target before the step
+    budget max_steps ran out (no rung ever exceeds it).  parity_drift and
+    ground_overlap_trace belong to that rung too: the largest excursion of
+    the conserved Z-parity expectation, and the overlap with the bare
+    drive's instantaneous ground manifold, at its unrotated checkpoints.
     """
 
     sectors: int
@@ -284,6 +285,7 @@ class RunRecord:
     mode: str
     gate: Optional[str]
     fidelity: float
+    sector_fidelity: float
     step_count: int
     convergence_defect: float
     accepted: bool
@@ -314,8 +316,7 @@ def _run_protocol(
         raise ValueError(f"steps={steps}: 2*steps exceeds max_steps={max_steps}")
     n = require_sectors(n)
 
-    # the unrotated family carries the protocol state; G, checked by gate_width,
-    # acts on each rung's end state, and target_state checks and applies it apart
+    # the unrotated family carries the protocol state, and G acts on its end state alone
     family = multi_sector_family(n, omega, schedule)  # checks omega before tau
     tau = float(tau_omega) / float(omega)
     require_duration("tau", tau)
@@ -324,24 +325,24 @@ def _run_protocol(
     psi0 = initial_state(psi_in, n)
     tgt = target_state(psi_in, n, rotation=gate)
 
-    def run(k):
-        final = propagate(family, psi0, k, tau=tau)
-        return fidelity(final if gate is None else _on_outputs(gate, final, n), tgt)
+    def sector_fidelity(k):  # F_1 of a k-step rung; the register's F is F_1^n
+        _, transports = _transports(family.schedule, family.omega, family.tau, tau, k)
+        return fidelity(_require_kept_norm(transports[-1] @ _G0), _G1)
 
-    f_prev = run(steps)
-    count = steps
+    count, f_next = steps, sector_fidelity(steps)
     while True:
-        count *= 2
-        f_next = run(count)
-        defect = abs(f_next - f_prev)
+        count, f_prev = 2 * count, f_next
+        f_next = sector_fidelity(count)
+        defect = abs(f_next**n - f_prev**n)
         if defect <= target_defect or count * 2 > max_steps:
             break
-        f_prev = f_next
 
-    # observables of the reported rung, whose transports the cache holds, read
-    # off its stacked unrotated states, where the conserved parity is plain
-    # Z...Z and the ground projector the bare one, one projector per row
-    checkpoints, states = _rung_states(family, psi0, count, tau, observed=True)
+    # the reported rung's register off its cache entry: unrotated states, where the
+    # conserved parity is plain Z...Z and the ground projector the bare one, one per row
+    checkpoints, states = _rung_states(family, psi0, count, tau)
+    f_register = fidelity(states[-1] if gate is None else _on_outputs(gate, states[-1], n), tgt)
+    if not abs(f_register - f_next**n) <= 1e-12:
+        raise RuntimeError(f"register fidelity {f_register!r} != sector fidelity^n {f_next**n!r}")
     p_states = _apply_sectorwise(_checkpoint_projectors(schedule, count), states, n)
     overlaps = np.matmul(states.conj()[:, None, :], p_states[:, :, None]).real.ravel()
     trace = [(k / count, float(overlap)) for k, overlap in zip(checkpoints, overlaps)]
@@ -353,7 +354,8 @@ def _run_protocol(
         omega=float(omega),
         mode=mode,
         gate=gate_name,
-        fidelity=f_next,
+        fidelity=f_register,
+        sector_fidelity=f_next,
         step_count=count,
         convergence_defect=float(defect),
         accepted=bool(defect <= target_defect),

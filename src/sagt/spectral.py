@@ -226,14 +226,10 @@ def velocity_grid(path):
     return k.reshape(np.shape(path[0]) + (4, 4))
 
 
-def frame_derivative_grid(path):
-    """d/ds of the eigenframe at each sample point: V' = K V, (..., 4, 4)."""
-    return velocity_grid(path) @ frame_grid(path)
-
-
 def block_eigenvector_derivatives(schedule, s):
-    """Columnwise d/ds of block_eigenvectors at scalar s."""
-    return frame_derivative_grid(sample_at(schedule, s))[0]
+    """Columnwise d/ds of block_eigenvectors at scalar s: V' = K V."""
+    path = sample_at(schedule, s)
+    return (velocity_grid(path) @ frame_grid(path))[0]
 
 
 def coordinate_terms(path, dressed):
@@ -270,8 +266,8 @@ def step_products(ab, dt, lengths):
     the coordinates ab, (N, 6), as (len(lengths), 4, 4): an SU(2) tree per
     spin, one for both when their coordinates are equal, each run padded to
     a power of two by exact identities, which leave its tree bitwise
-    unchanged.  Non-finite ab, or a step angle dt |a| that overflows,
-    raise ValueError."""
+    unchanged, and its (alpha, beta) rescaled to unit norm.  Non-finite ab,
+    or a step angle dt |a| that overflows, raise ValueError."""
     if not np.all(np.isfinite(ab)):
         raise ValueError("so(4) coordinates are not finite")
     ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
@@ -293,7 +289,8 @@ def step_products(ab, dt, lengths):
         while alpha.shape[1] > 1:  # (a1, b1)(a0, b0), the later step on the left
             a1, a0, b1, b0 = alpha[:, 1::2], alpha[:, ::2], beta[:, 1::2], beta[:, ::2]
             alpha, beta = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-        alpha, beta = alpha[:, 0], beta[:, 0]
+        # a drive whose steps all round alike drifts off |alpha|^2 + |beta|^2 = 1
+        alpha, beta = np.stack((alpha[:, 0], beta[:, 0])) / np.hypot(abs(alpha), abs(beta))[:, 0]
         spins.append(np.stack((alpha, -beta.conj(), beta, alpha.conj()), -1).reshape(-1, 2, 2))
     u = (spins[0][:, :, None, :, None] * spins[-1][:, None, :, None, :]).reshape(-1, 4, 4)
     return SPIN_FRAME @ u @ SPIN_FRAME.conj().T

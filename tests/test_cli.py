@@ -473,7 +473,7 @@ def test_unaccepted_run_warns_and_exits_two(monkeypatch, capsys, argv):
     def unaccepted(*args, **kwargs):
         return sagt.RunRecord(
             sectors=1, schedule="linear", tau_omega=1.0, omega=1.0,
-            mode="superadiabatic", gate=None, fidelity=0.9, step_count=1024,
+            mode="superadiabatic", gate=None, fidelity=0.9, sector_fidelity=0.9, step_count=1024,
             convergence_defect=3e-5, accepted=False, parity_drift=0.0,
             ground_overlap_trace=[],
         )

@@ -284,14 +284,20 @@ def test_a_step_count_that_is_not_whole_is_rejected(steps):
         sagt.run_gate_teleport("x", sch, 1.0, "superadiabatic", psi, steps=steps)
 
 
-def _unpropagated_runs(monkeypatch, **options):
-    """A state run and a gate run with these options, under a propagate
-    that fails if the run gets that far."""
+def _never_propagate(monkeypatch):
+    """Make propagate and the transport cache, which the ladder reads, fail
+    the test if a run gets that far."""
 
     def never(*args, **kwargs):
-        raise AssertionError("propagate was called")
+        raise AssertionError("the run propagated")
 
     monkeypatch.setattr(evolution, "propagate", never)
+    monkeypatch.setattr(evolution, "_transports", never)
+
+
+def _unpropagated_runs(monkeypatch, **options):
+    """A state run and a gate run with these options, under _never_propagate."""
+    _never_propagate(monkeypatch)
     sch, psi = builtin_schedule("linear"), [1.0, 0.0]
     return (
         lambda: sagt.run_state_teleport(1, sch, 1.0, "adiabatic", psi, **options),
@@ -332,6 +338,19 @@ def test_a_zero_target_defect_runs_to_the_budget():
         1, sch, 1.0, "adiabatic", [1.0, 0.0], steps=2, max_steps=12, target_defect=0.0
     )
     assert rec.step_count == 8
+
+
+def test_a_long_rung_stays_unitary(cold_cache):
+    # every step of the trigonometric drive rounds alike, so a 4,096-step
+    # segment drifted about 8e-13 off unit norm, and a 512,000-step rung
+    # chained that drift to 1e-10, at NORM_ATOL
+    sch = builtin_schedule("trigonometric")
+    _, transports = evolution._transports(sch, 1.0, None, 2.0, 512_000)
+    u = transports[-1]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-12
+    for n in (2, 3):  # these raised "propagation lost normalization" at 1,024,000 steps
+        rec = sagt.run_state_teleport(n, sch, 2.0, "adiabatic", np.eye(2**n)[0], target_defect=0)
+        assert (rec.step_count, rec.accepted) == (1_024_000, False)
 
 
 @pytest.mark.parametrize("mode", evolution.MODES)
@@ -549,10 +568,7 @@ def test_run_state_teleport_validation():
 
 @pytest.mark.parametrize("tau_omega", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
 def test_run_rejects_non_finite_inputs_before_propagating(monkeypatch, tau_omega):
-    def never(*args, **kwargs):
-        raise AssertionError("propagate was called")
-
-    monkeypatch.setattr(sagt.evolution, "propagate", never)
+    _never_propagate(monkeypatch)
     with pytest.raises(ValueError, match="tau_omega"):
         sagt.run_state_teleport(
             1, builtin_schedule("linear"), tau_omega, "superadiabatic",
@@ -579,10 +595,7 @@ def test_a_duration_too_short_to_weigh_is_refused_before_propagating(monkeypatch
     with pytest.raises(ValueError, match="tau must be at least"):
         spectral.coordinate_grid(sagt.schedules.sample(sch, np.array([0.5])), 1.0, 1e-320)
 
-    def never(*args, **kwargs):
-        raise AssertionError("propagate was called")
-
-    monkeypatch.setattr(evolution, "propagate", never)
+    _never_propagate(monkeypatch)
     with pytest.raises(ValueError, match="tau_omega must be at least"):
         sagt.run_state_teleport(1, sch, 1e-320, mode, psi)
     with pytest.raises(ValueError, match="tau must be at least"):  # tau = tau_omega / omega
@@ -600,20 +613,20 @@ def test_run_honours_the_step_budget(monkeypatch):
         sagt.run_state_teleport(
             1, sch, 1.0, "superadiabatic", psi, steps=16, max_steps=16
         )
-    rungs = []
-    real = sagt.evolution.propagate
+    reads = []
+    real = evolution._transports
 
-    def counting(family, psi0, steps, **kwargs):
-        rungs.append(steps)
-        return real(family, psi0, steps, **kwargs)
+    def counting(*key):
+        reads.append(key[-1])
+        return real(*key)
 
-    monkeypatch.setattr(sagt.evolution, "propagate", counting)
+    monkeypatch.setattr(evolution, "_transports", counting)
     rec = sagt.run_state_teleport(
         1, sch, 1.0, "adiabatic", psi, steps=2, max_steps=12
     )
-    # the rungs 2, 4 and 8; the reported rung's states come off its cache entry
-    assert rungs == [2, 4, 8]
-    assert max(rungs) <= 12
+    # the rungs 2, 4 and 8, then the reported rung's register off its entry
+    assert reads == [2, 4, 8, 8]
+    assert max(reads) <= 12
     assert rec.step_count == 8
     assert not rec.accepted
 
@@ -621,28 +634,35 @@ def test_run_honours_the_step_budget(monkeypatch):
 @pytest.mark.parametrize("gate", [None, "cnot"])
 @pytest.mark.parametrize("mode", model.MODES)
 def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, cold_cache, mode, gate):
-    # one unobserved propagate per rung; the reported rung's checkpoint states
-    # are read off its _transports entry once more, a hit, and no observer
-    calls, after_last = [], []
-    real = sagt.evolution.propagate
+    # one _transports read per rung and no propagate; the reported rung's
+    # checkpoint states are read off its entry once more, a hit
+    reads, infos = [], []
+    real = evolution._transports
 
-    def recording(family, psi0, steps, tau=None, observer=None):
-        calls.append((steps, observer is not None))
-        final = real(family, psi0, steps, tau=tau, observer=observer)
-        after_last[:] = [evolution._transports.cache_info()]
-        return final
+    def recording(*key):
+        entry = real(*key)
+        reads.append(key[-1])
+        infos.append(real.cache_info())
+        return entry
 
-    monkeypatch.setattr(sagt.evolution, "propagate", recording)
+    def never(*args, **kwargs):
+        raise AssertionError("propagate was called")
+
+    monkeypatch.setattr(evolution, "propagate", never)
+    monkeypatch.setattr(evolution, "_transports", recording)
     sch, psi = builtin_schedule("trigonometric"), sagt.random_state(4, np.random.default_rng(3))
+    budget = 250 * 2**6
     if gate is None:
-        rec = sagt.run_state_teleport(2, sch, 1.0, mode, psi, steps=250)
+        rec = sagt.run_state_teleport(2, sch, 1.0, mode, psi, steps=250, max_steps=budget)
     else:
-        rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi, steps=250)
-    assert len(calls) >= 2
-    assert calls == [(250 * 2**k, False) for k in range(len(calls))]
-    assert calls[-1][0] == rec.step_count
-    (last,), info = after_last, evolution._transports.cache_info()
-    assert (info.hits, info.misses) == (last.hits + 1, last.misses)
+        rec = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi, steps=250, max_steps=budget)
+    rungs = reads[:-1]
+    assert len(rungs) >= 2
+    assert rungs == [250 * 2**k for k in range(len(rungs))]
+    assert max(rungs) <= budget
+    assert reads[-1] == rungs[-1] == rec.step_count
+    before, after = infos[-2:]
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert len(rec.ground_overlap_trace) == 21
 
 
@@ -788,6 +808,64 @@ def test_superadiabatic_runs_on_random_paths(sch, tau_omega, n, seed):
     assert rec.parity_drift <= 1e-10
 
 
+G0 = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)  # a sector's start and target
+G1 = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    sch=strategies.paths,
+    n=st.integers(1, 3),
+    mode=st.sampled_from(model.MODES),
+    tau_omega=st.floats(0.1, 20.0),
+    gated=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_a_run_is_one_sector_to_the_power_n(sch, n, mode, tau_omega, gated, seed):
+    # the register fidelity is F_1^n, F_1 = |g1^T U(1) g0|^2, and each trace
+    # point p_k^n, p_k = |v0(s_k)^T U_k g0|^2, for every input and gate
+    rng = np.random.default_rng(seed)
+    psi_in = sagt.random_state(2**n, rng)
+    if gated:
+        gate = sagt.random_unitary(2**n, rng)
+        rec = sagt.run_gate_teleport(gate, sch, tau_omega, mode, psi_in, steps=250)
+    else:
+        rec = sagt.run_state_teleport(n, sch, tau_omega, mode, psi_in, steps=250)
+    steps, family_tau = rec.step_count, tau_omega if mode == "superadiabatic" else None
+    checkpoints, transports = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    assert abs(rec.sector_fidelity - abs(G1 @ transports[-1] @ G0) ** 2) <= 1e-14
+    assert abs(rec.fidelity - rec.sector_fidelity**n) <= 1e-12
+    marks = np.array(checkpoints) / steps
+    v0 = spectral.frame_grid(sagt.schedules.sample(sch, marks))[..., 0]
+    p = np.abs(np.einsum("ki,kij,j->k", v0, transports, G0)) ** 2
+    assert [s for s, _ in rec.ground_overlap_trace] == list(marks)
+    np.testing.assert_allclose([y for _, y in rec.ground_overlap_trace], p**n, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gate", [None, "cnot"])
+def test_a_register_that_is_not_the_sector_to_the_power_n_is_refused(monkeypatch, gate):
+    # the register's fidelity is held to the ladder's F_1^n: read against
+    # another g1, the ladder disagrees with the register, which names both
+    sch, psi = builtin_schedule("trigonometric"), [0.6, 0.0, 0.0, 0.8]
+
+    def run():  # the ladder stops at its 128-step rung, on the budget
+        budget = {"steps": 64, "max_steps": 128}
+        if gate is None:
+            return sagt.run_state_teleport(2, sch, 1.0, "superadiabatic", psi, **budget)
+        return sagt.run_gate_teleport(gate, sch, 1.0, "superadiabatic", psi, **budget)
+
+    register = run().fidelity
+    other = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+    monkeypatch.setattr(evolution, "_G1", other)
+    _, transports = evolution._transports(sch, 1.0, 1.0, 1.0, 128)
+    ladder = evolution.fidelity(transports[-1] @ G0, other) ** 2
+    assert abs(register - ladder) > 0.5
+    with pytest.raises(RuntimeError) as refused:
+        run()
+    assert repr(register) in str(refused.value)
+    assert repr(ladder) in str(refused.value)
+
+
 # ---------------------------------------------------------------------------
 # the caches: one sector transport per rung, whatever n, G, psi, and one
 # sample of a pass's schedule terms, whatever omega and tau
@@ -899,11 +977,15 @@ def test_the_step_count_caches_hold_their_bound(cold_cache):
     runs = range(1, evolution._SAMPLE_CACHE_SIZE + 6)
     for steps in runs:
         evolution.propagate(fam, psi0, steps, tau=1.0)
-    for cache in (evolution._checkpoints, evolution._rung_plan):
-        info = cache.cache_info()
-        assert info.maxsize == evolution._SAMPLE_CACHE_SIZE < len(runs)
-        assert info.currsize == info.maxsize
-    assert evolution._rung_plan.cache_info().misses == len(runs)
+    info = evolution._rung_plan.cache_info()
+    assert info.maxsize == evolution._SAMPLE_CACHE_SIZE < len(runs)
+    assert info.currsize == info.maxsize
+    assert info.misses == len(runs)
+    # each entry is the (checkpoints, passes) of its step count
+    steps = runs[-1]
+    checkpoints, passes = evolution._rung_plan(steps)
+    assert (checkpoints[0], checkpoints[-1]) == (0, steps)
+    assert (passes[0][0][0], passes[-1][0][-1]) == (0, steps)
 
 
 def test_state_and_gate_runs_of_every_n_share_entries(monkeypatch, cold_cache):
@@ -995,8 +1077,8 @@ def test_cached_products_are_read_only(cold_cache):
     assert not projectors.flags.writeable
     # the step-count plan: a tuple of checkpoints, passes of tuples and
     # read-only lengths that chain over the cuts
-    assert evolution._checkpoints(64) is checkpoints
-    ((cuts, lengths),) = evolution._rung_plan(64)
+    planned, ((cuts, lengths),) = evolution._rung_plan(64)
+    assert planned is checkpoints
     assert cuts == checkpoints and isinstance(cuts, tuple)
     assert np.array_equal(lengths, np.diff(cuts))
     assert not lengths.flags.writeable

@@ -161,22 +161,18 @@ def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("kind", ["state", "gate"])
-def test_a_run_applies_its_states_once_per_rung_and_twice_more(monkeypatch, n, mode, kind):
-    # one stacked product per ladder rung (its end state), one for the
-    # reported rung's checkpoint states and one for their ground projectors
-    applications, rungs = [], []
-    apply, propagate = evolution._apply_sectorwise, evolution.propagate
+def test_a_run_applies_its_register_states_twice(monkeypatch, n, mode, kind):
+    # the ladder reads each rung's sector fidelity off its transports and
+    # applies no state: one stacked product for the reported rung's
+    # checkpoint states and one for their ground projectors
+    applications = []
+    apply = evolution._apply_sectorwise
 
     def counted_apply(u, psi, sectors):
         applications.append(np.shape(u))
         return apply(u, psi, sectors)
 
-    def counted_propagate(*args, **kwargs):
-        rungs.append(kwargs.get("observer") is None)
-        return propagate(*args, **kwargs)
-
     monkeypatch.setattr(evolution, "_apply_sectorwise", counted_apply)
-    monkeypatch.setattr(evolution, "propagate", counted_propagate)
     rng = np.random.default_rng(n)
     psi_in, sch = sagt.random_state(2**n, rng), builtin_schedule("trigonometric")
     if kind == "state":
@@ -184,7 +180,5 @@ def test_a_run_applies_its_states_once_per_rung_and_twice_more(monkeypatch, n, m
     else:
         gate = sagt.random_unitary(2**n, rng)
         record = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in, steps=64)
-    ladder = sum(rungs)
-    assert ladder >= 2 and record.step_count == 64 * 2 ** (ladder - 1)
-    assert len(applications) == ladder + 2
-    assert applications[ladder:] == [(21, 8, 8), (21, 8, 8)]
+    assert record.step_count >= 128  # the ladder climbed two rungs or more
+    assert applications == [(21, 8, 8), (21, 8, 8)]

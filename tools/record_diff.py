@@ -9,6 +9,8 @@ cases, ground_overlap_trace taken pointwise (inf where the two traces do
 not sample the same s), then every case in which a field that is not a
 float, such as step_count or accepted, differs.  Exits 1 if there is such
 a case, 2 if the two files do not hold the same cases, and 0 otherwise.
+The fields compared are the first file's, so give the older tree's output
+first when the newer RunRecord has gained a field.
 """
 
 import ast

@@ -7,19 +7,20 @@ tau*omega in {0.1, 1, 20} x {state teleport, gate teleport of a Haar
 random SU(2^n)}, 108 runs from 500 initial steps.  Each run draws its
 input state (and gate) from its own seed, fixed by its position in the
 matrix.  Every RunRecord field is printed as its repr, so a diff of two
-outputs shows every bit that moved.  The 108 runs share 18 configurations
-(schedule x mode x tau*omega): n, the gate and the input do not enter the
-step products, so most rungs read them from evolution's transport cache
-(389 of 448 reads, from 59 distinct rungs: 340 propagate calls, one per
-rung, and each run's reported rung read once more for its checkpoint
-states, always a hit).  Neither tau nor omega enters a pass's schedule
-terms or a rung's checkpoint projectors, so the 59 transport misses sample
-56 of their 100 passes, and the 108 reported rungs sample their
-projectors 12 times; the 7 step counts plan their checkpoints and passes
-once each.  Each evolution cache's hits and misses go to stderr, after
-the records.  Imports sagt from the src/
-directory next to this script, so a copy of the script in another
-checkout measures that checkout.  Takes no options.
+outputs shows every bit that moved.  The 108 runs share 18
+configurations (schedule x mode x tau*omega): n, the gate and the input
+do not enter the step products, so most rungs read them from evolution's
+transport cache (389 of 448 reads, from 59 distinct rungs: 340 by the
+ladders, one per rung for its sector fidelity, with no propagate call,
+and each run's reported rung read once more for its register states,
+always a hit).  Neither tau nor omega enters a pass's schedule terms or
+a rung's checkpoint projectors, so the 59 transport misses sample 56 of
+their 100 passes, and the 108 reported rungs sample their projectors 12
+times; the 7 step counts plan their checkpoints and passes once each.
+The hits and misses of each of evolution's four caches go to stderr,
+after the records.  Imports sagt from the src/ directory next to this
+script, so a copy of the script in another checkout measures that
+checkout.  Takes no options.
 """
 
 import dataclasses
