@@ -9,22 +9,23 @@ more than the target defect.
 
 Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
-propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U.  A
-rung (one step count) cuts its steps at ~20 evenly spaced checkpoints s_k
-and at every multiple of _CHUNK, and groups the segments into passes of
-at most _CHUNK steps; step_products pads each segment to a power of two,
-so a pass holds fewer than 2 _CHUNK padded steps (a 4,000-step rung is
-one pass of 20 x 256 = 5,120).  A pass weighs its steps' so(4)
-coordinates off the schedule terms at its midpoints (spectral.weigh_terms
-of spectral.coordinate_terms) and costs one step_products, a pairwise
-tree of SU(2) matrices for each of the two spins of a step, no
-eigensolver; the segment products, multiplied in order, give U(s_k).  The
-states at all s_k are one stacked product, E(U(s_k))^(x n) psi0 with k the
-leading axis, and propagate returns its last row, observed or not.  A
-fixed register rotation G telescopes through the product of step unitaries
-(G exp(-iH dt) G^dag = exp(-i G H G^dag dt)), so rotated families are
-propagated in the unrotated frame and rotated back only at observation
-points.
+propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U =
+S (U_a (x) U_b) S^dag of two spins 1/2 (spectral).  A rung (one step
+count) is cut at ~20 evenly spaced checkpoints s_k alone, a segment longer
+than _CHUNK in even pieces, and its whole segments go in passes of at most
+_CHUNK steps, fewer than 2 _CHUNK once tree_index pads each segment to a
+power of two (a 2,000 x 2^k-step rung holds 1.28 x its steps: 4,000 steps
+are one pass of 20 x 256, 32,000 ten passes).  A pass weighs its steps'
+so(4) coordinates off the schedule terms at its midpoints
+(spectral.weigh_terms of spectral.coordinate_terms) and costs one
+spin_products, one SU(2) tree for both spins and no eigensolver; the
+segment products chain per spin, and U(s_k) is formed once per rung, at
+its checkpoints.  The states at all s_k are one stacked product,
+E(U(s_k))^(x n) psi0 with k the leading axis, and propagate returns its
+last row, observed or not.  A fixed register rotation G telescopes through
+the product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag
+dt)), so rotated families are propagated in the unrotated frame and
+rotated back only at observation points.
 
 A run is one sector: initial_state and target_state lay each sector out
 on the block ground states g0 = (1, 1, 0, 0)/sqrt 2 and g1 = (1, 0, 0,
@@ -47,7 +48,7 @@ count and the pass bounds alone, never on omega or tau, so _pass_terms
 keeps them for runs of every omega and tau, and a transport miss only
 weighs them; _checkpoint_projectors keeps a rung's checkpoint ground
 projectors (by schedule and step count), and _rung_plan its checkpoints
-and passes; each holds _SAMPLE_CACHE_SIZE entries.
+and passes with their tree indices; each holds _SAMPLE_CACHE_SIZE entries.
 """
 
 from dataclasses import dataclass
@@ -107,10 +108,13 @@ def _apply_sectorwise(u, psi, n):
 
 
 def _passes(cuts):
-    """The sorted cuts in passes of _CHUNK // (longest segment) segments,
-    each pass starting at the last cut of the one before: a pass holds at
-    most _CHUNK steps, and fewer than 2 _CHUNK once step_products pads
-    each of its segments to a power of two."""
+    """The sorted cuts, each segment longer than _CHUNK split into even
+    pieces, in passes of _CHUNK // (longest segment) segments, each pass
+    starting at the last cut of the one before: a pass holds at most
+    _CHUNK steps, and fewer than 2 _CHUNK once tree_index pads each of its
+    segments to a power of two."""
+    segments = zip(cuts, cuts[1:], (-(-np.diff(cuts) // _CHUNK)).tolist())
+    cuts = [lo + (hi - lo) * j // k for lo, hi, k in segments for j in range(k)] + [cuts[-1]]
     width = _CHUNK // np.diff(cuts).max()
     return [cuts[i : i + width + 1] for i in range(0, len(cuts) - 1, width)]
 
@@ -118,13 +122,14 @@ def _passes(cuts):
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
 def _rung_plan(steps):
     """(checkpoints, passes) of a `steps`-step rung: the ~20 evenly spaced
-    steps it is observed at, a tuple, and its passes, cut at those and at
-    every multiple of _CHUNK, as (cuts, read-only segment lengths) each."""
+    steps it is observed at, a tuple, and its _passes of those, as (cuts,
+    read-only spectral.tree_index of the segment lengths) each.  The index
+    holds fewer than 2 x steps int32 entries (1.28 x steps at 2,000 x 2^k):
+    164 KB at 32,000 steps, 4.3 MB at 1,024,000."""
     checkpoints = tuple(sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)}))
-    cuts = sorted(set(checkpoints).union(range(_CHUNK, steps, _CHUNK)))
-    passes = tuple((tuple(bounds), np.diff(bounds)) for bounds in _passes(cuts))
-    for _, lengths in passes:
-        lengths.flags.writeable = False
+    passes = tuple((tuple(c), spectral.tree_index(np.diff(c))) for c in _passes(checkpoints))
+    for _, index in passes:
+        index.flags.writeable = False
     return checkpoints, passes
 
 
@@ -142,19 +147,33 @@ def _pass_terms(schedule, dressed, steps, start, stop):
     return terms
 
 
+def _spin_transports(schedule, omega, family_tau, tau, steps):
+    """(checkpoints, (alpha, beta)) of a `steps`-step run of duration tau:
+    the per-spin U_a(s_k), U_b(s_k), (checkpoints, spins) each, one spin on
+    the bare drive, where a == b, each segment chained onto the one before."""
+    checkpoints, passes = _rung_plan(steps)
+    spins = 1 if family_tau is None else 2
+    chain = {0: [(1.0, 0.0)] * spins}
+    for cuts, index in passes:
+        terms = _pass_terms(schedule, spins == 2, steps, cuts[0], cuts[-1])
+        ab = spectral.weigh_terms(terms, omega, family_tau)
+        alphas, betas = (x.tolist() for x in spectral.spin_products(ab, tau / steps, index, spins))
+        for start, stop, alpha, beta in zip(cuts, cuts[1:], alphas, betas):
+            chain[stop] = [
+                (a1 * a0 - b1.conjugate() * b0, b1 * a0 + a1.conjugate() * b0)
+                for a1, b1, (a0, b0) in zip(alpha, beta, chain[start])
+            ]
+    return checkpoints, np.moveaxis(np.array([chain[k] for k in checkpoints]), -1, 0)
+
+
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
 def _transports(schedule, omega, family_tau, tau, steps):
     """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1, with
-    U(0) = I) of a `steps`-step run of duration tau, off one sector block."""
-    checkpoints, passes = _rung_plan(steps)
-    transports = {0: np.eye(4, dtype=complex)}
-    for bounds, lengths in passes:
-        terms = _pass_terms(schedule, family_tau is not None, steps, bounds[0], bounds[-1])
-        ab = spectral.weigh_terms(terms, omega, family_tau)
-        us = spectral.step_products(ab, tau / steps, lengths)
-        for u, start, stop in zip(us, bounds, bounds[1:]):
-            transports[stop] = u @ transports[start]
-    at_checkpoints = np.array([transports[k] for k in checkpoints])
+    U(0) = I) of a `steps`-step run of duration tau: one sector block, the
+    spectral.spin_blocks of its _spin_transports."""
+    checkpoints, (alpha, beta) = _spin_transports(schedule, omega, family_tau, tau, steps)
+    at_checkpoints = spectral.spin_blocks(alpha, beta)
+    at_checkpoints[0] = np.eye(4)  # exactly
     at_checkpoints.flags.writeable = False
     return checkpoints, at_checkpoints
 

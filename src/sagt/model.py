@@ -114,6 +114,8 @@ class HamiltonianFamily:
         return full
 
     def matrix(self, s):
+        """matrix_grid at the one node s, whose bits may differ from that node's
+        row in a grid of two or more by an ulp (coordinate_block)."""
         return self.matrix_grid([float(s)])[0]
 
 

@@ -91,12 +91,15 @@ iT1, iC/4 by (-omega eta_i, -omega eta_f, r a cos theta, r a sin theta,
 -r), r = theta'/tau, so coordinate_grid is linear in those and the block
 is their image, coordinate_block.  The spins commute, so steps e^{-i dt h}
 multiply to S (U_a (x) U_b) S^dag, U_a = e^{-i dt a_{N-1}.s} ...
-e^{-i dt a_0.s} and U_b alike.  Each e^{-i v.s} = cos|v| - i sinc|v| v.s is
-[[alpha, -conj beta], [beta, conj alpha]], (alpha, beta) = (cos|v| - i w_z,
-w_y - i w_x) with w = sinc|v| v, and step_products runs each spin through
-one pairwise tree, (a1, b1)(a0, b0) = (a1 a0 - conj b1 b0, b1 a0 + conj a1
-b0), later step on the left.  The bare drive has a = b, so one tree serves
-both spins there.
+e^{-i dt a_0.s} and U_b alike.  Each e^{-i v.s} = cos|v| - i w.s, w = v
+sin|v| / |v|, is [[alpha, -conj beta], [beta, conj alpha]], (alpha, beta)
+= (cos|v| - i w_z, w_y - i w_x), and spin_products multiplies both spins'
+steps in one pairwise tree, (a1, b1)(a0, b0) = (a1 a0 - conj b1 b0, b1 a0
++ conj a1 b0), later step on the left, laid out tree axis first in
+bit-reversed order (tree_index), so each level multiplies two contiguous
+halves in place.  The bare drive has a = b, so one spin serves both there;
+a rung chains its segments per spin and forms S (U_a (x) U_b) S^dag,
+spin_blocks, at its checkpoints alone.
 
 Sampling.  A block depends on the path only through chi, theta and
 theta', so every *_grid function takes one schedules.sample, never a
@@ -257,43 +260,84 @@ def coordinate_grid(path, omega, tau=None):
 
 
 def coordinate_block(ab):
-    """The sector blocks S (a.s (x) 1 + 1 (x) b.s) S^dag of coordinates (..., 6)."""
+    """The sector blocks S (a.s (x) 1 + 1 (x) b.s) S^dag of coordinates (..., 6).
+    A row gets the bits it has in any batch of two or more rows; a lone row
+    takes numpy's one-row product, an ulp or so apart.  coordinate_grid and
+    step_products (per run) keep their bits in any batch, one row included."""
     return (ab @ _UNSPLIT).view(complex).reshape(np.shape(ab)[:-1] + (4, 4))
+
+
+def tree_index(lengths):
+    """The (P, runs) int32 gather index of runs of lengths[j] rows for
+    spin_products: entry [p, j] is the row of step rev(p) of run j, rev the
+    log2 P-bit reversal, P the power of two of the longest run, or past its
+    end -1, an exact identity that leaves the run's bits unchanged.  Each
+    tree level multiplies the upper half onto the lower, pairing steps
+    (2j, 2j + 1) as a row-major tree would."""
+    lengths = np.asarray(lengths)
+    order = np.zeros((1, 1), np.int32)
+    while len(order) < lengths.max():
+        order = np.concatenate((2 * order, 2 * order + 1))
+    return np.where(order < lengths, np.cumsum(lengths) - lengths + order, -1).astype(np.int32)
+
+
+def spin_products(ab, dt, index, spins):
+    """(alpha, beta), (runs, spins) each, of U_{k+n-1} ... U_k for each run
+    of rows of the coordinates ab, (N, 6), that tree_index laid out in
+    `index`, spin a first: one SU(2) tree for both spins, each (alpha, beta)
+    rescaled to unit norm; spins=1 takes spin a alone, which serves both
+    when a == b.  Non-finite ab, or a step angle dt |a| that overflows,
+    raise ValueError."""
+    if not np.all(np.isfinite(ab)):
+        raise ValueError("so(4) coordinates are not finite")
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        v = (dt * ab[:, : 3 * spins]).reshape(-1, spins, 3)
+    angle = np.sqrt(np.einsum("nsk,nsk->ns", v, v))
+    if not np.all(np.isfinite(angle)):
+        raise ValueError(f"a step angle dt |a| overflows at dt = {dt:.3g}")
+    w = np.sin(angle)  # sin|v| / |v|, which weighs nothing at v = 0
+    np.divide(w, angle, out=w, where=angle > 0)
+    steps = np.empty((2, len(ab) + 1, spins), complex)  # (alpha, beta), the identity last
+    re, im = steps.real[:, :-1], steps.imag[:, :-1]
+    np.cos(angle, out=re[0])
+    np.multiply(w, v[..., 1], out=re[1])
+    np.multiply(np.negative(w, out=w), v[..., 2], out=im[0])
+    np.multiply(w, v[..., 0], out=im[1])
+    steps[:, -1] = [[1.0], [0.0]]
+    del v, angle, w  # freed before the tree's arrays are taken: fewer fresh pages
+    # the tree axis first and both spins of every run along a row: each half is contiguous
+    alpha, beta = np.take(steps, index, axis=1).reshape(2, len(index), -1)
+    del steps
+    half, scratch = len(index) // 2, np.empty_like(alpha[: len(index) // 2])
+    while half:  # (a1, b1)(a0, b0) = (a1 a0 - b1* b0, b1 a0 + a1* b0), written onto (a0, b0)
+        a0, a1, b0, b1 = alpha[:half], alpha[half : 2 * half], beta[:half], beta[half : 2 * half]
+        b1_a0 = np.multiply(b1, a0, out=scratch[:half])
+        np.multiply(np.conjugate(b1, out=b1), b0, out=b1)
+        np.subtract(np.multiply(a1, a0, out=a0), b1, out=a0)
+        np.add(b1_a0, np.multiply(np.conjugate(a1, out=a1), b0, out=b0), out=b0)
+        half //= 2
+    # a drive whose steps all round alike drifts off |alpha|^2 + |beta|^2 = 1
+    alpha, beta = np.stack((alpha[0], beta[0])) / np.hypot(abs(alpha[0]), abs(beta[0]))
+    return alpha.reshape(-1, spins), beta.reshape(-1, spins)
+
+
+def spin_blocks(alpha, beta):
+    """S (U_a (x) U_b) S^dag, U = [[alpha, -beta*], [beta, alpha*]], of
+    per-spin (alpha, beta), (..., spins) each; a lone spin is both."""
+    u = np.stack((alpha, -np.conj(beta), beta, np.conj(alpha)), -1).reshape(alpha.shape + (2, 2))
+    u = u[..., 0, :, None, :, None] * u[..., -1, None, :, None, :]
+    return SPIN_FRAME @ u.reshape(u.shape[:-4] + (4, 4)) @ SPIN_FRAME.conj().T
 
 
 def step_products(ab, dt, lengths):
     """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
-    the coordinates ab, (N, 6), as (len(lengths), 4, 4): an SU(2) tree per
-    spin, one for both when their coordinates are equal, each run padded to
-    a power of two by exact identities, which leave its tree bitwise
-    unchanged, and its (alpha, beta) rescaled to unit norm.  Non-finite ab,
-    or a step angle dt |a| that overflows, raise ValueError."""
-    if not np.all(np.isfinite(ab)):
-        raise ValueError("so(4) coordinates are not finite")
+    the coordinates ab, (N, 6), as (len(lengths), 4, 4): spin_products of
+    their tree_index, one spin when a == b on every row."""
     ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
     if lengths.sum() != len(ab):
         raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
-    steps = np.arange(1 << int(lengths.max() - 1).bit_length()) < lengths[:, None]
-    # one tree serves both spins when a == b; the first row rejects most b != a
-    same = (ab[:1, :3] == ab[:1, 3:]).all() and np.array_equal(ab[:, :3], ab[:, 3:])
-    with np.errstate(over="ignore"):  # an overflow is refused below, by name
-        halves = (dt * ab[:, :3],) if same else (dt * ab[:, :3], dt * ab[:, 3:])
-    spins = []
-    for v in halves:
-        angle = np.sqrt(np.einsum("ij,ij->i", v, v))  # w = sinc|v| v, then (alpha, beta)
-        if not np.all(np.isfinite(angle)):
-            raise ValueError(f"a step angle dt |a| overflows at dt = {dt:.3g}")
-        v *= np.sinc(angle / np.pi)[:, None]
-        alpha, beta = np.ones(steps.shape, complex), np.zeros(steps.shape, complex)
-        alpha[steps], beta[steps] = np.cos(angle) - 1j * v[:, 2], v[:, 1] - 1j * v[:, 0]
-        while alpha.shape[1] > 1:  # (a1, b1)(a0, b0), the later step on the left
-            a1, a0, b1, b0 = alpha[:, 1::2], alpha[:, ::2], beta[:, 1::2], beta[:, ::2]
-            alpha, beta = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-        # a drive whose steps all round alike drifts off |alpha|^2 + |beta|^2 = 1
-        alpha, beta = np.stack((alpha[:, 0], beta[:, 0])) / np.hypot(abs(alpha), abs(beta))[:, 0]
-        spins.append(np.stack((alpha, -beta.conj(), beta, alpha.conj()), -1).reshape(-1, 2, 2))
-    u = (spins[0][:, :, None, :, None] * spins[-1][:, None, :, None, :]).reshape(-1, 4, 4)
-    return SPIN_FRAME @ u @ SPIN_FRAME.conj().T
+    spins = 1 if np.array_equal(ab[:, :3], ab[:, 3:]) else 2
+    return spin_blocks(*spin_products(ab, dt, tree_index(lengths), spins))
 
 
 def embed_blocks(plus_block, minus_block):

@@ -183,22 +183,49 @@ def test_a_stacked_application_gives_each_row_its_lone_bits(n):
     marks=st.lists(st.floats(0.0, 1.0), max_size=30),
 )
 def test_passes_chain_and_cover_the_cuts(chunk, steps, marks):
-    # the cuts propagate makes: its checkpoints, every multiple of the pass
-    # width, and the end
-    cuts = {int(round(f * steps)) for f in marks} | set(range(0, steps, chunk))
-    cuts = sorted(cuts | {steps})
+    # the cuts a rung makes: its checkpoints and the end, which _passes
+    # keeps, adding only even splits of a segment longer than the pass width
+    cuts = sorted({int(round(f * steps)) for f in marks} | {0, steps})
     with mock.patch.object(evolution, "_CHUNK", chunk):
         passes = evolution._passes(cuts)
     assert passes[0][0] == 0 and passes[-1][-1] == steps
     for before, after in zip(passes, passes[1:]):
         assert before[-1] == after[0]
-    assert passes[0] + [c for p in passes[1:] for c in p[1:]] == cuts
+    made = passes[0] + [c for p in passes[1:] for c in p[1:]]
+    assert made == sorted(set(made)) and set(cuts) <= set(made)
+    for lo, hi in zip(cuts, cuts[1:]):
+        pieces = np.diff([c for c in made if lo <= c <= hi])
+        assert len(pieces) == -(-(hi - lo) // chunk)  # one piece unless longer than chunk
+        assert pieces.max() - pieces.min() <= 1
     for p in passes:
         assert len(p) >= 2
         assert (len(p) - 1) * np.diff(p).max() <= chunk
-        # step_products pads each segment to the power of two it fills
+        # tree_index pads each segment to the power of two it fills
         padded = 1 << int(np.diff(p).max() - 1).bit_length()
         assert (len(p) - 1) * padded < 2 * chunk
+
+
+@pytest.mark.parametrize("steps", [2000 * 2**k for k in range(7)] + [1, 19, 999, 4097, 40001])
+def test_a_rung_is_cut_at_its_checkpoints_alone(steps):
+    # passes of at most _CHUNK steps, cut at the checkpoints and at even
+    # splits of a segment longer than _CHUNK; a 2,000 x 2^k-step rung pads
+    # to 1.28 x its steps, in ten passes at 32,000 steps
+    checkpoints, passes = evolution._rung_plan(steps)
+    cuts = [c for bounds, _ in passes for c in bounds[:-1]] + [steps]
+    for lo, hi in zip(checkpoints, checkpoints[1:]):
+        pieces = np.diff([c for c in cuts if lo <= c <= hi])
+        assert len(pieces) == -(-(hi - lo) // evolution._CHUNK)
+        assert pieces.max() - pieces.min() <= 1
+    padded = 0
+    for bounds, index in passes:
+        assert bounds[-1] - bounds[0] <= evolution._CHUNK
+        assert np.array_equal(index, spectral.tree_index(np.diff(bounds)))
+        padded += index.size
+    assert padded < 2 * steps
+    if steps % 2000 == 0:
+        assert padded <= 1.28 * steps
+    if steps == 32_000:
+        assert len(passes) == 10
 
 
 @settings(max_examples=15, deadline=None)
@@ -842,6 +869,36 @@ def test_a_run_is_one_sector_to_the_power_n(sch, n, mode, tau_omega, gated, seed
     np.testing.assert_allclose([y for _, y in rec.ground_overlap_trace], p**n, rtol=0, atol=1e-12)
 
 
+def _spin_state(g):
+    """The one-spin factors (x, y) of a product block vector S (x (x) y)."""
+    m = (spectral.SPIN_FRAME.conj().T @ g).reshape(2, 2)
+    assert abs(np.linalg.det(m)) <= 1e-15  # rank one: a product
+    x, y = m[:, np.argmax(np.abs(m).max(1))], m[np.argmax(np.abs(m).max(0))]
+    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sch=strategies.paths,
+    mode=st.sampled_from(model.MODES),
+    tau_omega=st.floats(0.1, 20.0),
+    steps=st.sampled_from([64, 250, 4000, 9000]),
+)
+def test_the_sector_fidelity_is_the_product_of_the_spins(sch, mode, tau_omega, steps):
+    # U(1) = S (U_a (x) U_b) S^dag and g0, g1 are product states of the two
+    # spins, so F_1 = f_a f_b with f = |<end spin|U|start spin>|^2, read off
+    # the rung's per-spin (alpha, beta); one spin serves both when a == b
+    family_tau = tau_omega if mode == "superadiabatic" else None
+    _, (alpha, beta) = evolution._spin_transports(sch, 1.0, family_tau, tau_omega, steps)
+    assert alpha.shape == beta.shape == (evolution._TRACE_POINTS, 1 + (family_tau is not None))
+    u = np.array([[alpha[-1], -beta[-1].conj()], [beta[-1], alpha[-1].conj()]])  # (2, 2, spins)
+    (x0, y0), (x1, y1) = _spin_state(G0), _spin_state(G1)
+    f_a = abs(x1.conj() @ u[..., 0] @ x0) ** 2
+    f_b = abs(y1.conj() @ u[..., -1] @ y0) ** 2
+    _, transports = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    assert abs(abs(G1 @ transports[-1] @ G0) ** 2 - f_a * f_b) <= 1e-12
+
+
 @pytest.mark.parametrize("gate", [None, "cnot"])
 def test_a_register_that_is_not_the_sector_to_the_power_n_is_refused(monkeypatch, gate):
     # the register's fidelity is held to the ladder's F_1^n: read against
@@ -1075,15 +1132,15 @@ def test_cached_products_are_read_only(cold_cache):
     marks = np.array(checkpoints) / 64
     assert np.array_equal(projectors, evolution._ground_pair_projector(sch, marks))
     assert not projectors.flags.writeable
-    # the step-count plan: a tuple of checkpoints, passes of tuples and
-    # read-only lengths that chain over the cuts
-    planned, ((cuts, lengths),) = evolution._rung_plan(64)
+    # the step-count plan: a tuple of checkpoints, passes of tuples and the
+    # read-only tree index of the segments between the cuts
+    planned, ((cuts, index),) = evolution._rung_plan(64)
     assert planned is checkpoints
     assert cuts == checkpoints and isinstance(cuts, tuple)
-    assert np.array_equal(lengths, np.diff(cuts))
-    assert not lengths.flags.writeable
+    assert np.array_equal(index, spectral.tree_index(np.diff(cuts)))
+    assert not index.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        lengths[0] = 0
+        index[0] = 0
 
 
 @pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > _CHUNK: several passes

@@ -144,7 +144,7 @@ def test_the_reported_rung_samples_its_checkpoints_once(monkeypatch, mode, gate)
 @pytest.mark.parametrize("mode", MODES)
 def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
     # 4,000 steps in 20 observer segments of 200 make one pass of at most
-    # 4,096 steps, which step_products pads to 20 x 256 = 5,120
+    # 4,096 steps, which tree_index pads to 20 x 256 = 5,120
     generators = count_coordinate_grids(monkeypatch)
     sch, calls = counting_schedule("trigonometric")
     family = sagt.single_sector_family(1.0, sch)

@@ -385,6 +385,22 @@ def test_coordinate_block_is_the_drive_plus_the_velocity_term(sch, tau, omega):
         assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
 
 
+@pytest.mark.parametrize("tau", [None, 0.7])
+def test_which_entry_points_keep_their_bits_in_any_batch(tau):
+    # coordinate_grid gives a node its bits in any batch, one node included;
+    # coordinate_block, so matrix_grid, in any batch of two or more nodes,
+    # while a lone node takes numpy's one-row product, an ulp or so apart
+    sch, s = builtin_schedule("exponential"), np.linspace(0.0, 1.0, 65)
+    ab = spectral.coordinate_grid(sample(sch, s), 1.3, tau)
+    blocks = spectral.coordinate_block(ab)
+    for k in range(len(s) - 1):
+        lone = spectral.coordinate_grid(sample(sch, s[k : k + 1]), 1.3, tau)
+        assert np.array_equal(lone[0], ab[k])
+        assert np.array_equal(spectral.coordinate_block(ab[k : k + 2]), blocks[k : k + 2])
+        lone = spectral.coordinate_block(ab[k])
+        np.testing.assert_allclose(lone, blocks[k], rtol=0, atol=1e-15 * np.abs(lone).max())
+
+
 def _span_blocks(ab):
     """Blocks S (a.s (x) 1 + 1 (x) b.s) S^dag for rows (a, b) of ab."""
     paulis = [PAULI[c] for c in "XYZ"]
