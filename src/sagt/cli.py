@@ -27,6 +27,7 @@ from .evolution import DEFAULT_STEPS, run_gate_teleport, run_state_teleport
 from .model import (
     GATE_NAMES,
     MODES,
+    _unit_and_norm,
     embed_on_outputs,
     gate_width,
     multi_sector_family,
@@ -101,9 +102,9 @@ def _amplitude(token):
 def _input_state(args, n):
     if args.amp is not None:
         psi = np.array([_amplitude(token) for token in args.amp.split(",")])
-        norm = np.linalg.norm(psi)
-        if norm and abs(norm - 1.0) > 1e-6:
-            print(f"note: renormalizing input state (norm was {norm:.6f})", file=sys.stderr)
+        norm = _unit_and_norm(psi)[1]
+        if abs(norm - 1.0) > 1e-6:
+            print(f"note: renormalizing input state (norm was {norm:.6g})", file=sys.stderr)
         return psi  # the run checks its size and norm, and normalizes it
     if args.random_state:
         return random_state(2**n, np.random.default_rng(args.seed))

@@ -9,23 +9,22 @@ more than the target defect.
 
 Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
-propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U =
-S (U_a (x) U_b) S^dag of two spins 1/2 (spectral).  A rung (one step
-count) is cut at ~20 evenly spaced checkpoints s_k alone, a segment longer
-than _CHUNK in even pieces, and its whole segments go in passes of at most
-_CHUNK steps, fewer than 2 _CHUNK once tree_index pads each segment to a
-power of two (a 2,000 x 2^k-step rung holds 1.28 x its steps: 4,000 steps
-are one pass of 20 x 256, 32,000 ten passes).  A pass weighs its steps'
-so(4) coordinates off the schedule terms at its midpoints
-(spectral.weigh_terms of spectral.coordinate_terms) and costs one
-spin_products, one SU(2) tree for both spins and no eigensolver; the
-segment products chain per spin, and U(s_k) is formed once per rung, at
-its checkpoints.  The states at all s_k are one stacked product,
-E(U(s_k))^(x n) psi0 with k the leading axis, and propagate returns its
-last row, observed or not.  A fixed register rotation G telescopes through
-the product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag
-dt)), so rotated families are propagated in the unrotated frame and
-rotated back only at observation points.
+propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U = S
+(U_a (x) U_b) S^dag of two spins 1/2 (spectral).  A rung (one step count)
+is cut at ~20 evenly spaced checkpoints s_k alone, a segment longer than
+_CHUNK (16,384) in even pieces, and its whole segments go in passes of at
+most _CHUNK steps: a 2,000 x 2^k-step rung is one pass up to 16,000 steps
+and two at 32,000, padded by tree_index to 1.28 x its steps.  A pass
+weighs its steps' so(4) coordinates off the schedule terms at its
+midpoints (spectral.weigh_terms of spectral.coordinate_terms) straight
+into one spin_products, one SU(2) tree for both spins that scales and
+frees them; the segment products chain per spin, and U(s_k) is formed once
+per rung, at its checkpoints.  The states at all s_k are one stacked
+product, E(U(s_k))^(x n) psi0 with k the leading axis, and propagate
+returns its last row, observed or not.  A fixed register rotation G
+telescopes through the product of step unitaries (G exp(-iH dt) G^dag =
+exp(-i G H G^dag dt)), so rotated families are propagated in the unrotated
+frame and rotated back only at observation points.
 
 A run is one sector: initial_state and target_state lay each sector out
 on the block ground states g0 = (1, 1, 0, 0)/sqrt 2 and g1 = (1, 0, 0,
@@ -79,7 +78,7 @@ NORM_ATOL = 1e-10
 DEFAULT_STEPS = 2000
 DEFAULT_TARGET_DEFECT = 1e-8
 MAX_STEPS = 2**20
-_CHUNK = 4096
+_CHUNK = 16384
 _TRACE_POINTS = 21
 _TRANSPORT_CACHE_SIZE = 64
 _SAMPLE_CACHE_SIZE = 32
@@ -110,9 +109,9 @@ def _apply_sectorwise(u, psi, n):
 def _passes(cuts):
     """The sorted cuts, each segment longer than _CHUNK split into even
     pieces, in passes of _CHUNK // (longest segment) segments, each pass
-    starting at the last cut of the one before: a pass holds at most
-    _CHUNK steps, and fewer than 2 _CHUNK once tree_index pads each of its
-    segments to a power of two."""
+    starting at the last cut of the one before: at most _CHUNK steps, and
+    fewer than 2 _CHUNK tree entries once tree_index pads each segment to
+    a power of two, so the ~20 segments of up to 16,000 steps are one pass."""
     segments = zip(cuts, cuts[1:], (-(-np.diff(cuts) // _CHUNK)).tolist())
     cuts = [lo + (hi - lo) * j // k for lo, hi, k in segments for j in range(k)] + [cuts[-1]]
     width = _CHUNK // np.diff(cuts).max()
@@ -125,7 +124,7 @@ def _rung_plan(steps):
     steps it is observed at, a tuple, and its _passes of those, as (cuts,
     read-only spectral.tree_index of the segment lengths) each.  The index
     holds fewer than 2 x steps int32 entries (1.28 x steps at 2,000 x 2^k):
-    164 KB at 32,000 steps, 4.3 MB at 1,024,000."""
+    82 KB at 16,000 steps, 164 KB at 32,000, 5.2 MB at 1,024,000."""
     checkpoints = tuple(sorted({round(f * steps) for f in np.linspace(0.0, 1.0, _TRACE_POINTS)}))
     passes = tuple((tuple(c), spectral.tree_index(np.diff(c))) for c in _passes(checkpoints))
     for _, index in passes:
@@ -138,7 +137,7 @@ def _pass_terms(schedule, dressed, steps, start, stop):
     """Read-only spectral.coordinate_terms at the midpoints of steps
     start..stop-1 of a `steps`-step rung, free of omega and tau.  A pass
     has at most _CHUNK rows of 40 B (16 B on the bare drive), so the cache
-    holds at most 32 x 4,096 x 40 B, about 5.2 MB."""
+    holds at most 32 x 16,384 x 40 B, about 21 MB."""
     s_mid = (np.arange(start, stop) + 0.5) / steps
     terms = spectral.coordinate_terms(sample(schedule, in_domain(s_mid)), dressed)
     for term in terms:
@@ -152,13 +151,12 @@ def _spin_transports(schedule, omega, family_tau, tau, steps):
     the per-spin U_a(s_k), U_b(s_k), (checkpoints, spins) each, one spin on
     the bare drive, where a == b, each segment chained onto the one before."""
     checkpoints, passes = _rung_plan(steps)
-    spins = 1 if family_tau is None else 2
+    spins, dt, weights = 1 if family_tau is None else 2, tau / steps, (omega, family_tau)
     chain = {0: [(1.0, 0.0)] * spins}
     for cuts, index in passes:
         terms = _pass_terms(schedule, spins == 2, steps, cuts[0], cuts[-1])
-        ab = spectral.weigh_terms(terms, omega, family_tau)
-        alphas, betas = (x.tolist() for x in spectral.spin_products(ab, tau / steps, index, spins))
-        for start, stop, alpha, beta in zip(cuts, cuts[1:], alphas, betas):
+        pair = spectral.spin_products(spectral.weigh_terms(terms, *weights), dt, index, spins)
+        for start, stop, alpha, beta in zip(cuts, cuts[1:], *(x.tolist() for x in pair)):
             chain[stop] = [
                 (a1 * a0 - b1.conjugate() * b0, b1 * a0 + a1.conjugate() * b0)
                 for a1, b1, (a0, b0) in zip(alpha, beta, chain[start])

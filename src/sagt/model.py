@@ -214,17 +214,30 @@ def bell_state():
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _unit_and_norm(psi):
+    """(psi / |psi|, |psi|) of a 1-D complex array, off psi scaled exactly by
+    a power of two where a square could over- or underflow (|psi| is inf past
+    the largest float); ValueError if psi is not finite or is zero."""
+    largest = np.abs(psi.view(float)).max(initial=0.0)
+    if not largest < np.inf:  # NaN fails too
+        raise ValueError("psi_in has non-finite amplitudes")
+    if 2.0**-500 < largest < 2.0**500:  # no square over- or underflows
+        norm = np.linalg.norm(psi)
+        return psi / norm, norm
+    if largest == 0.0:
+        raise ValueError("psi_in has zero norm")
+    exponent = np.frexp(largest)[1]
+    psi = np.ldexp(psi.view(float), -exponent).view(complex)
+    norm = np.linalg.norm(psi)
+    with np.errstate(over="ignore"):
+        return psi / norm, np.ldexp(norm, exponent)
+
+
 def _protocol_input(psi_in, n):
     """(psi_in normalized, n as an int), checked to be an n-qubit state of
     n sectors."""
     n = require_sectors(n)
-    psi = np.asarray(psi_in, dtype=complex).ravel()
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("psi_in has non-finite amplitudes")
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("psi_in has zero norm")
-    psi = psi / norm
+    psi = _unit_and_norm(np.asarray(psi_in, dtype=complex).ravel())[0]
     if psi.size != 2**n:
         raise ValueError(f"psi_in has dim {psi.size}, expected {2 ** n}")
     return psi, n

@@ -286,35 +286,43 @@ def spin_products(ab, dt, index, spins):
     of rows of the coordinates ab, (N, 6), that tree_index laid out in
     `index`, spin a first: one SU(2) tree for both spins, each (alpha, beta)
     rescaled to unit norm; spins=1 takes spin a alone, which serves both
-    when a == b.  Non-finite ab, or a step angle dt |a| that overflows,
-    raise ValueError."""
-    if not np.all(np.isfinite(ab)):
-        raise ValueError("so(4) coordinates are not finite")
-    with np.errstate(over="ignore"):  # an overflow is refused below, by name
-        v = (dt * ab[:, : 3 * spins]).reshape(-1, spins, 3)
+    when a == b.  ab is scaled by dt in place and freed before the tree is
+    taken.  Non-finite ab, or a step angle dt |a| that overflows, raise
+    ValueError."""
+    overflow = f"a step angle dt |a| overflows at dt = {dt:.3g}"
+    try:
+        with np.errstate(over="raise"):  # a finite |a| whose dt |a| overflows
+            np.multiply(ab, dt, out=ab)  # all six columns: contiguous, so far faster than three
+    except FloatingPointError:
+        raise ValueError(overflow) from None
+    v = ab[:, : 3 * spins].reshape(len(ab), spins, 3)  # dt a (and dt b)
     angle = np.sqrt(np.einsum("nsk,nsk->ns", v, v))
-    if not np.all(np.isfinite(angle)):
-        raise ValueError(f"a step angle dt |a| overflows at dt = {dt:.3g}")
+    if not np.all(np.isfinite(angle)):  # NaN fails too; ab is read on this path alone
+        raise ValueError(overflow if np.all(np.isfinite(v)) else "so(4) coordinates are not finite")
     w = np.sin(angle)  # sin|v| / |v|, which weighs nothing at v = 0
     np.divide(w, angle, out=w, where=angle > 0)
-    steps = np.empty((2, len(ab) + 1, spins), complex)  # (alpha, beta), the identity last
+    # the steps, the tree and its scratch in one block: glibc returns freed memory to the
+    # system once it passes twice the largest block, and the next pass faults it in again
+    size, cols, rows = len(index), index.shape[1] * spins, 2 * (len(v) + 1) * spins
+    work = np.empty(rows + 2 * size * cols + 2 * (size // 2) * cols, complex)
+    steps = work[:rows].reshape(2, len(v) + 1, spins)  # (alpha, beta), the identity last
     re, im = steps.real[:, :-1], steps.imag[:, :-1]
     np.cos(angle, out=re[0])
     np.multiply(w, v[..., 1], out=re[1])
     np.multiply(np.negative(w, out=w), v[..., 2], out=im[0])
     np.multiply(w, v[..., 0], out=im[1])
     steps[:, -1] = [[1.0], [0.0]]
-    del v, angle, w  # freed before the tree's arrays are taken: fewer fresh pages
+    del ab, v, angle, w  # freed before the tree is taken
     # the tree axis first and both spins of every run along a row: each half is contiguous
-    alpha, beta = np.take(steps, index, axis=1).reshape(2, len(index), -1)
-    del steps
-    half, scratch = len(index) // 2, np.empty_like(alpha[: len(index) // 2])
+    alpha, beta = tree = work[rows : rows + 2 * size * cols].reshape(2, size, cols)
+    np.take(steps, index, axis=1, out=tree.reshape(2, size, -1, spins), mode="wrap")  # unbuffered
+    half, scratch = size // 2, work[rows + 2 * size * cols :].reshape(2, size // 2, cols)
     while half:  # (a1, b1)(a0, b0) = (a1 a0 - b1* b0, b1 a0 + a1* b0), written onto (a0, b0)
         a0, a1, b0, b1 = alpha[:half], alpha[half : 2 * half], beta[:half], beta[half : 2 * half]
-        b1_a0 = np.multiply(b1, a0, out=scratch[:half])
-        np.multiply(np.conjugate(b1, out=b1), b0, out=b1)
-        np.subtract(np.multiply(a1, a0, out=a0), b1, out=a0)
-        np.add(b1_a0, np.multiply(np.conjugate(a1, out=a1), b0, out=b0), out=b0)
+        b1_a0 = np.multiply(b1, a0, out=scratch[0, :half])  # no product is written onto its
+        b1_b0 = np.multiply(np.conjugate(b1, out=b1), b0, out=scratch[1, :half])  # own operand,
+        np.subtract(np.multiply(a1, a0, out=b1), b1_b0, out=a0)  # which numpy rounds apart for
+        np.add(b1_a0, np.multiply(np.conjugate(a1, out=a1), b0, out=b1), out=b0)  # one entry
         half //= 2
     # a drive whose steps all round alike drifts off |alpha|^2 + |beta|^2 = 1
     alpha, beta = np.stack((alpha[0], beta[0])) / np.hypot(abs(alpha[0]), abs(beta[0]))
@@ -333,7 +341,7 @@ def step_products(ab, dt, lengths):
     """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
     the coordinates ab, (N, 6), as (len(lengths), 4, 4): spin_products of
     their tree_index, one spin when a == b on every row."""
-    ab, lengths = np.reshape(ab, (-1, 6)), np.asarray(lengths)
+    ab, lengths = np.array(ab, float).reshape(-1, 6), np.asarray(lengths)  # a copy to scale
     if lengths.sum() != len(ab):
         raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
     spins = 1 if np.array_equal(ab[:, :3], ab[:, 3:]) else 2

@@ -160,6 +160,19 @@ def test_amp_renormalization_warns(capsys):
     assert json.loads(out)["fidelity"] >= 1.0 - 1e-6
 
 
+@pytest.mark.parametrize(
+    "amp, norm", [("1e308,1e308", "1.41421e+308"), ("3e-200,4e-200", "5e-200")]
+)
+def test_amp_renormalization_reads_a_norm_past_the_float_range(capsys, amp, norm):
+    # the note read "norm was inf" and "norm was 0.000000"; both runs succeed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "state-teleport", "--tau", "0.5", "--amp", amp)
+    assert code == 0
+    assert f"renormalizing input state (norm was {norm})" in err
+    assert json.loads(out)["fidelity"] >= 1.0 - 1e-6
+
+
 def test_record_file_output_is_atomic(tmp_path, capsys):
     out_file = tmp_path / "run.json"
     code, out, err = run_cli(
@@ -415,7 +428,7 @@ _BAD_AMP_TOKENS = {"abc": "abc", "1:2:3": "1:2:3", "1,": ""}
 )
 def test_bad_amp_inputs_exit_one(capsys, command, amp):
     # a wrong amplitude count, a zero-norm and a non-finite state are refused
-    # by the run, and a token that is not a number by the CLI, which names it
+    # by the input rule, and a token that is not a number by the CLI, which names it
     code, out, err = run_cli(capsys, *command, "--tau", "1.0", "--steps", "4", "--amp", amp)
     assert code == 1
     assert out == ""

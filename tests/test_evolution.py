@@ -137,11 +137,14 @@ def test_segment_products_match_per_step_exponentials(
             h = fam.sector_matrix((k + 0.5) / steps)
             u = expm(-1j * (tau / steps) * h) @ u
     seen = []
-    # a small pass width splits the run into many passes and segments
+    # a small pass width splits the run into many passes and segments; the
+    # plan is cached by step count alone, so it is planned afresh either side
     with mock.patch.object(evolution, "_CHUNK", chunk):
+        empty_caches()
         final = evolution.propagate(
             fam, psi0, steps, tau=tau, observer=lambda s, psi: seen.append((s, psi))
         )
+    empty_caches()
     np.testing.assert_allclose(final, expected[steps], atol=1e-12)
     assert [s for s, _ in seen] == [k / steps for k in checkpoints]
     for (_, psi), k in zip(seen, checkpoints):
@@ -205,11 +208,13 @@ def test_passes_chain_and_cover_the_cuts(chunk, steps, marks):
         assert (len(p) - 1) * padded < 2 * chunk
 
 
-@pytest.mark.parametrize("steps", [2000 * 2**k for k in range(7)] + [1, 19, 999, 4097, 40001])
+@pytest.mark.parametrize(
+    "steps", [2000 * 2**k for k in range(7)] + [1, 19, 999, 4097, 16385, 40001, 400001]
+)
 def test_a_rung_is_cut_at_its_checkpoints_alone(steps):
     # passes of at most _CHUNK steps, cut at the checkpoints and at even
     # splits of a segment longer than _CHUNK; a 2,000 x 2^k-step rung pads
-    # to 1.28 x its steps, in ten passes at 32,000 steps
+    # to 1.28 x its steps, in one pass up to 16,000 steps and two at 32,000
     checkpoints, passes = evolution._rung_plan(steps)
     cuts = [c for bounds, _ in passes for c in bounds[:-1]] + [steps]
     for lo, hi in zip(checkpoints, checkpoints[1:]):
@@ -224,8 +229,34 @@ def test_a_rung_is_cut_at_its_checkpoints_alone(steps):
     assert padded < 2 * steps
     if steps % 2000 == 0:
         assert padded <= 1.28 * steps
+    if steps % 2000 == 0 and steps <= 16_000:
+        assert len(passes) == 1
     if steps == 32_000:
-        assert len(passes) == 10
+        assert len(passes) == 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    sch=strategies.paths,
+    dressed=st.booleans(),
+    tau=st.floats(0.1, 20.0),
+    steps=st.integers(1, 3 * 4096),
+)
+def test_the_pass_width_changes_no_bit_of_a_transport(sch, dressed, tau, steps):
+    # a run's product keeps its bits in any pass, so any width that holds
+    # every segment whole gives the same U(s_k); a width that splits them
+    # (7) chains the pieces instead, which moves U by roundoff alone
+    transports, family_tau = {}, tau if dressed else None
+    for chunk in (7, 4096, 16384):
+        with mock.patch.object(evolution, "_CHUNK", chunk):
+            empty_caches()  # the plan is cached by step count alone
+            transports[chunk] = evolution._transports(sch, 1.0, family_tau, tau, steps)
+    empty_caches()
+    assert transports[7][0] == transports[4096][0] == transports[16384][0]
+    assert np.array_equal(transports[4096][1], transports[16384][1])
+    if max(np.diff(transports[7][0])) <= 7:
+        assert np.array_equal(transports[7][1], transports[16384][1])
+    np.testing.assert_allclose(transports[7][1], transports[16384][1], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -457,6 +488,32 @@ def test_adiabatic_reference_with_rotation():
     end = sagt.adiabatic_reference(fam, 1.0, psi_in=psi_in, tau=1.0)
     target = sagt.target_state(psi_in, 1, rotation=gate)
     assert evolution.fidelity(end, target) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "amplitudes, direction",
+    [
+        ([1e308, 1e308], [1.0, 1.0]),
+        ([3e-200, 4e-200], [3.0, 4.0]),
+        ([3.0 * 2.0**1020, 4.0 * 2.0**1020], [3.0, 4.0]),
+        ([3.0 * 2.0**-1070, 4.0 * 2.0**-1070], [3.0, 4.0]),
+    ],
+    ids=["overflow", "underflow", "overflow-2^k", "subnormal-2^k"],
+)
+def test_an_input_whose_norm_leaves_the_float_range_runs_as_its_direction(
+    amplitudes, direction
+):
+    # |psi|^2 overflowed (a warning, then "lost normalization") or underflowed
+    # ("zero norm"); scaled by its largest part first, it is its direction
+    sch = builtin_schedule("linear")
+    record = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", amplitudes)
+    assert _bits(record) == _bits(sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", direction))
+    assert np.array_equal(sagt.initial_state(amplitudes, 1), sagt.initial_state(direction, 1))
+    with pytest.raises(ValueError, match="psi_in has zero norm"):
+        sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.0, 0.0])
+    with pytest.raises(ValueError, match="psi_in has non-finite amplitudes"):
+        sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [np.nan, 1.0])
 
 
 def test_adiabatic_reference_validation():
@@ -1143,7 +1200,7 @@ def test_cached_products_are_read_only(cold_cache):
         index[0] = 0
 
 
-@pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > _CHUNK: several passes
+@pytest.mark.parametrize("steps", [64, 4000, 9000])  # 9,000 > 2 x 4,096: three passes
 @pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
 @pytest.mark.parametrize("mode", model.MODES)
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1160,6 +1217,8 @@ def test_an_observer_changes_no_bit_of_the_final_state(
         fam = sagt.superadiabatic_family(fam, 1.0)
     psi0 = sagt.initial_state(sagt.random_state(2**n, rng), n)
     generators = count_coordinate_grids(monkeypatch)
+    monkeypatch.setattr(evolution, "_CHUNK", 4096)  # the cold plan takes this pass width
+    assert len(evolution._rung_plan(steps)[1]) == 1 + 2 * (steps > 4096)
     observed = evolution.propagate(fam, psi0, steps, tau=1.0, observer=lambda s, psi: None)
     formed = len(generators)
     assert formed > 0

@@ -349,6 +349,35 @@ def test_identity_padding_leaves_each_run_bitwise_unchanged():
         assert np.array_equal(u, spectral.step_products(ab[lo:hi], 0.3, [hi - lo])[0])
 
 
+def test_a_lone_run_on_one_spin_keeps_its_batch_bits():
+    # a == b takes one tree, where a lone run's last level is one complex
+    # entry, which numpy multiplies in place with other bits than a batch
+    lengths = list(range(1, 40))
+    a = np.random.default_rng(12).normal(size=(sum(lengths), 3))
+    ab = np.hstack((a, a))
+    bounds = np.cumsum([0] + lengths)
+    together = spectral.step_products(ab, 0.3, lengths)
+    for u, lo, hi in zip(together, bounds[:-1], bounds[1:]):
+        assert np.array_equal(u, spectral.step_products(ab[lo:hi], 0.3, [hi - lo])[0])
+
+
+def test_step_products_keeps_the_caller_coordinates():
+    # the kernel scales its coordinates in place: step_products hands it a copy
+    ab = np.random.default_rng(13).normal(size=(9, 6))
+    kept = ab.copy()
+    spectral.step_products(ab, 0.3, [4, 5])
+    assert np.array_equal(ab, kept)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_step_products_names_an_infinite_coordinate(bad):
+    # an infinite coordinate is not finite, and not an overflow of dt |a|
+    ab = np.ones((5, 6))
+    ab[1, 4] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        spectral.step_products(ab, 0.1, [2, 3])
+
+
 def test_step_products_rejects_non_finite_coordinates():
     ab = np.ones((5, 6))
     ab[3, 2] = np.nan

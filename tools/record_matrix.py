@@ -14,8 +14,8 @@ transport cache (389 of 448 reads, from 59 distinct rungs: 340 by the
 ladders, one per rung for its sector fidelity, with no propagate call,
 and each run's reported rung read once more for its register states,
 always a hit).  Neither tau nor omega enters a pass's schedule terms or
-a rung's checkpoint projectors, so the 59 transport misses sample 46 of
-their 86 passes, and the 108 reported rungs sample their projectors 12
+a rung's checkpoint projectors, so the 59 transport misses sample 26 of
+their 60 passes, and the 108 reported rungs sample their projectors 12
 times; the 7 step counts plan their checkpoints and passes once each.
 The hits and misses of each of evolution's four caches go to stderr,
 after the records.  Imports sagt from the src/ directory next to this
