@@ -27,11 +27,11 @@ times the single-sector cost.
 All quadratures are composite Simpson on nested grids, each doubling
 evaluating only the new midpoints, until the relative change drops below
 QUAD_RTOL.  The direct route takes one sector_matrix_grid per Simpson
-level and pads those 8x8 terms into the dense register matrix in batches
-of at most NORM_CHUNK entries.  The closed form takes one
-schedules.sample per Simpson level; a sweep integrates all
-its tau*omega (the bare drive as tau*omega = inf) as columns of one
-integrand, each frozen at the level where it settles.
+level and pads those 8x8 terms, at most NORM_CHUNK dense entries at a
+time, into one buffer per quadrature.  The closed form takes one
+schedules.sample per Simpson level; a sweep integrates each distinct
+tau*omega of all its modes (the bare drive as tau*omega = inf) once, as a
+column of one integrand, frozen at the level where it settles.
 """
 
 from dataclasses import dataclass
@@ -96,15 +96,33 @@ def _converge(integrand, quad_points):
 def cost_numeric(family, quad_points=64):
     """Direct route: Simpson quadrature of ||H(s)||_F for any family, off
     the dense register matrix at every node: one sector sample per level,
-    padded NORM_CHUNK entries at a time."""
+    padded NORM_CHUNK dense entries at a time into one buffer.  A level
+    whose largest sector entry is outside (2^-500, 2^500), where a square
+    could over- or underflow, is padded again scaled by an exact power of
+    two."""
     per_call = max(1, NORM_CHUNK // family.dim**2)
+    buffer = family._pad_buffer(per_call)
 
-    def norms(s):
-        terms, out = family.sector_matrix_grid(s), np.empty(len(s))
-        for i in range(0, len(s), per_call):
-            h = family._pad(terms[i : i + per_call])
+    def padded_norms(terms):
+        out = np.empty(len(terms))
+        for i in range(0, len(terms), per_call):
+            h = family._pad(terms[i : i + per_call], out=buffer)
             h = h.reshape(len(h), -1).view(float)
             out[i : i + per_call] = np.sqrt(np.einsum("ij,ij->i", h, h))
+        return out
+
+    def norms(s):
+        terms = family.sector_matrix_grid(s)
+        out = padded_norms(terms)
+        # a norm is at least its node's largest sector entry and at most
+        # n 8^((n+1)/2) <= 192 times it: no entry of a level whose norms
+        # stay in (2^-492, 2^500) is outside (2^-500, 2^500)
+        if not 2.0**-492 < out.max() < 2.0**500:
+            flat = terms.view(float)
+            largest = max(flat.max(), -flat.min())
+            if not 2.0**-500 < largest < 2.0**500:
+                exponent = np.frexp(largest)[1]
+                out = np.ldexp(padded_norms(np.ldexp(flat, -exponent).view(complex)), exponent)
         return out
 
     return float(_converge(norms, quad_points)[0])
@@ -134,7 +152,8 @@ def _unit_costs(schedule, tau_omegas, quad_points=64):
     """The closed-form costs in units of hbar*omega at each tau*omega, as
     _converge arrays (values, intervals, defects); tau*omega = inf is the
     bare drive.  One sample per Simpson level serves every tau*omega."""
-    tau2 = np.square(np.asarray(tau_omegas, dtype=float))
+    with np.errstate(over="ignore"):  # (tau omega)^2 = inf is the bare drive
+        tau2 = np.square(np.asarray(tau_omegas, dtype=float))
 
     def integrand(s):
         energy, velocity = _weights(schedule, s)
@@ -149,13 +168,21 @@ def cost_closed_form(schedule, tau, omega=1.0, quad_points=64):
     require_positive("omega", omega)
     if tau * omega < MIN_DURATION:  # one that overflows to inf is the bare drive
         require_duration("tau*omega", tau * omega)
-    return omega * float(_unit_costs(schedule, [tau * omega], quad_points)[0][0])
+    return _in_units_of(omega, _unit_costs(schedule, [tau * omega], quad_points)[0][0])
 
 
 def adiabatic_cost(schedule, omega=1.0, quad_points=64):
     """Cost of the bare drive, 4 omega Int chi ds; independent of tau."""
     require_positive("omega", omega)
-    return omega * float(_unit_costs(schedule, [np.inf], quad_points)[0][0])
+    return _in_units_of(omega, _unit_costs(schedule, [np.inf], quad_points)[0][0])
+
+
+def _in_units_of(omega, unit_cost):
+    """omega times a cost in units of hbar*omega; ValueError if it overflows."""
+    cost = float(omega) * float(unit_cost)
+    if not cost < np.inf:
+        raise ValueError(f"omega must keep the cost finite, got {omega}")
+    return cost
 
 
 def cost_scaling(n):
@@ -189,10 +216,11 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=MODES):
 
     The weights 16 chi^2 and 2 ||K||_F^2 are schedule properties: one sample
     per schedule and quadrature level feeds both, for every mode and grid
-    point at once.  Costs come out in units of hbar*omega, in which
-    they depend on tau and omega only through the product tau*omega.  Each
-    report carries the interval count and defect of its hardest grid point
-    (the last one with the most intervals).
+    point at once, each distinct tau*omega integrated once.  Costs come out
+    in units of hbar*omega, in which they depend on tau and omega only
+    through the product tau*omega.  Each report carries the interval count
+    and defect of its hardest grid point (the last one with the most
+    intervals).
     """
     if tau_omega_grid is None:
         tau_omega_grid = DEFAULT_TAU_GRID
@@ -205,9 +233,10 @@ def cost_sweep(schedules, tau_omega_grid=None, modes=MODES):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     rows = [t if mode == "superadiabatic" else np.inf for mode in modes for t in taus]
+    distinct, row_of = np.unique(rows, return_inverse=True)
     reports = []
     for schedule in schedules:
-        values, used, defects = _unit_costs(schedule, rows)
+        values, used, defects = (part[row_of] for part in _unit_costs(schedule, distinct))
         for k, mode in enumerate(modes):
             part = slice(k * len(taus), (k + 1) * len(taus))
             worst = k * len(taus) + np.flatnonzero(used[part] == used[part].max())[-1]

@@ -102,13 +102,32 @@ class HamiltonianFamily:
     def matrix_grid(self, s_values):
         return self._pad(self.sector_matrix_grid(s_values))
 
-    def _pad(self, h):
-        count, n = len(h), self.sectors
-        full = np.zeros((count, self.dim, self.dim), dtype=complex)
-        for k in range(n):  # add 1 (x) h (x) 1 through a diagonal view of full
-            left, right = 8**k, 8 ** (n - 1 - k)
-            pads = full.reshape(count, left, 8, right, left, 8, right)
-            np.einsum("blirljr->blrij", pads)[...] += h[:, None, None]
+    def _pad_buffer(self, count):
+        """A zero (count, dim, dim) batch, each sector's diagonal view of the
+        cells its 1 (x) h (x) 1 fills, and the main diagonal, where they meet."""
+        full, n = np.zeros((count, self.dim, self.dim), dtype=complex), self.sectors
+        pads = [full.reshape((count,) + (8**k, 8, 8 ** (n - 1 - k)) * 2) for k in range(n)]
+        views = [np.einsum("blirljr->blrij", sector) for sector in pads]
+        return full, views, full.reshape(count, -1)[:, :: self.dim + 1]
+
+    def _pad(self, h, out=None):
+        """The register matrices of the sector terms h in the first len(h)
+        entries of out, a _pad_buffer, or of a fresh one (unrotated, a view of
+        out).  Each cell holds its terms added into zero in sector order:
+        0 + h (+0.0 for -0.0) across each view, and their sum on the diagonal."""
+        count = len(h)
+        full, views, diagonal = self._pad_buffer(count) if out is None else out
+        if len(views) == 1:  # one sector's view is the whole batch
+            np.add(h[:, None, None], 0.0, out=views[0][:count])
+        else:
+            h = h + 0.0
+            for view in views:
+                view[:count] = h[:, None, None]
+            sums = terms = np.diagonal(h, axis1=1, axis2=2)
+            for _ in views[1:]:
+                sums = (sums[:, :, None] + terms[:, None, :]).reshape(count, -1)
+            diagonal[:count] = sums
+        full = full[:count]
         if self.rotation is not None:
             full = self.rotation @ full @ self.rotation.conj().T
         return full

@@ -278,18 +278,26 @@ def test_direct_route_evaluates_each_simpson_node_once(monkeypatch, route):
         base = sagt.rotate_family(base, sagt.embed_on_outputs(gate, 1))
     family = sagt.superadiabatic_family(base, 0.4)
     want = cost.cost_closed_form(sch, 0.4) * cost.cost_scaling(family.sectors)
-    samples, chunks, levels = [], [], []
-    sector_grid, pad, simpson = (
-        HamiltonianFamily.sector_matrix_grid, HamiltonianFamily._pad, cost._simpson
+    samples, chunks, levels, buffers = [], [], [], []
+    sector_grid, pad, pad_buffer, simpson = (
+        HamiltonianFamily.sector_matrix_grid,
+        HamiltonianFamily._pad,
+        HamiltonianFamily._pad_buffer,
+        cost._simpson,
     )
 
     def counted_sector_grid(self, s_values):
         samples.append(np.array(s_values))
         return sector_grid(self, s_values)
 
-    def counted_pad(self, h):
+    def counted_pad(self, h, out=None):
         chunks.append(len(h))
-        return pad(self, h)
+        assert any(out is buffer for buffer in buffers)
+        return pad(self, h, out)
+
+    def counted_pad_buffer(self, count):
+        buffers.append(pad_buffer(self, count))
+        return buffers[-1]
 
     def counted_simpson(values, width):
         levels.append(len(values))
@@ -297,6 +305,7 @@ def test_direct_route_evaluates_each_simpson_node_once(monkeypatch, route):
 
     monkeypatch.setattr(HamiltonianFamily, "sector_matrix_grid", counted_sector_grid)
     monkeypatch.setattr(HamiltonianFamily, "_pad", counted_pad)
+    monkeypatch.setattr(HamiltonianFamily, "_pad_buffer", counted_pad_buffer)
     monkeypatch.setattr(cost, "_simpson", counted_simpson)
     assert cost.cost_numeric(family) == pytest.approx(want, rel=1e-10)
     # one sector sample per Simpson level, padded in chunks
@@ -309,6 +318,8 @@ def test_direct_route_evaluates_each_simpson_node_once(monkeypatch, route):
     per_call = cost.NORM_CHUNK // family.dim**2
     assert sum(chunks) == len(nodes)
     assert all(chunk <= per_call for chunk in chunks)
+    # every chunk is padded into the one buffer of per_call entries
+    assert len(buffers) == 1 and len(buffers[0][0]) == per_call
 
 
 @pytest.mark.parametrize("quad_points", [64.7, 0, -5, np.inf, np.nan])
@@ -374,3 +385,73 @@ def test_a_tau_omega_whose_square_underflows_is_refused_by_name():
     assert least * cost.cost_closed_form(sch, least) == pytest.approx(ENERGY_TIME_LIMIT, rel=1e-6)
     # a tau*omega that overflows to inf is still the bare drive's cost
     assert cost.cost_closed_form(sch, 1e300, 1e10) == 1e10 * cost.adiabatic_cost(sch)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1e-165, 1e160])
+@pytest.mark.parametrize("tau_omega", [None, 1e90], ids=["bare", "dressed"])
+def test_direct_route_norms_past_the_float_range_scale_with_omega(omega, tau_omega):
+    # the squares of the dense entries underflowed to a cost of 0.0 at
+    # omega = 1e-165 and overflowed to a quadrature that did not settle at
+    # omega = 1e160; tau*omega = 1e90 keeps tau a duration at both omega
+    sch = builtin_schedule("linear")
+
+    def costs(omega):
+        one = sagt.single_sector_family(omega, sch)
+        two = sagt.multi_sector_family(2, omega, sch)
+        if tau_omega is None:
+            return cost.cost_numeric(one), cost.cost_numeric(two)
+        tau = tau_omega / omega
+        return (
+            cost.cost_numeric(sagt.superadiabatic_family(one, tau)),
+            cost.cost_multi(2, sch, tau, omega),
+        )
+
+    for far, near in zip(costs(omega), costs(1.0)):
+        assert far == pytest.approx(omega * near, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_tau_omega_whose_square_overflows_is_the_bare_drive_without_a_warning():
+    sch = builtin_schedule("linear")
+    assert cost.cost_closed_form(sch, 1e155) == cost.adiabatic_cost(sch)
+    [flat, dressed] = cost.cost_sweep([sch], [1.0, 1e200])
+    assert dressed.grid[1][1] == flat.grid[1][1] == cost.adiabatic_cost(sch)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_omega_whose_cost_overflows_is_refused_by_name():
+    # both returned inf without a word
+    sch = builtin_schedule("linear")
+    with pytest.raises(ValueError, match="omega must keep the cost finite, got 1e"):
+        cost.cost_closed_form(sch, 1.0, 1e308)
+    with pytest.raises(ValueError, match="omega must keep the cost finite, got 1e"):
+        cost.adiabatic_cost(sch, 1e308)
+    assert cost.adiabatic_cost(sch, 1e300) == 1e300 * cost.adiabatic_cost(sch)
+
+
+# Interval counts of cost_sweep on REPEATED_GRID, per schedule: (adiabatic,
+# superadiabatic), as each lone tau*omega takes them.
+REPEATED_GRID = [0.3, 2.0, 0.3, 1e3, 2.0]
+REPEATED_QUADRATURE_POINTS = {
+    "linear": (128, 128),
+    "trigonometric": (128, 128),
+    "exponential": (128, 256),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_sweep_keeps_the_bits_of_each_lone_cost_on_a_grid_with_repeats(kind):
+    # a sweep integrates each distinct tau*omega once, the bare drive's
+    # included, and maps the values back onto its grid in order
+    sch = builtin_schedule(kind)
+    flat, dressed = cost.cost_sweep([sch], REPEATED_GRID)
+    assert [t for t, _ in flat.grid] == [t for t, _ in dressed.grid] == REPEATED_GRID
+    assert [c for _, c in flat.grid] == [cost.adiabatic_cost(sch)] * len(REPEATED_GRID)
+    assert [c for _, c in dressed.grid] == [cost.cost_closed_form(sch, t) for t in REPEATED_GRID]
+    points = REPEATED_QUADRATURE_POINTS[kind]
+    assert (flat.quadrature_points, dressed.quadrature_points) == points
+    for report, taus in ((flat, [np.inf]), (dressed, REPEATED_GRID)):
+        values, used, defects = cost._unit_costs(sch, taus)
+        worst = np.flatnonzero(used == used.max())[-1]
+        assert report.quadrature_defect == defects[worst]

@@ -67,6 +67,37 @@ def test_padding_a_slice_of_the_sector_terms_is_matrix_grid_on_that_slice(n, rot
     np.testing.assert_allclose(fam._pad(terms[:1]), lone, rtol=0, atol=1e-15 * np.abs(lone).max())
 
 
+def _sum_into_zeros(fam, h):
+    # the register matrices as the sum of 1 (x) h (x) 1 added into a zero batch
+    # through diagonal views, sector by sector, then rotated
+    n, full = fam.sectors, np.zeros((len(h), fam.dim, fam.dim), dtype=complex)
+    for k in range(n):
+        pads = full.reshape((len(h),) + (8**k, 8, 8 ** (n - 1 - k)) * 2)
+        np.einsum("blirljr->blrij", pads)[...] += h[:, None, None]
+    if fam.rotation is not None:
+        full = fam.rotation @ full @ fam.rotation.conj().T
+    return full
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_padding_chunks_into_one_buffer_keeps_the_bits_of_the_sum_into_zeros(n, rotated):
+    # the direct cost route pads every chunk of a level into one buffer: each
+    # chunk must clear what the one before it left, and every cell, signed
+    # zeros included, must be its sector terms added into zero in order
+    base = sagt.multi_sector_family(n, 0.9, builtin_schedule("exponential"))
+    fam = sagt.superadiabatic_family(base, 0.45)
+    if rotated:
+        fam = sagt.rotate_family(fam, operators.random_unitary(8**n, np.random.default_rng(n)))
+    s = np.linspace(0.0, 1.0, 11)
+    terms, buffer = fam.sector_matrix_grid(s), fam._pad_buffer(4)
+    terms.real[terms.real == 0.0] = -0.0
+    for part in (slice(0, 4), slice(4, 6), slice(6, 10), slice(8, 11), slice(0, 3)):
+        want = _sum_into_zeros(fam, terms[part]).view(np.uint64)
+        np.testing.assert_array_equal(fam._pad(terms[part], out=buffer).view(np.uint64), want)
+        np.testing.assert_array_equal(fam._pad(terms[part]).view(np.uint64), want)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_matrix_grid_is_the_even_block_of_the_sector(kind):
     even = np.ix_(spectral.PLUS_BASIS, spectral.PLUS_BASIS)
