@@ -40,7 +40,7 @@ import numpy as np
 
 from . import spectral
 from .model import MODES, multi_sector_family, superadiabatic_family
-from .operators import MIN_DURATION, _whole, require_duration, require_positive
+from .operators import MIN_DURATION, _rescaled, _whole, require_duration, require_positive
 from .schedules import sample
 
 QUAD_RTOL = 1e-8
@@ -96,10 +96,8 @@ def _converge(integrand, quad_points):
 def cost_numeric(family, quad_points=64):
     """Direct route: Simpson quadrature of ||H(s)||_F for any family, off
     the dense register matrix at every node: one sector sample per level,
-    padded NORM_CHUNK dense entries at a time into one buffer.  A level
-    whose largest sector entry is outside (2^-500, 2^500), where a square
-    could over- or underflow, is padded again scaled by an exact power of
-    two."""
+    padded NORM_CHUNK dense entries at a time into one buffer, and padded
+    again _rescaled where a square of a sector entry could over- or underflow."""
     per_call = max(1, NORM_CHUNK // family.dim**2)
     buffer = family._pad_buffer(per_call)
 
@@ -119,10 +117,8 @@ def cost_numeric(family, quad_points=64):
         # stay in (2^-492, 2^500) is outside (2^-500, 2^500)
         if not 2.0**-492 < out.max() < 2.0**500:
             flat = terms.view(float)
-            largest = max(flat.max(), -flat.min())
-            if not 2.0**-500 < largest < 2.0**500:
-                exponent = np.frexp(largest)[1]
-                out = np.ldexp(padded_norms(np.ldexp(flat, -exponent).view(complex)), exponent)
+            scaled, exponent = _rescaled(terms, max(flat.max(), -flat.min()))
+            out = np.ldexp(padded_norms(scaled), exponent)
         return out
 
     return float(_converge(norms, quad_points)[0])

@@ -11,45 +11,44 @@ Sector structure is exploited hard: all sectors of a register share one
 8x8 generator made of two equal 4x4 parity blocks, so the register
 propagator is E(U)^(x n), E(U) = embed_blocks(U, U), for one 4x4 U = S
 (U_a (x) U_b) S^dag of two spins 1/2 (spectral).  A rung (one step count)
-is cut at ~20 evenly spaced checkpoints s_k alone, a segment longer than
-_CHUNK (16,384) in even pieces, and its whole segments go in passes of at
-most _CHUNK steps: a 2,000 x 2^k-step rung is one pass up to 16,000 steps
-and two at 32,000, padded by tree_index to 1.28 x its steps.  A pass
-weighs its steps' so(4) coordinates off the schedule terms at its
-midpoints (spectral.weigh_terms of spectral.coordinate_terms) straight
-into one spin_products, one SU(2) tree for both spins that scales and
-frees them; the segment products chain per spin, and U(s_k) is formed once
-per rung, at its checkpoints.  The states at all s_k are one stacked
-product, E(U(s_k))^(x n) psi0 with k the leading axis, and propagate
-returns its last row, observed or not.  A fixed register rotation G
-telescopes through the product of step unitaries (G exp(-iH dt) G^dag =
-exp(-i G H G^dag dt)), so rotated families are propagated in the unrotated
-frame and rotated back only at observation points.
+is cut at ~20 evenly spaced checkpoints s_k and run in the passes of its
+_rung_plan.  A pass weighs its steps' so(4) coordinates off the schedule
+terms at its midpoints (spectral.weigh_terms of spectral.coordinate_terms)
+straight into one spin_products, one SU(2) tree for both spins; the
+segment products chain per spin, and U(s_k) is formed once per rung, at
+its checkpoints.  The states at all s_k are one stacked product,
+E(U(s_k))^(x n) psi0 with k the leading axis, and propagate returns its
+last row, observed or not.  A fixed register rotation G telescopes through
+the product of step unitaries (G exp(-iH dt) G^dag = exp(-i G H G^dag dt)),
+so rotated families are propagated in the unrotated frame and rotated back
+only at observation points.
 
 A run is one sector: initial_state and target_state lay each sector out
 on the block ground states g0 = (1, 1, 0, 0)/sqrt 2 and g1 = (1, 0, 0,
 1)/sqrt 2, so a run's fidelity is F_1^n, F_1 = |g1^T U(1) g0|^2, for every
-input and gate.  The ladder reads each rung's F_1 off its transport entry;
-the register is formed once, for the reported rung, by _rung_states,
-propagate's own body, and its states give the record's fidelity (held to
-F_1^n to 1e-12), parity drift and ground trace.
-exact_sector_propagator, the closed-form transport of the dressed block,
-shares no code with that path; adiabatic_reference applies it per sector.
+input and gate.  As S^dag g0 ~ |+x +x> and S^dag g1 ~ |+y +y>, F_1 = f_a
+f_b, f = |<+y|u|+x>|^2 of each spin's U(1) = u, which the ladder reads off
+each rung's transport entry.  The register is formed once, for the
+reported rung, by _rung_states, propagate's own body, and its states give
+the record's fidelity (held to F_1^n to 1e-12), parity drift and ground
+trace.  exact_sector_propagator, the closed-form transport of the dressed
+block, shares no code with that path; adiabatic_reference applies it per
+sector.
 
 Four read-only LRU caches keep what a run would form again.  A rung's
-U(s_k) depend only on the schedule, omega, the family's tau (its mode),
-the duration and the step count: never on the gate, the sector count, the
-input or the observer, for a run is one sector.  So _transports keeps each
-rung's (checkpoints, U(s_k)) in _TRANSPORT_CACHE_SIZE entries (about 5 KB
-each) keyed by those values alone, which state runs, gate runs and every n
-share.  A pass's schedule terms depend on the schedule, the mode, the step
-count and the pass bounds alone, never on omega or tau, so _pass_terms
-keeps them for runs of every omega and tau, and a transport miss only
+transport depends only on the schedule, omega, the family's tau (its
+mode), the duration and the step count, never on the gate, the sector
+count, the input or the observer: _transports keeps its (checkpoints,
+U(s_k), the spins at s = 1) in _TRANSPORT_CACHE_SIZE entries of about 5 KB
+keyed by those values alone.  U(s_k) is kept, not formed off the spins per
+read, for the register every run forms from it.  _pass_terms keeps a
+pass's schedule terms, free of omega and tau, so a transport miss only
 weighs them; _checkpoint_projectors keeps a rung's checkpoint ground
 projectors (by schedule and step count), and _rung_plan its checkpoints
 and passes with their tree indices; each holds _SAMPLE_CACHE_SIZE entries.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
@@ -146,10 +145,13 @@ def _pass_terms(schedule, dressed, steps, start, stop):
     return terms
 
 
-def _spin_transports(schedule, omega, family_tau, tau, steps):
-    """(checkpoints, (alpha, beta)) of a `steps`-step run of duration tau:
-    the per-spin U_a(s_k), U_b(s_k), (checkpoints, spins) each, one spin on
-    the bare drive, where a == b, each segment chained onto the one before."""
+@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
+def _transports(schedule, omega, family_tau, tau, steps):
+    """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1 with
+    U(0) = I, ends) of a `steps`-step run of duration tau: one sector block,
+    the spectral.spin_blocks of per-spin U_a(s_k), U_b(s_k), each segment
+    chained onto the one before, and ends, the per-spin (alpha, beta) of
+    U(1): one spin on the bare drive, where a == b."""
     checkpoints, passes = _rung_plan(steps)
     spins, dt, weights = 1 if family_tau is None else 2, tau / steps, (omega, family_tau)
     chain = {0: [(1.0, 0.0)] * spins}
@@ -161,36 +163,26 @@ def _spin_transports(schedule, omega, family_tau, tau, steps):
                 (a1 * a0 - b1.conjugate() * b0, b1 * a0 + a1.conjugate() * b0)
                 for a1, b1, (a0, b0) in zip(alpha, beta, chain[start])
             ]
-    return checkpoints, np.moveaxis(np.array([chain[k] for k in checkpoints]), -1, 0)
+    blocks = spectral.spin_blocks(*np.moveaxis(np.array([chain[k] for k in checkpoints]), -1, 0))
+    blocks[0] = np.eye(4)  # exactly
+    blocks.flags.writeable = False
+    return checkpoints, blocks, tuple(chain[steps])
 
 
-@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
-def _transports(schedule, omega, family_tau, tau, steps):
-    """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1, with
-    U(0) = I) of a `steps`-step run of duration tau: one sector block, the
-    spectral.spin_blocks of its _spin_transports."""
-    checkpoints, (alpha, beta) = _spin_transports(schedule, omega, family_tau, tau, steps)
-    at_checkpoints = spectral.spin_blocks(alpha, beta)
-    at_checkpoints[0] = np.eye(4)  # exactly
-    at_checkpoints.flags.writeable = False
-    return checkpoints, at_checkpoints
-
-
-def _require_kept_norm(psi):
-    """psi, a propagated unit vector; RuntimeError if its norm drifted."""
-    norm_defect = abs(np.linalg.norm(psi) - 1.0)
+def _require_kept_norm(norm):
+    """RuntimeError unless the norm of a propagated unit vector is 1 to NORM_ATOL."""
+    norm_defect = abs(norm - 1.0)
     if not norm_defect <= NORM_ATOL:  # NaN fails too
         raise RuntimeError(f"propagation lost normalization by {norm_defect:.2e}")
-    return psi
 
 
 def _rung_states(family, psi0, steps, tau):
     """(checkpoints, states): unrotated psi0 carried to each checkpoint of a
     `steps`-step rung, stacked off its _transports entry."""
     key = (family.schedule, family.omega, family.tau, float(tau), steps)
-    checkpoints, transports = _transports(*key)
+    checkpoints, transports, _ = _transports(*key)
     states = _apply_sectorwise(spectral.embed_blocks(transports, transports), psi0, family.sectors)
-    _require_kept_norm(states[-1])
+    _require_kept_norm(np.linalg.norm(states[-1]))
     return checkpoints, states
 
 
@@ -249,7 +241,6 @@ def _checkpoint_projectors(schedule, steps):
 
 
 _CACHES = (_rung_plan, _pass_terms, _transports, _checkpoint_projectors)
-_G0, _G1 = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]]) / np.sqrt(2.0)  # g0, g1 above
 _Z_SIGNS = reduce(np.multiply.outer, [[1.0, -1.0]] * MAX_QUBITS).ravel()  # Z...Z: (-1)^popcount
 
 
@@ -327,6 +318,8 @@ def _run_protocol(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     require_duration("tau_omega", tau_omega)
     steps, max_steps = _whole("steps", steps), _whole("max_steps", max_steps)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if not target_defect >= 0.0:  # NaN fails too
         raise ValueError(f"target_defect must be >= 0, got {target_defect}")
     if 2 * steps > max_steps:  # the ladder needs a rung and its doubling
@@ -342,9 +335,12 @@ def _run_protocol(
     psi0 = initial_state(psi_in, n)
     tgt = target_state(psi_in, n, rotation=gate)
 
-    def sector_fidelity(k):  # F_1 of a k-step rung; the register's F is F_1^n
-        _, transports = _transports(family.schedule, family.omega, family.tau, tau, k)
-        return fidelity(_require_kept_norm(transports[-1] @ _G0), _G1)
+    def sector_fidelity(k):  # F_1 = f_a f_b, f = |<+y|u|+x>|^2 of each spin u of a k-step rung
+        *_, ends = _transports(family.schedule, family.omega, family.tau, tau, k)
+        spins = ends if len(ends) == 2 else ends * 2  # one spin serves both on the bare drive
+        _require_kept_norm(math.prod(math.hypot(abs(a), abs(b)) for a, b in spins))
+        f_a, f_b = (abs(a - b.conjugate() - 1j * (b + a.conjugate())) ** 2 / 4 for a, b in spins)
+        return min(f_a * f_b, 1.0)
 
     count, f_next = steps, sector_fidelity(steps)
     while True:

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import _whole, pauli_string, place_on_qubits, require_duration, require_positive
+from .operators import _rescaled, _whole, pauli_string, place_on_qubits, require_duration
+from .operators import require_positive
 from .schedules import Schedule, in_domain, sample
 from .spectral import coordinate_block, coordinate_grid, embed_blocks
 
@@ -245,8 +246,7 @@ def _unit_and_norm(psi):
         return psi / norm, norm
     if largest == 0.0:
         raise ValueError("psi_in has zero norm")
-    exponent = np.frexp(largest)[1]
-    psi = np.ldexp(psi.view(float), -exponent).view(complex)
+    psi, exponent = _rescaled(psi, largest)
     norm = np.linalg.norm(psi)
     with np.errstate(over="ignore"):
         return psi / norm, np.ldexp(norm, exponent)

@@ -22,6 +22,14 @@ HERMITICITY_ATOL = 1e-8
 MIN_DURATION = float(np.finfo(float).tiny) ** 0.25  # ~1.2e-77
 
 
+def _rescaled(z, largest):
+    """(z 2^-e, e), z complex with parts at most `largest` in size: e is 0 where
+    largest is in (2^-500, 2^500), where no square over- or underflows, else
+    the frexp exponent of largest, which scales z exactly into (-1, 1)."""
+    exponent = 0 if 2.0**-500 < largest < 2.0**500 else int(np.frexp(largest)[1])
+    return np.ldexp(z.view(float), -exponent).view(complex), exponent
+
+
 def require_positive(name, value):
     """The package's one check that an input is a finite positive number;
     raises ValueError("<name> must be finite and positive, got ...")."""

@@ -31,6 +31,19 @@ def reference_propagate(matrix_fn, psi0, tau, steps):
     return psi
 
 
+def rabi_fidelity(tau_omega, n):
+    """f(T)^(2n), T = tau omega: the closed-form fidelity of an adiabatic run
+    on the trigonometric schedule.  A sector is two spins 1/2 in one
+    in-plane field of constant size omega that turns from x to y at the
+    rate pi / (2 tau); in the frame turning with it each spin, starting on
+    the field's ground state, sees a fixed field (omega, 0, pi / (4 tau))
+    and stays on that ground state with Rabi's probability
+    f(T) = 1 - q / (T^2 + q) sin^2 sqrt(T^2 + q), q = (pi / 4)^2."""
+    q = (np.pi / 4.0) ** 2
+    f = 1.0 - q / (tau_omega**2 + q) * np.sin(np.sqrt(tau_omega**2 + q)) ** 2
+    return f ** (2 * n)
+
+
 def kron_sum(sector, n, rotation=None):
     """G (sum_k 1 (x) h_k (x) 1) G^dag for one sector term h on each of n
     sectors, padded by explicit Kronecker products."""

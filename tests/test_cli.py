@@ -450,6 +450,18 @@ def test_amp_and_random_together_exit_one(capsys, command):
     assert "not allowed with argument --amp" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command", [["state-teleport"], ["gate-teleport", "--gate", "cnot"]], ids=["state", "gate"]
+)
+def test_a_step_count_below_one_is_one_error_line(capsys, command, steps):
+    # -5 used to escape main as a KeyError traceback, 0 as a numpy message
+    code, out, err = run_cli(capsys, *command, "--tau", "1", f"--steps={steps}")
+    assert code == 1
+    assert out == ""
+    assert err == f"sagt: error: steps must be >= 1, got {steps}\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_verify_rejects_an_empty_grid(capsys, grid):
     code, out, err = run_cli(capsys, "verify", "--grid", grid)

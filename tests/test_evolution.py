@@ -254,6 +254,7 @@ def test_the_pass_width_changes_no_bit_of_a_transport(sch, dressed, tau, steps):
     empty_caches()
     assert transports[7][0] == transports[4096][0] == transports[16384][0]
     assert np.array_equal(transports[4096][1], transports[16384][1])
+    assert transports[4096][2] == transports[16384][2]  # the spins' ends, bit for bit
     if max(np.diff(transports[7][0])) <= 7:
         assert np.array_equal(transports[7][1], transports[16384][1])
     np.testing.assert_allclose(transports[7][1], transports[16384][1], rtol=0, atol=1e-12)
@@ -342,6 +343,15 @@ def test_a_step_count_that_is_not_whole_is_rejected(steps):
         sagt.run_gate_teleport("x", sch, 1.0, "superadiabatic", psi, steps=steps)
 
 
+@pytest.mark.parametrize("steps", [0, -5, -5.0])
+def test_a_step_count_below_one_is_rejected_before_any_work(monkeypatch, steps):
+    # 0 failed inside numpy ("zero-size array to reduction operation") and
+    # -5 escaped as a KeyError; both are refused by name, as propagate does
+    for run in _unpropagated_runs(monkeypatch, steps=steps):
+        with pytest.raises(ValueError, match=f"steps must be >= 1, got {int(steps)}"):
+            run()
+
+
 def _never_propagate(monkeypatch):
     """Make propagate and the transport cache, which the ladder reads, fail
     the test if a run gets that far."""
@@ -403,9 +413,10 @@ def test_a_long_rung_stays_unitary(cold_cache):
     # segment drifted about 8e-13 off unit norm, and a 512,000-step rung
     # chained that drift to 1e-10, at NORM_ATOL
     sch = builtin_schedule("trigonometric")
-    _, transports = evolution._transports(sch, 1.0, None, 2.0, 512_000)
+    _, transports, ((alpha, beta),) = evolution._transports(sch, 1.0, None, 2.0, 512_000)
     u = transports[-1]
     assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-12
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-12
     for n in (2, 3):  # these raised "propagation lost normalization" at 1,024,000 steps
         rec = sagt.run_state_teleport(n, sch, 2.0, "adiabatic", np.eye(2**n)[0], target_defect=0)
         assert (rec.step_count, rec.accepted) == (1_024_000, False)
@@ -554,6 +565,25 @@ def test_adiabatic_reference_on_every_sector_count(n):
     phase = np.vdot(target, ref)
     assert abs(phase) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(ref, phase * target, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau_omega", [0.3, 1.0, 3.0, 7.0, 20.0])
+def test_adiabatic_trigonometric_runs_follow_rabi(tau_omega):
+    # the whole propagation, ladder and register, against a closed form that
+    # shares no code with it: on the trigonometric schedule each spin of the
+    # bare drive is a Rabi problem in the frame turning with its field, so
+    # F = f^(2n) within the ladder's target for every input and gate
+    sch, rng = builtin_schedule("trigonometric"), np.random.default_rng(11)
+    gates = [None, None, None, "hadamard", "t", "cnot", "toffoli"]
+    for n, gate in zip([1, 2, 3, 1, 1, 2, 3], gates):
+        psi = sagt.random_state(2**n, rng)
+        if gate is None:
+            rec = sagt.run_state_teleport(n, sch, tau_omega, "adiabatic", psi)
+        else:
+            rec = sagt.run_gate_teleport(gate, sch, tau_omega, "adiabatic", psi)
+        assert rec.accepted
+        assert abs(rec.fidelity - oracles.rabi_fidelity(tau_omega, n)) <= 1e-8
+        assert abs(rec.sector_fidelity - oracles.rabi_fidelity(tau_omega, 1)) <= 1e-8
 
 
 # ||u_N - U(1)||_2 of the midpoint product against the exact sector map,
@@ -916,7 +946,7 @@ def test_a_run_is_one_sector_to_the_power_n(sch, n, mode, tau_omega, gated, seed
     else:
         rec = sagt.run_state_teleport(n, sch, tau_omega, mode, psi_in, steps=250)
     steps, family_tau = rec.step_count, tau_omega if mode == "superadiabatic" else None
-    checkpoints, transports = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    checkpoints, transports, _ = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
     assert abs(rec.sector_fidelity - abs(G1 @ transports[-1] @ G0) ** 2) <= 1e-14
     assert abs(rec.fidelity - rec.sector_fidelity**n) <= 1e-12
     marks = np.array(checkpoints) / steps
@@ -944,22 +974,33 @@ def _spin_state(g):
 def test_the_sector_fidelity_is_the_product_of_the_spins(sch, mode, tau_omega, steps):
     # U(1) = S (U_a (x) U_b) S^dag and g0, g1 are product states of the two
     # spins, so F_1 = f_a f_b with f = |<end spin|U|start spin>|^2, read off
-    # the rung's per-spin (alpha, beta); one spin serves both when a == b
+    # the entry's per-spin (alpha, beta) of U(1); one spin serves both when a == b
     family_tau = tau_omega if mode == "superadiabatic" else None
-    _, (alpha, beta) = evolution._spin_transports(sch, 1.0, family_tau, tau_omega, steps)
-    assert alpha.shape == beta.shape == (evolution._TRACE_POINTS, 1 + (family_tau is not None))
-    u = np.array([[alpha[-1], -beta[-1].conj()], [beta[-1], alpha[-1].conj()]])  # (2, 2, spins)
+    _, transports, ends = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    assert len(ends) == 1 + (family_tau is not None)
     (x0, y0), (x1, y1) = _spin_state(G0), _spin_state(G1)
-    f_a = abs(x1.conj() @ u[..., 0] @ x0) ** 2
-    f_b = abs(y1.conj() @ u[..., -1] @ y0) ** 2
-    _, transports = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    (a_a, b_a), (a_b, b_b) = ends[0], ends[-1]
+    f_a = abs(x1.conj() @ np.array([[a_a, -b_a.conjugate()], [b_a, a_a.conjugate()]]) @ x0) ** 2
+    f_b = abs(y1.conj() @ np.array([[a_b, -b_b.conjugate()], [b_b, a_b.conjugate()]]) @ y0) ** 2
     assert abs(abs(G1 @ transports[-1] @ G0) ** 2 - f_a * f_b) <= 1e-12
+    # and the ladder reads the same F_1 off the spins for every n
+    psi = [0.6, 0.8j]
+    rec = sagt.run_state_teleport(1, sch, tau_omega, mode, psi, steps=steps // 2, max_steps=steps)
+    assert rec.step_count == steps
+    assert abs(rec.sector_fidelity - f_a * f_b) <= 1e-12
+
+
+def _spin_read(alpha, beta):
+    """|<+y|u|+x>|^2 of u = [[alpha, -beta*], [beta, alpha*]], in the
+    ladder's own arithmetic, so its value keeps the ladder's bits."""
+    return abs(alpha - beta.conjugate() - 1j * (beta + alpha.conjugate())) ** 2 / 4
 
 
 @pytest.mark.parametrize("gate", [None, "cnot"])
 def test_a_register_that_is_not_the_sector_to_the_power_n_is_refused(monkeypatch, gate):
-    # the register's fidelity is held to the ladder's F_1^n: read against
-    # another g1, the ladder disagrees with the register, which names both
+    # the register's fidelity is held to the ladder's F_1^n: with each spin
+    # turned by pi about z after U(1), the ladder reads its end against -y,
+    # disagrees with the register, and the refusal names both
     sch, psi = builtin_schedule("trigonometric"), [0.6, 0.0, 0.0, 0.8]
 
     def run():  # the ladder stops at its 128-step rung, on the budget
@@ -969,15 +1010,37 @@ def test_a_register_that_is_not_the_sector_to_the_power_n_is_refused(monkeypatch
         return sagt.run_gate_teleport(gate, sch, 1.0, "superadiabatic", psi, **budget)
 
     register = run().fidelity
-    other = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-    monkeypatch.setattr(evolution, "_G1", other)
-    _, transports = evolution._transports(sch, 1.0, 1.0, 1.0, 128)
-    ladder = evolution.fidelity(transports[-1] @ G0, other) ** 2
+    real = evolution._transports
+
+    def turned(*key):  # exp(-i pi/2 sigma_z) u: (alpha, beta) -> (-i alpha, i beta)
+        checkpoints, transports, ends = real(*key)
+        return checkpoints, transports, tuple((-1j * a, 1j * b) for a, b in ends)
+
+    monkeypatch.setattr(evolution, "_transports", turned)
+    f_a, f_b = (_spin_read(a, b) for a, b in turned(sch, 1.0, 1.0, 1.0, 128)[2])
+    ladder = (f_a * f_b) ** 2
     assert abs(register - ladder) > 0.5
     with pytest.raises(RuntimeError) as refused:
         run()
     assert repr(register) in str(refused.value)
     assert repr(ladder) in str(refused.value)
+
+
+@pytest.mark.parametrize("mode", model.MODES)
+@pytest.mark.parametrize("drift", [1e-9, float("nan")])
+def test_a_rung_whose_spins_left_unit_norm_is_refused(monkeypatch, mode, drift):
+    # the ladder holds the product of the spins' |(alpha, beta)| to 1 within
+    # NORM_ATOL, as the register holds its state's norm
+    real = evolution._transports
+
+    def drifted(*key):
+        checkpoints, transports, ends = real(*key)
+        return checkpoints, transports, tuple((a * (1 + drift), b * (1 + drift)) for a, b in ends)
+
+    monkeypatch.setattr(evolution, "_transports", drifted)
+    sch = builtin_schedule("trigonometric")
+    with pytest.raises(RuntimeError, match="propagation lost normalization"):
+        sagt.run_state_teleport(1, sch, 1.0, mode, [1.0, 0.0], steps=64, max_steps=128)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1118,7 @@ def test_sharing_the_pass_terms_keeps_the_bits(sch, dressed, taus, omegas, steps
     transports(omegas[0], taus[0])
     with mock.patch.object(evolution, "_pass_terms", wraps=evolution._pass_terms) as terms:
         warm = transports(omegas[1], taus[1])
-    assert warm[0] == cold[0]
+    assert warm[0] == cold[0] and warm[2] == cold[2]
     assert np.array_equal(warm[1], cold[1])
     assert not warm[1].flags.writeable
     assert terms.call_count >= 1 + (steps > evolution._CHUNK)
@@ -1176,8 +1239,9 @@ def test_cached_products_are_read_only(cold_cache):
     fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
     evolution.propagate(fam, sagt.initial_state([0.6, 0.8], 1), 64)
     # the key every 64-step run of this configuration makes, observed or not
-    checkpoints, transports = evolution._transports(sch, 1.0, 1.0, 1.0, 64)
+    checkpoints, transports, ends = evolution._transports(sch, 1.0, 1.0, 1.0, 64)
     assert evolution._transports.cache_info().hits == 1
+    assert isinstance(ends, tuple) and len(ends) == 2  # U_a(1), U_b(1): (alpha, beta) each
     assert len(checkpoints) == evolution._TRACE_POINTS
     assert (checkpoints[0], checkpoints[-1]) == (0, 64)
     assert transports.shape == (evolution._TRACE_POINTS, 4, 4)

@@ -3,7 +3,8 @@ every import sits at module level, so the module graph reads off the top of
 each file, no module but schedules evaluates a schedule on a grid, no
 module takes an arctan2 (spectral.chart reads cos and sin off (eta_i,
 eta_f) instead), no module but operators names an eigensolver or a
-matrix exponential, and no Kronecker product sits on the run path."""
+matrix exponential, no Kronecker product sits on the run path, and every
+name a module binds at its top level is read somewhere in src/ or tests/."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sagt"
+TESTS = Path(__file__).resolve().parent
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -183,3 +185,67 @@ def test_the_run_path_takes_no_kron(name):
     # register states and parity signs are np.multiply.outer products: the
     # products np.kron forms, in its order, without its per-call reshaping
     assert kron_references((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def top_level_bindings(source):
+    """(line, name) of the functions, classes and assigned names a module
+    binds at its top level; dunders such as __all__ are read by Python."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bound += [(node.lineno, name) for name in names]
+    return [(line, name) for line, name in bound if not name.startswith("__")]
+
+
+def names_read(source):
+    """Every name `source` reads: a bare name it loads, an attribute, or a
+    name it imports from a module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_scan_sees_a_name_nobody_reads():
+    source = (
+        "import numpy as np\n"
+        "_G0, _G1 = np.eye(2)\n"
+        "LIMIT: int = 3\n"
+        "__all__ = []\n"
+        "def reads_g1():\n    return _G1\n"
+        "def _unused():\n    return LIMIT\n"
+        "class Dead:\n    pass\n"
+    )
+    read = names_read(source)
+    assert [b for b in top_level_bindings(source) if b[1] not in read] == [
+        (2, "_G0"),
+        (5, "reads_g1"),
+        (7, "_unused"),
+        (9, "Dead"),
+    ]
+    assert "reads_g1" in names_read("from sagt.evolution import reads_g1\n")
+    assert "reads_g1" in names_read("evolution.reads_g1()\n")
+
+
+def test_every_top_level_name_is_read():
+    # a constant, helper or class that nothing reads any more is dead code:
+    # a leftover of a change that moved its last reader elsewhere
+    read = set()
+    for path in [*ALL_MODULES, *sorted(TESTS.glob("*.py"))]:
+        read |= names_read(path.read_text(encoding="utf-8"))
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in ALL_MODULES
+        for line, name in top_level_bindings(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == []

@@ -3,8 +3,8 @@
     python3 tools/miss_timing.py
 
 A transport miss is the work of one uncached evolution._transports call:
-the per-spin products of a rung's passes, their chain and the 4x4 blocks
-at its checkpoints.  Each row is a rung of 2,000 x 2^k steps, k = 0..4,
+the per-spin products of a rung's passes, their chain, the 4x4 blocks at
+its checkpoints and the per-spin (alpha, beta) of U(1), one entry.  Each row is a rung of 2,000 x 2^k steps, k = 0..4,
 on the trigonometric drive at tau*omega = 20 (omega = 1), bare
 (adiabatic) and dressed (superadiabatic).  The rung's plan and pass terms
 are cached first, since neither depends on tau or omega, so the row

@@ -11,7 +11,8 @@ outputs shows every bit that moved.  The 108 runs share 18
 configurations (schedule x mode x tau*omega): n, the gate and the input
 do not enter the step products, so most rungs read them from evolution's
 transport cache (389 of 448 reads, from 59 distinct rungs: 340 by the
-ladders, one per rung for its sector fidelity, with no propagate call,
+ladders, one per rung, whose sector fidelity is read off the entry's
+per-spin (alpha, beta) of U(1), with no 4x4 block and no propagate call,
 and each run's reported rung read once more for its register states,
 always a hit).  Neither tau nor omega enters a pass's schedule terms or
 a rung's checkpoint projectors, so the 59 transport misses sample 26 of
