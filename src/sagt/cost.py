@@ -184,9 +184,10 @@ def _in_units_of(omega, unit_cost):
 def cost_scaling(n):
     """g_n = sqrt(2^{3(n-1)} n): the exact multi-sector cost multiplier."""
     n = _whole("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return float(np.sqrt(2.0 ** (3 * (n - 1)) * n))
+    if not 1 <= n <= 680:  # g_681 = 2^1020 sqrt(681) > 2^1024, the float range
+        raise ValueError(f"need 1 <= n <= 680, where g_n is a float, got {n}")
+    e = 3 * (n - 1)
+    return float(np.ldexp(np.sqrt(n << (e & 1)), e >> 1))  # 2^(e // 2) sqrt(2^(e % 2) n)
 
 
 def cost_multi(n, schedule, tau, omega=1.0, quad_points=64):

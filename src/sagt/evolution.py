@@ -28,23 +28,24 @@ on the block ground states g0 = (1, 1, 0, 0)/sqrt 2 and g1 = (1, 0, 0,
 1)/sqrt 2, so a run's fidelity is F_1^n, F_1 = |g1^T U(1) g0|^2, for every
 input and gate.  As S^dag g0 ~ |+x +x> and S^dag g1 ~ |+y +y>, F_1 = f_a
 f_b, f = |<+y|u|+x>|^2 of each spin's U(1) = u, which the ladder reads off
-each rung's transport entry.  The register is formed once, for the
-reported rung, by _rung_states, propagate's own body, and its states give
-the record's fidelity (held to F_1^n to 1e-12), parity drift and ground
-trace.  exact_sector_propagator, the closed-form transport of the dressed
-block, shares no code with that path; adiabatic_reference applies it per
-sector.
+each rung's transport entry; the bare drive's ground state at s_k is
+S |+n +n>, n = (cos theta, sin theta, 0), so the trace is p_k^n, p_k =
+f_a f_b of f = |<+n|u(s_k)|+x>|^2.  The register is formed once, for the
+reported rung, by _rung_states, propagate's own body, for the fidelity
+(held to F_1^n to 1e-12) and parity drift.  exact_sector_propagator, the
+closed-form transport of the dressed block, shares no code with that
+path; adiabatic_reference applies it per sector.
 
 Four read-only LRU caches keep what a run would form again.  A rung's
 transport depends only on the schedule, omega, the family's tau (its
 mode), the duration and the step count, never on the gate, the sector
 count, the input or the observer: _transports keeps its (checkpoints,
-U(s_k), the spins at s = 1) in _TRANSPORT_CACHE_SIZE entries of about 5 KB
+U(s_k), the spins at s_k) in _TRANSPORT_CACHE_SIZE entries of about 7 KB
 keyed by those values alone.  U(s_k) is kept, not formed off the spins per
 read, for the register every run forms from it.  _pass_terms keeps a
 pass's schedule terms, free of omega and tau, so a transport miss only
-weighs them; _checkpoint_projectors keeps a rung's checkpoint ground
-projectors (by schedule and step count), and _rung_plan its checkpoints
+weighs them; _checkpoint_bras keeps the bare drive's ground bras at a rung's
+checkpoints (by schedule and step count), and _rung_plan its checkpoints
 and passes with their tree indices; each holds _SAMPLE_CACHE_SIZE entries.
 """
 
@@ -148,10 +149,10 @@ def _pass_terms(schedule, dressed, steps, start, stop):
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
 def _transports(schedule, omega, family_tau, tau, steps):
     """(checkpoints, read-only (checkpoints, 4, 4) U(s_k) = u_k ... u_1 with
-    U(0) = I, ends) of a `steps`-step run of duration tau: one sector block,
+    U(0) = I, spins) of a `steps`-step run of duration tau: one sector block,
     the spectral.spin_blocks of per-spin U_a(s_k), U_b(s_k), each segment
-    chained onto the one before, and ends, the per-spin (alpha, beta) of
-    U(1): one spin on the bare drive, where a == b."""
+    chained onto the one before, and spins, read-only (checkpoints, spins, 2)
+    (alpha, beta) of those: one spin on the bare drive, where a == b."""
     checkpoints, passes = _rung_plan(steps)
     spins, dt, weights = 1 if family_tau is None else 2, tau / steps, (omega, family_tau)
     chain = {0: [(1.0, 0.0)] * spins}
@@ -163,10 +164,11 @@ def _transports(schedule, omega, family_tau, tau, steps):
                 (a1 * a0 - b1.conjugate() * b0, b1 * a0 + a1.conjugate() * b0)
                 for a1, b1, (a0, b0) in zip(alpha, beta, chain[start])
             ]
-    blocks = spectral.spin_blocks(*np.moveaxis(np.array([chain[k] for k in checkpoints]), -1, 0))
+    spins = np.array([chain[k] for k in checkpoints])
+    blocks = spectral.spin_blocks(*np.moveaxis(spins, -1, 0))
     blocks[0] = np.eye(4)  # exactly
-    blocks.flags.writeable = False
-    return checkpoints, blocks, tuple(chain[steps])
+    blocks.flags.writeable = spins.flags.writeable = False
+    return checkpoints, blocks, spins
 
 
 def _require_kept_norm(norm):
@@ -177,13 +179,13 @@ def _require_kept_norm(norm):
 
 
 def _rung_states(family, psi0, steps, tau):
-    """(checkpoints, states): unrotated psi0 carried to each checkpoint of a
-    `steps`-step rung, stacked off its _transports entry."""
+    """(checkpoints, states, spins): unrotated psi0 carried to each checkpoint
+    of a `steps`-step rung off its _transports entry, and the entry's spins."""
     key = (family.schedule, family.omega, family.tau, float(tau), steps)
-    checkpoints, transports, _ = _transports(*key)
+    checkpoints, transports, spins = _transports(*key)
     states = _apply_sectorwise(spectral.embed_blocks(transports, transports), psi0, family.sectors)
     _require_kept_norm(np.linalg.norm(states[-1]))
-    return checkpoints, states
+    return checkpoints, states, spins
 
 
 def propagate(family, psi0, steps, tau=None, observer=None):
@@ -217,30 +219,32 @@ def propagate(family, psi0, steps, tau=None, observer=None):
     g = family.rotation
     if g is not None:
         psi0 = g.conj().T @ psi0  # work in the unrotated frame throughout
-    checkpoints, states = _rung_states(family, psi0, steps, tau)
+    checkpoints, states, _ = _rung_states(family, psi0, steps, tau)
     if observer is not None:
         for k, psi in zip(checkpoints, states):
             observer(k / steps, psi if g is None else g @ psi)
     return states[-1] if g is None else g @ states[-1]
 
 
-def _ground_pair_projector(schedule, s):
-    """8x8 projectors onto the two sector ground states, at each s given."""
-    v0 = spectral.frame_grid(sample(schedule, s))[..., 0]
-    p = v0[..., :, None] * v0[..., None, :]
-    return spectral.embed_blocks(p, p)
+def _ground_amplitude(alpha, beta, phase):
+    """<+n|u|+x> of u = [[alpha, -beta*], [beta, alpha*]] and the ground bra
+    <+n| = (1, phase) / sqrt 2 of an in-plane field n; real-linear in u."""
+    return (alpha - beta.conjugate() + phase * (beta + alpha.conjugate())) / 2
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE_SIZE)
-def _checkpoint_projectors(schedule, steps):
-    """Read-only _ground_pair_projector at the checkpoints of a `steps`-step
-    rung, (checkpoints, 8, 8), about 21 KB."""
-    projectors = _ground_pair_projector(schedule, np.array(_rung_plan(steps)[0]) / steps)
-    projectors.flags.writeable = False
-    return projectors
+def _checkpoint_bras(schedule, steps):
+    """Read-only (checkpoints, 4, 2) real maps of a `steps`-step rung: a spin's
+    (alpha, beta), as four floats, times map k is its _ground_amplitude, as
+    (re, im), at the phase exp(-i theta_k) of the bare drive at s_k."""
+    _, cos, sin, _, _ = spectral.chart(sample(schedule, np.array(_rung_plan(steps)[0]) / steps))
+    alpha, beta = np.eye(4).view(complex).T  # the four unit spins: 1, i, 0, 0 and 0, 0, 1, i
+    bras = _ground_amplitude(alpha, beta, (cos - 1j * sin)[:, None]).view(float).reshape(-1, 4, 2)
+    bras.flags.writeable = False
+    return bras
 
 
-_CACHES = (_rung_plan, _pass_terms, _transports, _checkpoint_projectors)
+_CACHES = (_rung_plan, _pass_terms, _transports, _checkpoint_bras)
 _Z_SIGNS = reduce(np.multiply.outer, [[1.0, -1.0]] * MAX_QUBITS).ravel()  # Z...Z: (-1)^popcount
 
 
@@ -282,8 +286,8 @@ class RunRecord:
     accepted means the defect met the requested target before the step
     budget max_steps ran out (no rung ever exceeds it).  parity_drift and
     ground_overlap_trace belong to that rung too: the largest excursion of
-    the conserved Z-parity expectation, and the overlap with the bare
-    drive's instantaneous ground manifold, at its unrotated checkpoints.
+    its Z-parity expectation, and its overlap p_k^n with the bare drive's
+    instantaneous ground manifold, off the spins, at its unrotated checkpoints.
     """
 
     sectors: int
@@ -336,10 +340,10 @@ def _run_protocol(
     tgt = target_state(psi_in, n, rotation=gate)
 
     def sector_fidelity(k):  # F_1 = f_a f_b, f = |<+y|u|+x>|^2 of each spin u of a k-step rung
-        *_, ends = _transports(family.schedule, family.omega, family.tau, tau, k)
-        spins = ends if len(ends) == 2 else ends * 2  # one spin serves both on the bare drive
-        _require_kept_norm(math.prod(math.hypot(abs(a), abs(b)) for a, b in spins))
-        f_a, f_b = (abs(a - b.conjugate() - 1j * (b + a.conjugate())) ** 2 / 4 for a, b in spins)
+        ends = _transports(family.schedule, family.omega, family.tau, tau, k)[2][-1].tolist()
+        ends = ends if len(ends) == 2 else ends * 2  # one spin serves both on the bare drive
+        _require_kept_norm(math.prod(math.hypot(abs(a), abs(b)) for a, b in ends))
+        f_a, f_b = (abs(_ground_amplitude(a, b, -1j)) ** 2 for a, b in ends)
         return min(f_a * f_b, 1.0)
 
     count, f_next = steps, sector_fidelity(steps)
@@ -350,15 +354,13 @@ def _run_protocol(
         if defect <= target_defect or count * 2 > max_steps:
             break
 
-    # the reported rung's register off its cache entry: unrotated states, where the
-    # conserved parity is plain Z...Z and the ground projector the bare one, one per row
-    checkpoints, states = _rung_states(family, psi0, count, tau)
+    # the reported rung's unrotated register off its cache entry, where parity is plain Z...Z
+    checkpoints, states, spins = _rung_states(family, psi0, count, tau)
     f_register = fidelity(states[-1] if gate is None else _on_outputs(gate, states[-1], n), tgt)
     if not abs(f_register - f_next**n) <= 1e-12:
         raise RuntimeError(f"register fidelity {f_register!r} != sector fidelity^n {f_next**n!r}")
-    p_states = _apply_sectorwise(_checkpoint_projectors(schedule, count), states, n)
-    overlaps = np.matmul(states.conj()[:, None, :], p_states[:, :, None]).real.ravel()
-    trace = [(k / count, float(overlap)) for k, overlap in zip(checkpoints, overlaps)]
+    amplitudes = spins.view(float) @ _checkpoint_bras(schedule, count)  # (re, im) per spin
+    overlaps = (amplitudes**2).sum(axis=-1).prod(axis=-1) ** (2 // spins.shape[1] * n)  # p_k^n
     parities = np.sum(_Z_SIGNS[: 8**n] * np.abs(states) ** 2, axis=-1)
     return RunRecord(
         sectors=n,
@@ -373,7 +375,7 @@ def _run_protocol(
         convergence_defect=float(defect),
         accepted=bool(defect <= target_defect),
         parity_drift=float(np.max(np.abs(parities - parities[0]))),
-        ground_overlap_trace=trace,
+        ground_overlap_trace=[(k / count, p) for k, p in zip(checkpoints, overlaps.tolist())],
     )
 
 

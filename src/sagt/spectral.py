@@ -262,8 +262,8 @@ def coordinate_grid(path, omega, tau=None):
 def coordinate_block(ab):
     """The sector blocks S (a.s (x) 1 + 1 (x) b.s) S^dag of coordinates (..., 6).
     A row gets the bits it has in any batch of two or more rows; a lone row
-    takes numpy's one-row product, an ulp or so apart.  coordinate_grid and
-    step_products (per run) keep their bits in any batch, one row included."""
+    takes numpy's one-row product, an ulp or so apart.  coordinate_grid, and
+    spin_products per run, keep their bits in any batch, one row included."""
     return (ab @ _UNSPLIT).view(complex).reshape(np.shape(ab)[:-1] + (4, 4))
 
 
@@ -335,17 +335,6 @@ def spin_blocks(alpha, beta):
     u = np.stack((alpha, -np.conj(beta), beta, np.conj(alpha)), -1).reshape(alpha.shape + (2, 2))
     u = u[..., 0, :, None, :, None] * u[..., -1, None, :, None, :]
     return SPIN_FRAME @ u.reshape(u.shape[:-4] + (4, 4)) @ SPIN_FRAME.conj().T
-
-
-def step_products(ab, dt, lengths):
-    """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
-    the coordinates ab, (N, 6), as (len(lengths), 4, 4): spin_products of
-    their tree_index, one spin when a == b on every row."""
-    ab, lengths = np.array(ab, float).reshape(-1, 6), np.asarray(lengths)  # a copy to scale
-    if lengths.sum() != len(ab):
-        raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
-    spins = 1 if np.array_equal(ab[:, :3], ab[:, 3:]) else 2
-    return spin_blocks(*spin_products(ab, dt, tree_index(lengths), spins))
 
 
 def embed_blocks(plus_block, minus_block):

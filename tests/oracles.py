@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
+from sagt.schedules import sample
+
 
 def reference_propagate(matrix_fn, psi0, tau, steps):
     """Midpoint-rule propagation: scipy's expm_multiply, the action of
@@ -42,6 +44,20 @@ def rabi_fidelity(tau_omega, n):
     q = (np.pi / 4.0) ** 2
     f = 1.0 - q / (tau_omega**2 + q) * np.sin(np.sqrt(tau_omega**2 + q)) ** 2
     return f ** (2 * n)
+
+
+def ground_pair_projector(schedule, s):
+    """8x8 projectors onto the ground pair of the bare drive
+    -(eta_i (1XX + 1ZZ) + eta_f (XX1 + ZZ1)) at each s given, (..., 8, 8):
+    the two lowest eigenvectors of the dense register matrix, by plain
+    dense diagonalization, no parity blocks."""
+    x, z, one = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+    drive_a = np.kron(one, np.kron(x, x)) + np.kron(one, np.kron(z, z))
+    drive_b = np.kron(np.kron(x, x), one) + np.kron(np.kron(z, z), one)
+    eta_i, eta_f = sample(schedule, np.asarray(s, dtype=float))[:2]
+    h = -(np.multiply.outer(eta_i, drive_a) + np.multiply.outer(eta_f, drive_b))
+    ground = np.linalg.eigh(h)[1][..., :2]
+    return ground @ np.swapaxes(ground, -1, -2)
 
 
 def kron_sum(sector, n, rotation=None):

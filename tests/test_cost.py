@@ -152,6 +152,20 @@ def test_cost_scaling_values():
         cost.cost_scaling(0)
 
 
+def test_cost_scaling_reaches_the_end_of_the_float_range():
+    # 2^{3(n-1)} n overflowed before its root was taken: n = 340-342 gave inf
+    # and n = 343 an OverflowError, where g_n is about 2e154
+    for n in range(1, 340):  # the bits of the old formula wherever it held
+        assert cost.cost_scaling(n) == float(np.sqrt(2.0 ** (3 * (n - 1)) * n))
+    for n in (340, 341, 342, 343, 500, 680):
+        want = 2.0 ** (1.5 * (n - 1) - 600) * np.sqrt(n)  # g_n / 2^600, inside the range
+        assert cost.cost_scaling(n) / 2.0**600 == pytest.approx(want, rel=1e-14)
+    assert np.isfinite(cost.cost_scaling(680))
+    for n in (681, 10**6):  # g_681 is about 2^1024.7
+        with pytest.raises(ValueError, match=f"need 1 <= n <= 680, where g_n is a float, got {n}"):
+            cost.cost_scaling(n)
+
+
 def test_two_sector_cost_is_four_times_one_sector():
     sch = builtin_schedule("trigonometric")
     tau = 1.0

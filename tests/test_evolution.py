@@ -17,6 +17,7 @@ from sagt.schedules import BUILTIN_KINDS, Schedule, builtin_schedule
 import oracles
 import strategies
 from test_sample_once import count_coordinate_grids, counting_schedule
+from test_spectral import step_products
 
 
 def test_fidelity_phase_invariant():
@@ -165,7 +166,7 @@ def test_apply_sectorwise_is_the_kronecker_power(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_stacked_application_gives_each_row_its_lone_bits(n):
     # 21 operators on one state (a rung's checkpoints) and 21 operators on
-    # 21 states (their projectors): every row is the single call, bit for bit
+    # 21 states: every row is the single call, bit for bit
     rng = np.random.default_rng(10 + n)
     us = np.array([sagt.random_unitary(8, rng) for _ in range(21)])
     psis = np.array([sagt.random_state(8**n, rng) for _ in range(21)])
@@ -254,7 +255,7 @@ def test_the_pass_width_changes_no_bit_of_a_transport(sch, dressed, tau, steps):
     empty_caches()
     assert transports[7][0] == transports[4096][0] == transports[16384][0]
     assert np.array_equal(transports[4096][1], transports[16384][1])
-    assert transports[4096][2] == transports[16384][2]  # the spins' ends, bit for bit
+    assert np.array_equal(transports[4096][2], transports[16384][2])  # the spins, bit for bit
     if max(np.diff(transports[7][0])) <= 7:
         assert np.array_equal(transports[7][1], transports[16384][1])
     np.testing.assert_allclose(transports[7][1], transports[16384][1], rtol=0, atol=1e-12)
@@ -413,8 +414,8 @@ def test_a_long_rung_stays_unitary(cold_cache):
     # segment drifted about 8e-13 off unit norm, and a 512,000-step rung
     # chained that drift to 1e-10, at NORM_ATOL
     sch = builtin_schedule("trigonometric")
-    _, transports, ((alpha, beta),) = evolution._transports(sch, 1.0, None, 2.0, 512_000)
-    u = transports[-1]
+    _, transports, spins = evolution._transports(sch, 1.0, None, 2.0, 512_000)
+    u, ((alpha, beta),) = transports[-1], spins[-1]
     assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-12
     assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-12
     for n in (2, 3):  # these raised "propagation lost normalization" at 1,024,000 steps
@@ -451,7 +452,7 @@ def test_corrected_drive_transports_the_ground_manifold(tau_omega):
     overlaps = []
 
     def watch(s, psi):
-        proj = evolution._ground_pair_projector(sch, s)
+        proj = oracles.ground_pair_projector(sch, s)
         overlaps.append(float(np.real(psi.conj() @ proj @ psi)))
 
     evolution.propagate(fam, psi0, steps=4000, observer=watch)
@@ -602,7 +603,7 @@ def _midpoint_errors(schedule, tau, counts=(1000, 4000, 8000)):
     errors = []
     for count in counts:
         s_mid = (np.arange(count) + 0.5) / count
-        u = spectral.step_products(fam.coordinate_grid(s_mid), tau / count, [count])[0]
+        u = step_products(fam.coordinate_grid(s_mid), tau / count, [count])[0]
         errors.append(np.linalg.norm(u - exact, 2))
     return errors
 
@@ -784,9 +785,10 @@ def test_the_ladder_observes_the_reported_rung_alone(monkeypatch, cold_cache, mo
 @pytest.mark.parametrize("mode", model.MODES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_run_records_the_observables_of_the_public_observer_path(n, mode, kind):
-    # the record's trace and parity drift, read off the reported rung's
-    # stacked states, equal those an observed propagate of that rung gives
-    # through a per-row vdot and Z...Z signs formed by outer products
+    # the record's parity drift, read off the reported rung's stacked states,
+    # equals the one an observed propagate of that rung gives through Z...Z
+    # signs formed by outer products, and its trace, read off the spins, the
+    # register's per-row vdot with the ground projectors to roundoff
     rng = np.random.default_rng(7 + n)
     sch, psi_in = builtin_schedule("exponential"), sagt.random_state(2**n, rng)
     if kind == "state":
@@ -802,13 +804,13 @@ def test_a_run_records_the_observables_of_the_public_observer_path(n, mode, kind
     sagt.propagate(fam, psi0, rec.step_count, 1.0, observer=lambda s, psi: seen.append((s, psi)))
     marks, states = zip(*seen)
     states = np.array(states)
-    projectors = evolution._ground_pair_projector(sch, np.array(marks))
+    projectors = oracles.ground_pair_projector(sch, np.array(marks))
     p_states = evolution._apply_sectorwise(projectors, states, n)
     overlaps = [np.real(np.vdot(psi, p_psi)) for psi, p_psi in zip(states, p_states)]
     z_signs = functools.reduce(np.multiply.outer, [[1.0, -1.0]] * (3 * n)).ravel()
     parities = np.sum(z_signs * np.abs(states) ** 2, axis=-1)
     trace = [(float(s), float(overlap)) for s, overlap in zip(marks, overlaps)]
-    assert rec.ground_overlap_trace == trace
+    assert_same_trace(rec.ground_overlap_trace, trace)
     assert rec.parity_drift == float(np.max(np.abs(parities - parities[0])))
 
 
@@ -843,12 +845,20 @@ def test_run_gate_teleport_infers_and_checks_width():
         )
 
 
+def assert_same_trace(got, want):
+    """Two ground-overlap traces at the same s, their overlaps equal to
+    1e-12: the record reads its trace off the spins, an observer off the
+    register."""
+    assert [s for s, _ in got] == [s for s, _ in want]
+    np.testing.assert_allclose([y for _, y in got], [y for _, y in want], rtol=0, atol=1e-12)
+
+
 def _observables(kept, sch, n):
     """The ground-overlap trace and the Z parities at the kept states."""
     z = np.diag(sagt.parity("z", "global", n)).real
     trace, parities = [], []
     for s, psi in kept:
-        proj = evolution._ground_pair_projector(sch, s)
+        proj = oracles.ground_pair_projector(sch, s)
         p_psi = evolution._apply_sectorwise(proj, psi, n)
         trace.append((s, float(np.real(np.vdot(psi, p_psi)))))
         parities.append(float(np.real(np.sum(z * np.abs(psi) ** 2))))
@@ -886,7 +896,7 @@ def test_run_record_reports_the_accepted_rung(n, mode):
     target = sagt.target_state(psi_in, n, rotation=gate)
     trace, parities = _observables(kept, sch, n)
     assert rec.fidelity == evolution.fidelity(final, target)
-    assert rec.ground_overlap_trace == trace
+    assert_same_trace(rec.ground_overlap_trace, trace)
     assert rec.parity_drift == max(abs(p - parities[0]) for p in parities)
     if gate is None:
         return
@@ -976,7 +986,8 @@ def test_the_sector_fidelity_is_the_product_of_the_spins(sch, mode, tau_omega, s
     # spins, so F_1 = f_a f_b with f = |<end spin|U|start spin>|^2, read off
     # the entry's per-spin (alpha, beta) of U(1); one spin serves both when a == b
     family_tau = tau_omega if mode == "superadiabatic" else None
-    _, transports, ends = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    _, transports, spins = evolution._transports(sch, 1.0, family_tau, tau_omega, steps)
+    ends = spins[-1]
     assert len(ends) == 1 + (family_tau is not None)
     (x0, y0), (x1, y1) = _spin_state(G0), _spin_state(G1)
     (a_a, b_a), (a_b, b_b) = ends[0], ends[-1]
@@ -988,12 +999,6 @@ def test_the_sector_fidelity_is_the_product_of_the_spins(sch, mode, tau_omega, s
     rec = sagt.run_state_teleport(1, sch, tau_omega, mode, psi, steps=steps // 2, max_steps=steps)
     assert rec.step_count == steps
     assert abs(rec.sector_fidelity - f_a * f_b) <= 1e-12
-
-
-def _spin_read(alpha, beta):
-    """|<+y|u|+x>|^2 of u = [[alpha, -beta*], [beta, alpha*]], in the
-    ladder's own arithmetic, so its value keeps the ladder's bits."""
-    return abs(alpha - beta.conjugate() - 1j * (beta + alpha.conjugate())) ** 2 / 4
 
 
 @pytest.mark.parametrize("gate", [None, "cnot"])
@@ -1013,11 +1018,13 @@ def test_a_register_that_is_not_the_sector_to_the_power_n_is_refused(monkeypatch
     real = evolution._transports
 
     def turned(*key):  # exp(-i pi/2 sigma_z) u: (alpha, beta) -> (-i alpha, i beta)
-        checkpoints, transports, ends = real(*key)
-        return checkpoints, transports, tuple((-1j * a, 1j * b) for a, b in ends)
+        checkpoints, transports, spins = real(*key)
+        return checkpoints, transports, spins * [-1j, 1j]
 
     monkeypatch.setattr(evolution, "_transports", turned)
-    f_a, f_b = (_spin_read(a, b) for a, b in turned(sch, 1.0, 1.0, 1.0, 128)[2])
+    # the ladder's own arithmetic on its ends, so the value keeps the ladder's bits
+    ends = turned(sch, 1.0, 1.0, 1.0, 128)[2][-1].tolist()
+    f_a, f_b = (abs(evolution._ground_amplitude(a, b, -1j)) ** 2 for a, b in ends)
     ladder = (f_a * f_b) ** 2
     assert abs(register - ladder) > 0.5
     with pytest.raises(RuntimeError) as refused:
@@ -1034,8 +1041,8 @@ def test_a_rung_whose_spins_left_unit_norm_is_refused(monkeypatch, mode, drift):
     real = evolution._transports
 
     def drifted(*key):
-        checkpoints, transports, ends = real(*key)
-        return checkpoints, transports, tuple((a * (1 + drift), b * (1 + drift)) for a, b in ends)
+        checkpoints, transports, spins = real(*key)
+        return checkpoints, transports, spins * (1 + drift)
 
     monkeypatch.setattr(evolution, "_transports", drifted)
     sch = builtin_schedule("trigonometric")
@@ -1075,7 +1082,7 @@ def test_a_repeated_run_forms_no_generator_and_records_the_same(monkeypatch, col
     assert formed > 0
     warm = sagt.run_state_teleport(1, sch, 1.0, "superadiabatic", [0.6, 0.8])
     assert len(generators) == formed
-    assert calls == sampled  # the checkpoint projectors are kept too
+    assert calls == sampled  # the checkpoint bras are kept too
     assert _bits(warm) == _bits(cold)
 
 
@@ -1118,9 +1125,9 @@ def test_sharing_the_pass_terms_keeps_the_bits(sch, dressed, taus, omegas, steps
     transports(omegas[0], taus[0])
     with mock.patch.object(evolution, "_pass_terms", wraps=evolution._pass_terms) as terms:
         warm = transports(omegas[1], taus[1])
-    assert warm[0] == cold[0] and warm[2] == cold[2]
-    assert np.array_equal(warm[1], cold[1])
-    assert not warm[1].flags.writeable
+    assert warm[0] == cold[0]
+    assert np.array_equal(warm[1], cold[1]) and np.array_equal(warm[2], cold[2])
+    assert not warm[1].flags.writeable and not warm[2].flags.writeable
     assert terms.call_count >= 1 + (steps > evolution._CHUNK)
     for call in terms.call_args_list:
         kept = [a for a in evolution._pass_terms(*call.args) if a is not None]
@@ -1239,9 +1246,12 @@ def test_cached_products_are_read_only(cold_cache):
     fam = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
     evolution.propagate(fam, sagt.initial_state([0.6, 0.8], 1), 64)
     # the key every 64-step run of this configuration makes, observed or not
-    checkpoints, transports, ends = evolution._transports(sch, 1.0, 1.0, 1.0, 64)
+    checkpoints, transports, spins = evolution._transports(sch, 1.0, 1.0, 1.0, 64)
     assert evolution._transports.cache_info().hits == 1
-    assert isinstance(ends, tuple) and len(ends) == 2  # U_a(1), U_b(1): (alpha, beta) each
+    # U_a(s_k), U_b(s_k): (alpha, beta) each, the identity at s = 0
+    assert spins.shape == (evolution._TRACE_POINTS, 2, 2)
+    assert np.array_equal(spins[0], [[1.0, 0.0], [1.0, 0.0]])
+    assert not spins.flags.writeable
     assert len(checkpoints) == evolution._TRACE_POINTS
     assert (checkpoints[0], checkpoints[-1]) == (0, 64)
     assert transports.shape == (evolution._TRACE_POINTS, 4, 4)
@@ -1249,10 +1259,15 @@ def test_cached_products_are_read_only(cold_cache):
     assert not transports.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         transports[0, 0, 0] = 0.0
-    projectors = evolution._checkpoint_projectors(sch, 64)
-    marks = np.array(checkpoints) / 64
-    assert np.array_equal(projectors, evolution._ground_pair_projector(sch, marks))
-    assert not projectors.flags.writeable
+    # a spin's (alpha, beta) as four floats, times the checkpoint's bra, is
+    # <+n|u|+x> = (alpha - beta* + exp(-i theta) (beta + alpha*)) / 2 as (re, im)
+    bras = evolution._checkpoint_bras(sch, 64)
+    theta = np.pi / 2 * np.array(checkpoints) / 64  # the drive turns from x to y
+    alpha, beta = 0.3 - 0.8j, 0.2 + 0.48j
+    want = (alpha - beta.conjugate() + np.exp(-1j * theta) * (beta + alpha.conjugate())) / 2
+    got = np.array([alpha, beta]).view(float) @ bras
+    np.testing.assert_allclose(got, np.stack([want.real, want.imag], -1), rtol=0, atol=1e-15)
+    assert bras.shape == (evolution._TRACE_POINTS, 4, 2) and not bras.flags.writeable
     # the step-count plan: a tuple of checkpoints, passes of tuples and the
     # read-only tree index of the segments between the cuts
     planned, ((cuts, index),) = evolution._rung_plan(64)

@@ -3,8 +3,10 @@ every import sits at module level, so the module graph reads off the top of
 each file, no module but schedules evaluates a schedule on a grid, no
 module takes an arctan2 (spectral.chart reads cos and sin off (eta_i,
 eta_f) instead), no module but operators names an eigensolver or a
-matrix exponential, no Kronecker product sits on the run path, and every
-name a module binds at its top level is read somewhere in src/ or tests/."""
+matrix exponential, no Kronecker product sits on the run path, every
+name a module binds at its top level is read somewhere in src/ or tests/,
+and every top-level function and class is read by the package itself:
+called in src/ or exported by __init__."""
 
 import ast
 from pathlib import Path
@@ -249,3 +251,37 @@ def test_every_top_level_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def unreached_definitions(sources):
+    """(file, line, name) of each top-level function and class of the
+    {file name: source} `sources` that none of them reads: no call, name or
+    import of it (an import by __init__ is an export) anywhere in them."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return [
+        (file, node.lineno, node.name)
+        for file, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    ]
+
+
+def test_the_scan_sees_a_definition_only_the_tests_reach():
+    sources = {
+        "__init__.py": "from .a import Exported\n",
+        "a.py": (
+            "def used():\n    return 1\n\n\n"
+            "def tested_only():\n    return used()\n\n\n"
+            "class Exported:\n    pass\n\n\n"
+            "class Internal:\n    pass\n"
+        ),
+    }
+    assert unreached_definitions(sources) == [("a.py", 5, "tested_only"), ("a.py", 13, "Internal")]
+
+
+def test_every_function_and_class_is_reached_from_the_package():
+    # a function or class that only the tests read is test code kept in
+    # src/: it belongs beside its callers
+    sources = {path.name: path.read_text(encoding="utf-8") for path in ALL_MODULES}
+    assert unreached_definitions(sources) == []

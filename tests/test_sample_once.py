@@ -163,8 +163,9 @@ def test_an_observed_propagation_forms_its_generator_once(monkeypatch, mode):
 @pytest.mark.parametrize("kind", ["state", "gate"])
 def test_a_run_applies_its_register_states_twice(monkeypatch, n, mode, kind):
     # the ladder reads each rung's sector fidelity off its transports and
-    # applies no state: one stacked product for the reported rung's
-    # checkpoint states and one for their ground projectors
+    # applies no state, and the trace is read off the spins: one stacked
+    # product, for the reported rung's checkpoint states (the name keeps the
+    # count from when a second product applied their ground projectors)
     applications = []
     apply = evolution._apply_sectorwise
 
@@ -181,4 +182,4 @@ def test_a_run_applies_its_register_states_twice(monkeypatch, n, mode, kind):
         gate = sagt.random_unitary(2**n, rng)
         record = sagt.run_gate_teleport(gate, sch, 1.0, mode, psi_in, steps=64)
     assert record.step_count >= 128  # the ladder climbed two rungs or more
-    assert applications == [(21, 8, 8), (21, 8, 8)]
+    assert applications == [(21, 8, 8)]

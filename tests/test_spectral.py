@@ -303,12 +303,23 @@ def _ordered_expm(h, dt):
     return u
 
 
+def step_products(ab, dt, lengths):
+    """S U_{k+n-1} ... U_k S^dag for consecutive runs of lengths[j] rows of
+    the coordinates ab, (N, 6), as (len(lengths), 4, 4): spin_products of
+    their tree_index, one spin when a == b on every row."""
+    ab, lengths = np.array(ab, float).reshape(-1, 6), np.asarray(lengths)  # a copy to scale
+    if lengths.sum() != len(ab):
+        raise ValueError(f"runs of {lengths.sum()} steps for {len(ab)} coordinates")
+    spins, index = 1 if np.array_equal(ab[:, :3], ab[:, 3:]) else 2, spectral.tree_index(lengths)
+    return spectral.spin_blocks(*spectral.spin_products(ab, dt, index, spins))
+
+
 def _runs(ab, dt, lengths):
     """(step_products, ordered expm) of each run of lengths[j] rows of ab."""
     blocks = spectral.coordinate_block(ab)
     bounds = np.cumsum([0] + list(lengths))
     want = [_ordered_expm(blocks[lo:hi], dt) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return zip(spectral.step_products(ab, dt, lengths), want, lengths)
+    return zip(step_products(ab, dt, lengths), want, lengths)
 
 
 @settings(max_examples=25, deadline=None)
@@ -335,7 +346,7 @@ def test_step_products_of_uneven_runs_match_each_segment():
         sagt.single_sector_family(1.3, builtin_schedule("exponential")), 0.4
     )
     ab = fam.coordinate_grid((np.arange(sum(lengths)) + 0.5) / sum(lengths))
-    assert spectral.step_products(ab, 0.05, lengths).shape == (len(lengths), 4, 4)
+    assert step_products(ab, 0.05, lengths).shape == (len(lengths), 4, 4)
     for u, want, count in _runs(ab, 0.05, lengths):
         assert np.abs(u - want).max() < 1e-13 * count
 
@@ -344,9 +355,9 @@ def test_identity_padding_leaves_each_run_bitwise_unchanged():
     lengths = [1, 2, 3, 7, 1, 200, 64]
     ab = np.random.default_rng(11).normal(size=(sum(lengths), 6))
     bounds = np.cumsum([0] + lengths)
-    together = spectral.step_products(ab, 0.3, lengths)
+    together = step_products(ab, 0.3, lengths)
     for u, lo, hi in zip(together, bounds[:-1], bounds[1:]):
-        assert np.array_equal(u, spectral.step_products(ab[lo:hi], 0.3, [hi - lo])[0])
+        assert np.array_equal(u, step_products(ab[lo:hi], 0.3, [hi - lo])[0])
 
 
 def test_a_lone_run_on_one_spin_keeps_its_batch_bits():
@@ -356,16 +367,16 @@ def test_a_lone_run_on_one_spin_keeps_its_batch_bits():
     a = np.random.default_rng(12).normal(size=(sum(lengths), 3))
     ab = np.hstack((a, a))
     bounds = np.cumsum([0] + lengths)
-    together = spectral.step_products(ab, 0.3, lengths)
+    together = step_products(ab, 0.3, lengths)
     for u, lo, hi in zip(together, bounds[:-1], bounds[1:]):
-        assert np.array_equal(u, spectral.step_products(ab[lo:hi], 0.3, [hi - lo])[0])
+        assert np.array_equal(u, step_products(ab[lo:hi], 0.3, [hi - lo])[0])
 
 
 def test_step_products_keeps_the_caller_coordinates():
     # the kernel scales its coordinates in place: step_products hands it a copy
     ab = np.random.default_rng(13).normal(size=(9, 6))
     kept = ab.copy()
-    spectral.step_products(ab, 0.3, [4, 5])
+    step_products(ab, 0.3, [4, 5])
     assert np.array_equal(ab, kept)
 
 
@@ -375,14 +386,14 @@ def test_step_products_names_an_infinite_coordinate(bad):
     ab = np.ones((5, 6))
     ab[1, 4] = bad
     with pytest.raises(ValueError, match="not finite"):
-        spectral.step_products(ab, 0.1, [2, 3])
+        step_products(ab, 0.1, [2, 3])
 
 
 def test_step_products_rejects_non_finite_coordinates():
     ab = np.ones((5, 6))
     ab[3, 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        spectral.step_products(ab, 0.1, [2, 3])
+        step_products(ab, 0.1, [2, 3])
 
 
 @pytest.mark.parametrize("spin", [0, 3], ids=["a", "b"])
@@ -394,13 +405,13 @@ def test_step_products_names_an_overflowing_step(spin):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"step angle dt \|a\| overflows"):
-            spectral.step_products(ab, 1e8, [2, 3])
+            step_products(ab, 1e8, [2, 3])
 
 
 def test_step_products_rejects_runs_that_miss_rows():
     # one row would broadcast over a three-step run without the check
     with pytest.raises(ValueError, match="runs of 3 steps for 1"):
-        spectral.step_products(np.zeros((1, 6)), 0.1, [3])
+        step_products(np.zeros((1, 6)), 0.1, [3])
 
 
 @settings(max_examples=25, deadline=None)
@@ -458,12 +469,12 @@ def test_segment_propagator_on_random_span_vectors(kind):
         ab[6, 3:] += 0.5 if kind == "parting" else 0.0
     h = _span_blocks(ab)
     for dt in (0.1, 2.0, 7.0):
-        for u, b in zip(spectral.step_products(ab, dt, [1] * len(ab)), h):
+        for u, b in zip(step_products(ab, dt, [1] * len(ab)), h):
             np.testing.assert_allclose(u, expm(-1j * dt * b), atol=1e-13)
-        u = spectral.step_products(ab, dt, [len(ab)])[0]
+        u = step_products(ab, dt, [len(ab)])[0]
         np.testing.assert_allclose(u, _ordered_expm(h, dt), atol=1e-13 * len(h))
     if kind == "zero":
-        u = spectral.step_products(ab[4:5], 1.0, [1])[0]
+        u = step_products(ab[4:5], 1.0, [1])[0]
         np.testing.assert_allclose(u, np.eye(4), rtol=0, atol=1e-15)
 
 

@@ -4,9 +4,9 @@
 
 A transport miss is the work of one uncached evolution._transports call:
 the per-spin products of a rung's passes, their chain, the 4x4 blocks at
-its checkpoints and the per-spin (alpha, beta) of U(1), one entry.  Each row is a rung of 2,000 x 2^k steps, k = 0..4,
-on the trigonometric drive at tau*omega = 20 (omega = 1), bare
-(adiabatic) and dressed (superadiabatic).  The rung's plan and pass terms
+its checkpoints and the per-spin (alpha, beta) there, one entry.  Each row
+is a rung of 2,000 x 2^k steps, k = 0..4, on the trigonometric drive at
+tau*omega = 20 (omega = 1), bare (adiabatic) and dressed (superadiabatic).  The rung's plan and pass terms
 are cached first, since neither depends on tau or omega, so the row
 measures what a new duration pays.  After WARMUP misses the row times
 REPEATS more, one by one, and prints the best in microseconds and the

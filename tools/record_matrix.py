@@ -13,11 +13,12 @@ do not enter the step products, so most rungs read them from evolution's
 transport cache (389 of 448 reads, from 59 distinct rungs: 340 by the
 ladders, one per rung, whose sector fidelity is read off the entry's
 per-spin (alpha, beta) of U(1), with no 4x4 block and no propagate call,
-and each run's reported rung read once more for its register states,
+and each run's reported rung read once more for its register states and
+the per-spin (alpha, beta) at its checkpoints, which give its trace,
 always a hit).  Neither tau nor omega enters a pass's schedule terms or
-a rung's checkpoint projectors, so the 59 transport misses sample 26 of
-their 60 passes, and the 108 reported rungs sample their projectors 12
-times; the 7 step counts plan their checkpoints and passes once each.
+a rung's checkpoint ground bras, so the 59 transport misses sample 26 of
+their 60 passes, and the 108 reported rungs sample their bras 12 times;
+the 7 step counts plan their checkpoints and passes once each.
 The hits and misses of each of evolution's four caches go to stderr,
 after the records.  Imports sagt from the src/ directory next to this
 script, so a copy of the script in another checkout measures that
