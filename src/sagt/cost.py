@@ -19,17 +19,18 @@ spectral).  With both blocks the one integrand, in units of hbar*omega, is
 the velocity term dropped for the bare drive: two scalar weights read off
 spectral.chart, no matrix built.  As tau omega -> 0, tau omega Sigma tends
 to 2 Int sqrt(1 + a^2) |d theta|, which is 4.493861 for any path on which
-theta runs monotonically from 0 to pi/2.  For n sectors the
-traceless sector terms are orthogonal in the Frobenius sense, which
-collapses the register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n)
-times the single-sector cost.
+theta runs monotonically from 0 to pi/2.  For n sectors the traceless
+sector terms are orthogonal in the Frobenius sense, which collapses the
+register cost to a closed scaling g_n = sqrt(2^{3(n-1)} n) times the
+single-sector cost, and ||G H G^dag||_F = ||H||_F for a unitary G: a gate
+teleport costs what the state teleport does.
 
 All quadratures are composite Simpson on nested grids, each doubling
 evaluating only the new midpoints, until the relative change drops below
 QUAD_RTOL.  The direct route takes one sector_matrix_grid per Simpson
-level and pads those 8x8 terms, at most NORM_CHUNK dense entries at a
-time, into one buffer per quadrature.  The closed form takes one
-schedules.sample per Simpson level; a sweep integrates each distinct
+level and pads those 8x8 terms, unrotated, at most NORM_CHUNK dense
+entries at a time, into one buffer per quadrature.  The closed form takes
+one schedules.sample per Simpson level; a sweep integrates each distinct
 tau*omega of all its modes (the bare drive as tau*omega = inf) once, as a
 column of one integrand, frozen at the level where it settles.
 """
@@ -94,10 +95,11 @@ def _converge(integrand, quad_points):
 
 
 def cost_numeric(family, quad_points=64):
-    """Direct route: Simpson quadrature of ||H(s)||_F for any family, off
-    the dense register matrix at every node: one sector sample per level,
-    padded NORM_CHUNK dense entries at a time into one buffer, and padded
-    again _rescaled where a square of a sector entry could over- or underflow."""
+    """Direct route: Simpson quadrature of ||H(s)||_F = ||G H(s) G^dag||_F,
+    off the unrotated register matrix at every node, so a rotated family
+    costs its unrotated one's bits: one sector sample per level, padded
+    NORM_CHUNK dense entries at a time into one buffer, and padded again
+    _rescaled where a square of a sector entry could over- or underflow."""
     per_call = max(1, NORM_CHUNK // family.dim**2)
     buffer = family._pad_buffer(per_call)
 

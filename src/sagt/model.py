@@ -65,11 +65,11 @@ class HamiltonianFamily:
     ``coordinate_grid`` forms the family's generator, off one sample of an
     in_domain s-array: the so(4) coordinates of the parity block -omega
     (eta_i A + eta_f B) + (i/tau) K, ``block_matrix_grid``, which
-    ``sector_matrix_grid`` embeds on both parities.  ``matrix_grid`` is
-    ``_pad`` of those sector terms: summed over the register's sectors and
-    rotated, one batch of G H(s) G^dag, (N, dim, dim); ``matrix(s)`` is its
-    one-point case.  Padding chunks of one sampled grid keeps the bits of
-    matrix_grid on chunks of two or more nodes (numpy rounds one row apart).
+    ``sector_matrix_grid`` embeds on both parities.  ``_pad`` sums those
+    terms over the register's sectors, unrotated; ``matrix_grid`` conjugates
+    the sum by G, one batch of G H(s) G^dag, (N, dim, dim), and ``matrix(s)``
+    is its one-point case.  ``_pad`` of two or more nodes of one sampled grid
+    is an unrotated matrix_grid there, bit for bit (numpy rounds one row apart).
     """
 
     sectors: int
@@ -101,7 +101,8 @@ class HamiltonianFamily:
         return self.sector_matrix_grid(np.array([float(s)]))[0]
 
     def matrix_grid(self, s_values):
-        return self._pad(self.sector_matrix_grid(s_values))
+        full, g = self._pad(self.sector_matrix_grid(s_values)), self.rotation
+        return full if g is None else g @ full @ g.conj().T
 
     def _pad_buffer(self, count):
         """A zero (count, dim, dim) batch, each sector's diagonal view of the
@@ -112,9 +113,9 @@ class HamiltonianFamily:
         return full, views, full.reshape(count, -1)[:, :: self.dim + 1]
 
     def _pad(self, h, out=None):
-        """The register matrices of the sector terms h in the first len(h)
-        entries of out, a _pad_buffer, or of a fresh one (unrotated, a view of
-        out).  Each cell holds its terms added into zero in sector order:
+        """The unrotated register matrices of the sector terms h: a view of
+        the first len(h) entries of out, a _pad_buffer, or of a fresh one.
+        Each cell holds its terms added into zero in sector order:
         0 + h (+0.0 for -0.0) across each view, and their sum on the diagonal."""
         count = len(h)
         full, views, diagonal = self._pad_buffer(count) if out is None else out
@@ -128,10 +129,7 @@ class HamiltonianFamily:
             for _ in views[1:]:
                 sums = (sums[:, :, None] + terms[:, None, :]).reshape(count, -1)
             diagonal[:count] = sums
-        full = full[:count]
-        if self.rotation is not None:
-            full = self.rotation @ full @ self.rotation.conj().T
-        return full
+        return full[:count]
 
     def matrix(self, s):
         """matrix_grid at the one node s, whose bits may differ from that node's

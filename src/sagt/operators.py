@@ -48,9 +48,9 @@ def require_duration(name, value):
 
 
 def _whole(name, value):
-    """value as an int; ValueError("<name> must be a whole number, got ...")
-    unless it is one, so a whole float never reaches numpy as a float."""
-    if not float(value).is_integer():
+    """value as an int (an int past the float range as it is), so a whole float
+    reaches numpy as an int; ValueError("<name> must be a whole number") if not."""
+    if not isinstance(value, int) and not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value}")
     return int(value)
 

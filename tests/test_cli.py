@@ -462,6 +462,15 @@ def test_a_step_count_below_one_is_one_error_line(capsys, command, steps):
     assert err == f"sagt: error: steps must be >= 1, got {steps}\n"
 
 
+def test_a_step_count_past_the_float_range_is_one_error_line(capsys):
+    # float(steps) overflowed and escaped main as a traceback
+    steps = "1" + "0" * 400
+    code, out, err = run_cli(capsys, "state-teleport", "--tau", "1", "--steps", steps)
+    assert code == 1
+    assert out == ""
+    assert err == f"sagt: error: steps={steps}: 2*steps exceeds max_steps={2**20}\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_verify_rejects_an_empty_grid(capsys, grid):
     code, out, err = run_cli(capsys, "verify", "--grid", grid)

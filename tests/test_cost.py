@@ -100,17 +100,36 @@ def test_closed_form_matches_direct_route(kind, tau):
     assert closed == pytest.approx(direct, rel=1e-6)
 
 
-def test_cost_numeric_is_rotation_invariant():
-    rng = np.random.default_rng(43)
-    sch = builtin_schedule("linear")
-    base = sagt.superadiabatic_family(sagt.single_sector_family(1.0, sch), 1.0)
-    g = sagt.embed_on_outputs(sagt.random_unitary(2, rng), 1)
-    rotated = sagt.superadiabatic_family(
-        sagt.rotate_family(sagt.single_sector_family(1.0, sch), g), 1.0
+ROTATION_TAU_OMEGAS = (0.1, 0.37, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("tau_omega", ROTATION_TAU_OMEGAS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_cost_numeric_is_rotation_invariant(kind, tau_omega):
+    # ||G H G^dag||_F = ||H||_F: the direct route pads the unrotated terms,
+    # so a gate's rotation moves no bit of a cost
+    seed = [KINDS.index(kind), ROTATION_TAU_OMEGAS.index(tau_omega)]
+    u = sagt.random_unitary(2, np.random.default_rng(seed))
+    g = sagt.embed_on_outputs(u / np.sqrt(np.linalg.det(u)), 1)  # a Haar SU(2)
+    plain = sagt.single_sector_family(1.0, builtin_schedule(kind))
+    rotated = sagt.superadiabatic_family(sagt.rotate_family(plain, g), tau_omega)
+    assert cost.cost_numeric(rotated) == cost.cost_numeric(
+        sagt.superadiabatic_family(plain, tau_omega)
     )
-    assert cost.cost_numeric(rotated) == pytest.approx(
-        cost.cost_numeric(base), rel=1e-10
-    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_rotated_matrix_grid_keeps_the_frobenius_norms(kind, n):
+    # the invariance that lets the direct route skip the rotation, checked
+    # on matrix_grid, which does rotate
+    base = sagt.multi_sector_family(n, 1.0, builtin_schedule(kind))
+    plain = sagt.superadiabatic_family(base, 0.37)
+    rotated = sagt.rotate_family(plain, sagt.random_unitary(8**n, np.random.default_rng(n)))
+    s = np.linspace(0.0, 1.0, 33)
+    want = np.linalg.norm(plain.matrix_grid(s), axis=(1, 2))
+    got = np.linalg.norm(rotated.matrix_grid(s), axis=(1, 2))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_cost_depends_only_on_the_duration_rate_product():
@@ -163,6 +182,15 @@ def test_cost_scaling_reaches_the_end_of_the_float_range():
     assert np.isfinite(cost.cost_scaling(680))
     for n in (681, 10**6):  # g_681 is about 2^1024.7
         with pytest.raises(ValueError, match=f"need 1 <= n <= 680, where g_n is a float, got {n}"):
+            cost.cost_scaling(n)
+
+
+def test_a_whole_int_past_the_float_range_is_refused_by_its_range():
+    # float(10**400) overflows: the int must reach the range check as it is
+    with pytest.raises(ValueError, match=r"need 1 <= n <= 680, where g_n is a float, got 10{400}$"):
+        cost.cost_scaling(10**400)
+    for n in (np.nan, np.inf):  # still not whole
+        with pytest.raises(ValueError, match="n must be a whole number"):
             cost.cost_scaling(n)
 
 

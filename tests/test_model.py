@@ -52,30 +52,33 @@ def test_matrix_grid_is_the_kron_sum_of_its_sectors(n, rotated):
 @pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
 def test_padding_a_slice_of_the_sector_terms_is_matrix_grid_on_that_slice(n, rotated):
     # the direct cost route samples a Simpson level once and pads it in
-    # chunks; each chunk must carry the bits of matrix_grid on its nodes
+    # chunks; each chunk must carry the bits of the unrotated matrix_grid on
+    # its nodes, for a rotated family too: _pad never rotates
     base = sagt.multi_sector_family(n, 1.3, builtin_schedule("trigonometric"))
-    fam = sagt.superadiabatic_family(base, 0.6)
+    fam = plain = sagt.superadiabatic_family(base, 0.6)
     if rotated:
-        fam = sagt.rotate_family(fam, operators.random_unitary(8**n, np.random.default_rng(n)))
+        g = operators.random_unitary(8**n, np.random.default_rng(n))
+        fam = sagt.rotate_family(plain, g)
     s = np.linspace(0.0, 1.0, 65 if n < 3 else 13)[1::2]  # a level's new midpoints
     terms = fam.sector_matrix_grid(s)
     for part in (slice(None), slice(0, 2), slice(1, 4), slice(2, None, 3), slice(-3, None)):
-        np.testing.assert_array_equal(fam._pad(terms[part]), fam.matrix_grid(s[part]))
+        np.testing.assert_array_equal(fam._pad(terms[part]), plain.matrix_grid(s[part]))
+        if rotated:  # matrix_grid alone conjugates the padded sum by G
+            want = g @ plain.matrix_grid(s[part]) @ g.conj().T
+            np.testing.assert_array_equal(fam.matrix_grid(s[part]), want)
     # a lone node takes numpy's one-row product in coordinate_block, which
     # rounds apart from the batched rows by an ulp or so
-    lone = fam.matrix_grid(s[:1])
+    lone = plain.matrix_grid(s[:1])
     np.testing.assert_allclose(fam._pad(terms[:1]), lone, rtol=0, atol=1e-15 * np.abs(lone).max())
 
 
 def _sum_into_zeros(fam, h):
-    # the register matrices as the sum of 1 (x) h (x) 1 added into a zero batch
-    # through diagonal views, sector by sector, then rotated
+    # the unrotated register matrices as the sum of 1 (x) h (x) 1 added into a
+    # zero batch through diagonal views, sector by sector
     n, full = fam.sectors, np.zeros((len(h), fam.dim, fam.dim), dtype=complex)
     for k in range(n):
         pads = full.reshape((len(h),) + (8**k, 8, 8 ** (n - 1 - k)) * 2)
         np.einsum("blirljr->blrij", pads)[...] += h[:, None, None]
-    if fam.rotation is not None:
-        full = fam.rotation @ full @ fam.rotation.conj().T
     return full
 
 
@@ -84,7 +87,8 @@ def _sum_into_zeros(fam, h):
 def test_padding_chunks_into_one_buffer_keeps_the_bits_of_the_sum_into_zeros(n, rotated):
     # the direct cost route pads every chunk of a level into one buffer: each
     # chunk must clear what the one before it left, and every cell, signed
-    # zeros included, must be its sector terms added into zero in order
+    # zeros included, must be its sector terms added into zero in order,
+    # unrotated for a rotated family too
     base = sagt.multi_sector_family(n, 0.9, builtin_schedule("exponential"))
     fam = sagt.superadiabatic_family(base, 0.45)
     if rotated:

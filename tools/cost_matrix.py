@@ -11,7 +11,10 @@ the bare drive's direct and closed-form costs, cost_multi on three sectors
 (one node per padded chunk) at each tau*omega in THREE_SECTOR_TAU_OMEGAS,
 its cost_sweep on the default grid and its cost_sweep on REPEATED_GRID,
 which holds each of its tau*omega values more than once.  Every cost is printed as its repr, one per line, so a diff
-of two outputs shows every bit that moved.  Imports sagt from the src/
+of two outputs shows every bit that moved.  After the rows, stderr gets
+the number of (schedule, tau*omega) pairs whose rotated direct cost is not
+bit for bit the plain one, which leaves stdout comparable across trees.
+Imports sagt from the src/
 directory next to this script, so a copy of the script in another checkout
 measures that checkout.  Takes no options.
 """
@@ -44,10 +47,13 @@ def direct(route, schedule, tau_omega, seed):
 
 def main():
     cases = itertools.product(BUILTIN_KINDS, TAU_OMEGAS, ROUTES)
+    values, moved = {}, 0
     for seed, (kind, tau_omega, route) in enumerate(cases):
         schedule = sagt.builtin_schedule(kind)
-        value = direct(route, schedule, tau_omega, seed)
+        value = values[route] = direct(route, schedule, tau_omega, seed)
         print(f"{kind} {tau_omega!r} {route} direct {value!r}")
+        if route == "rotated":
+            moved += value != values["plain"]
         if route == ROUTES[-1]:
             closed = sagt.cost_closed_form(schedule, tau_omega)
             print(f"{kind} {tau_omega!r} closed-form {closed!r}")
@@ -65,6 +71,9 @@ def main():
                     print(f"{kind} {label} {report.mode} {tau_omega!r} {value!r}")
                 print(f"{kind} {label} {report.mode} quadrature "
                       f"{report.quadrature_points!r} {report.quadrature_defect!r}")
+    pairs = len(BUILTIN_KINDS) * len(TAU_OMEGAS)
+    print(f"{moved} of {pairs} (schedule, tau*omega) pairs: rotated direct != plain",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":
